@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import sys
@@ -36,15 +35,32 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def _write(out: Path, files: dict[str, str]) -> list[str]:
+    """Write each named text into ``out``; return the names written."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+    return list(files)
 
 
-def _load_inputs(args):
-    snapshots = timeseries.load_snapshots(args.snapshots, dt_override=args.dt_override)
-    layout = timeseries.load_layout(args.layout)
-    return snapshots, layout.reordered_to(snapshots.channel_ids)
+# -- stage writers, shared by the single-stage subcommands and the pipeline -------
+
+def _write_modes(out: Path, table, ranked) -> list[str]:
+    return _write(out, {"modes.json": spectral.table_to_json(table),
+                        "modes.csv": spectral.table_to_csv(ranked)})
+
+
+def _write_phase_average(out: Path, result) -> list[str]:
+    return _write(out, {"phase_average.csv": phaseavg.result_to_csv(result),
+                        "phase_average.json": phaseavg.result_to_json(result)})
+
+
+def _write_gradient(out: Path, field) -> list[str]:
+    files = {"gradient.csv": gradientmod.field_to_csv(field),
+             "gradient.svg": gradientmod.field_to_svg(field)}
+    if np.iscomplexobj(field.vectors):
+        files["rms_gradient.csv"] = gradientmod.rms_to_csv(field)
+    return _write(out, files)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -60,8 +76,8 @@ def cmd_synth_analytic(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     timeseries.write_snapshots(snapshots, out / "snapshots.csv")
     timeseries.write_layout(layout, out / "layout.csv")
-    _write(out / "truth_modes.json", spectral.table_to_json(truth))
-    _write(out / "truth_modes.csv", spectral.table_to_csv(truth))
+    _write(out, {"truth_modes.json": spectral.table_to_json(truth),
+                 "truth_modes.csv": spectral.table_to_csv(truth)})
     print(f"wrote {snapshots.n_channels} channels x {snapshots.n_snapshots} snapshots to {out}")
     return 0
 
@@ -92,10 +108,7 @@ def cmd_spectrum(args) -> int:
         snapshots = timeseries.remove_mean(snapshots)
     table = spectral.companion_kmd(snapshots)
     ranked = spectral.rank_modes(table, args.top)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "modes.json", spectral.table_to_json(table))
-    _write(out / "modes.csv", spectral.table_to_csv(ranked))
+    _write_modes(Path(args.out_dir), table, ranked)
     if not ranked.entries:
         print("warning: ranking is empty (only bias content found)", file=sys.stderr)
     for entry in ranked.entries:
@@ -113,64 +126,30 @@ def cmd_phase_average(args) -> int:
     if not args.keep_mean:
         snapshots = timeseries.remove_mean(snapshots)
     result = phaseavg.phase_average(snapshots, args.period_samples)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "phase_average.csv", phaseavg.result_to_csv(result))
-    _write(out / "phase_average.json", phaseavg.result_to_json(result))
+    _write_phase_average(Path(args.out_dir), result)
     print(f"phase average at P={result.period_samples} samples over Q={result.cycles_used} cycles")
     return 0
 
 
-def _read_phase_average_csv(path):
-    ids, sums, harmonics = [], [], []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"channel_id", "sum_real", "harmonic_re", "harmonic_im"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ParseError(f"{path}: expected phase-average CSV columns {sorted(needed)}")
-        for rec in reader:
-            ids.append(rec["channel_id"])
-            sums.append(float(rec["sum_real"]))
-            harmonics.append(complex(float(rec["harmonic_re"]), float(rec["harmonic_im"])))
-    return ids, np.array(sums), np.array(harmonics)
-
-
 def cmd_gradient(args) -> int:
-    ids, sums, harmonics = _read_phase_average_csv(args.mode_file)
+    ids, sums, harmonics = phaseavg.load_result_csv(args.mode_file)
     layout = timeseries.load_layout(args.layout).reordered_to(ids)
     mode = harmonics if args.use == "harmonic" else sums
     field = gradientmod.gradient_field(
         mode, layout, source=gradientmod.SOURCE_PHASE_AVERAGE, neighbors=args.neighbors
     )
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "gradient.csv", gradientmod.field_to_csv(field))
-    _write(out / "gradient.svg", gradientmod.field_to_svg(field))
-    if args.use == "harmonic":
-        rms = np.sqrt(2.0) * np.abs(field.vectors)
-        _write(out / "rms_gradient.csv", _rms_csv(layout, rms, field.valid))
+    _write_gradient(out, field)
     print(f"gradient at {int(field.valid.sum())}/{layout.n_sensors} sensors -> {out}")
     return 0
 
 
-def _rms_csv(layout, rms, valid) -> str:
-    axes = ["x", "y", "z"][: layout.d]
-    header = "channel_id," + ",".join(axes) + "," + ",".join(f"rms_g{a}" for a in axes) + ",valid"
-    lines = [header]
-    for i, cid in enumerate(layout.channel_ids):
-        coords = [repr(float(v)) for v in layout.positions[i]]
-        comps = [repr(float(v)) for v in rms[i]]
-        lines.append(f"{cid},{','.join(coords)},{','.join(comps)},{str(bool(valid[i])).lower()}")
-    return "\n".join(lines) + "\n"
-
-
-def _select_period(table, dt, n_snapshots, explicit):
+def _select_period(dominant, dt, n_snapshots, explicit):
     max_p = (n_snapshots - 1) // 2
     if explicit is not None:
         if not 2 <= explicit <= max_p:
             raise PeriodError(f"--period-samples must be in [2, {max_p}], got {explicit}")
         return explicit, "explicit"
-    dominant = table.dominant()
     if dominant is None or dominant.period_seconds is None:
         raise PeriodError(
             "cannot select a period automatically: no ranked oscillatory mode"
@@ -185,24 +164,21 @@ def _select_period(table, dt, n_snapshots, explicit):
 
 
 def cmd_pipeline(args) -> int:
-    snapshots, layout = _load_inputs(args)
+    snapshots = timeseries.load_snapshots(args.snapshots, dt_override=args.dt_override)
+    layout = timeseries.load_layout(args.layout).reordered_to(snapshots.channel_ids)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     mean_free = timeseries.remove_mean(snapshots)
     table = spectral.companion_kmd(mean_free)
-    ranked = spectral.rank_modes(table, args.top)
-    _write(out / "modes.json", spectral.table_to_json(table))
-    _write(out / "modes.csv", spectral.table_to_csv(ranked))
+    dominant = table.dominant()
+    written = _write_modes(out, table, spectral.rank_modes(table, args.top))
 
-    period_samples, rule = _select_period(table, snapshots.dt, snapshots.n_snapshots,
+    period_samples, rule = _select_period(dominant, snapshots.dt, snapshots.n_snapshots,
                                           args.period_samples)
     result = phaseavg.phase_average(mean_free, period_samples)
-    _write(out / "phase_average.csv", phaseavg.result_to_csv(result))
-    _write(out / "phase_average.json", phaseavg.result_to_json(result))
+    written += _write_phase_average(out, result)
 
     if args.gradient_source == gradientmod.SOURCE_DMD_MODE:
-        dominant = table.dominant()
         if dominant is None:
             raise PeriodError("no ranked oscillatory mode to use as the gradient source")
         mode = dominant.rep.mode
@@ -211,20 +187,15 @@ def cmd_pipeline(args) -> int:
     field = gradientmod.gradient_field(
         mode, layout, source=args.gradient_source, neighbors=args.neighbors
     )
-    _write(out / "gradient.csv", gradientmod.field_to_csv(field))
-    _write(out / "gradient.svg", gradientmod.field_to_svg(field))
-    if np.iscomplexobj(field.vectors):
-        rms = np.sqrt(2.0) * np.abs(field.vectors)
-        _write(out / "rms_gradient.csv", _rms_csv(layout, rms, field.valid))
+    written += _write_gradient(out, field)
 
     scores = None
     if args.flux_sources:
-        sources = synth.load_sources_csv(args.flux_sources)
+        sources = gradientmod.load_sources_csv(args.flux_sources)
         scores = gradientmod.flux_consistency(field, layout, sources)
         lines = ["source_id,score"] + [f"{name},{val!r}" for name, val in scores.items()]
-        _write(out / "flux_scores.csv", "\n".join(lines) + "\n")
+        written += _write(out, {"flux_scores.csv": "\n".join(lines) + "\n"})
 
-    dominant = table.dominant()
     metadata = {
         "tool_version": __version__,
         "inputs": {
@@ -253,9 +224,9 @@ def cmd_pipeline(args) -> int:
         },
         "companion_residual": table.residual,
         "flux_scores": scores,
-        "outputs": sorted(p.name for p in out.iterdir() if p.name != "run_metadata.json"),
+        "outputs": sorted(written),
     }
-    _write(out / "run_metadata.json", json.dumps(metadata, sort_keys=True, indent=2) + "\n")
+    _write(out, {"run_metadata.json": json.dumps(metadata, sort_keys=True, indent=2) + "\n"})
 
     period_min = "-" if dominant is None or dominant.period_seconds is None \
         else f"{dominant.period_seconds / 60.0:.4g}"

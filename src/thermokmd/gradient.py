@@ -17,11 +17,14 @@ guess: a fabricated gradient component would defeat the diagnostic.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, GeometryError
+from . import timeseries
+from .errors import ArgumentError, GeometryError, ParseError
 from .timeseries import SensorLayout
 
 GRID_CENTRAL = "grid_central"
@@ -86,6 +89,27 @@ class FluxSource:
             raise ArgumentError(f"source kind must be cooling or heating, got {self.kind!r}")
 
 
+def load_sources_csv(path) -> tuple[FluxSource, ...]:
+    """Actuators from a CSV with columns ``id,x,y,mode`` (mode ``cool`` or ``heat``)."""
+    path = Path(path)
+    sources = []
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        required = {"id", "x", "y", "mode"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ParseError(f"{path}: sources file needs columns id,x,y,mode")
+        for r, rec in enumerate(reader, start=1):
+            mode = (rec["mode"] or "").strip()
+            if mode not in ("cool", "heat"):
+                raise ParseError(f"{path}: source mode must be cool or heat, got {mode!r}")
+            kind = "cooling" if mode == "cool" else "heating"
+            position = tuple(
+                timeseries.parse_number(rec[k], f"{path} data row {r} {k}") for k in ("x", "y")
+            )
+            sources.append(FluxSource(rec["id"].strip(), position, kind))
+    return tuple(sources)
+
+
 def median_spacing(layout: SensorLayout) -> float:
     """Median over sensors of the distance to the nearest other sensor."""
     pos = layout.positions
@@ -148,39 +172,22 @@ def gradient_field(
 
 def _grid_gradient(mode, layout):
     g = layout.grid
-    idx = layout.grid_indices()
-    m = layout.n_sensors
-    field = np.full((g.rows, g.cols), np.nan, dtype=mode.dtype)
-    field[idx[:, 0], idx[:, 1]] = mode
+    row, col = layout.grid_indices().T
+    field = np.zeros((g.rows, g.cols), dtype=mode.dtype)
+    field[row, col] = mode
 
+    m = layout.n_sensors
     vectors = np.zeros((m, 2), dtype=mode.dtype)
-    methods = []
-    for i in range(m):
-        row, col = idx[i]
-        onesided = False
-        if g.cols > 1:
-            if 0 < col < g.cols - 1:
-                gx = (field[row, col + 1] - field[row, col - 1]) / (2.0 * g.dx)
-            elif col == 0:
-                gx = (field[row, 1] - field[row, 0]) / g.dx
-                onesided = True
-            else:
-                gx = (field[row, col] - field[row, col - 1]) / g.dx
-                onesided = True
-            vectors[i, 0] = gx
-        if g.rows > 1:
-            if 0 < row < g.rows - 1:
-                gy = (field[row + 1, col] - field[row - 1, col]) / (2.0 * g.dy)
-            elif row == 0:
-                gy = (field[1, col] - field[0, col]) / g.dy
-                onesided = True
-            else:
-                gy = (field[row, col] - field[row - 1, col]) / g.dy
-                onesided = True
-            vectors[i, 1] = gy
-        methods.append(GRID_ONESIDED if onesided else GRID_CENTRAL)
-    valid = np.ones(m, dtype=bool)
-    return vectors, valid, methods
+    onesided = np.zeros(m, dtype=bool)
+    # np.gradient's default edge_order=1 is the central/one-sided stencil
+    if g.cols > 1:  # x runs along the columns, array axis 1
+        vectors[:, 0] = np.gradient(field, g.dx, axis=1)[row, col]
+        onesided |= (col == 0) | (col == g.cols - 1)
+    if g.rows > 1:  # y runs along the rows, array axis 0
+        vectors[:, 1] = np.gradient(field, g.dy, axis=0)[row, col]
+        onesided |= (row == 0) | (row == g.rows - 1)
+    methods = [GRID_ONESIDED if o else GRID_CENTRAL for o in onesided]
+    return vectors, np.ones(m, dtype=bool), methods
 
 
 def _scattered_gradient(mode, layout, neighbors, condition_limit):
@@ -223,7 +230,11 @@ def rms_gradient(
     gradient component.  Rows of invalid sensors are NaN.
     """
     field = gradient_field(np.asarray(complex_mode, dtype=complex), layout, **kwargs)
-    return np.sqrt(2.0) * np.abs(field.vectors)
+    return _rms(field.vectors)
+
+
+def _rms(vectors: np.ndarray) -> np.ndarray:
+    return np.sqrt(2.0) * np.abs(vectors)
 
 
 def flux_consistency(
@@ -270,25 +281,35 @@ def flux_consistency(
 
 # -- serialization ------------------------------------------------------------
 
-def field_to_csv(field: GradientField) -> str:
+def _sensor_csv(field: GradientField, patterns, values, methods=None) -> str:
+    """One row per sensor: id, coordinates, ``values``, valid[, method].
+
+    Each pattern in ``patterns`` names one value column per axis.
+    """
     layout = field.layout
-    is_complex = np.iscomplexobj(field.vectors)
-    coord_cols = ["x", "y", "z"][: layout.d]
-    grad_cols = [f"g{a}_re" for a in coord_cols]
-    if is_complex:
-        grad_cols += [f"g{a}_im" for a in coord_cols]
-    lines = ["channel_id," + ",".join(coord_cols + grad_cols) + ",valid,method"]
+    axes = ["x", "y", "z"][: layout.d]
+    header = ["channel_id", *axes, *(p.format(a) for p in patterns for a in axes), "valid"]
+    lines = [",".join(header + (["method"] if methods else []))]
     for i, cid in enumerate(layout.channel_ids):
-        coords = [repr(float(v)) for v in layout.positions[i]]
-        vec = field.vectors[i]
-        parts = [repr(float(np.real(v))) for v in vec]
-        if is_complex:
-            parts += [repr(float(np.imag(v))) for v in vec]
-        lines.append(
-            f"{cid},{','.join(coords)},{','.join(parts)},"
-            f"{str(bool(field.valid[i])).lower()},{field.methods[i]}"
-        )
+        cells = [cid, *(repr(float(v)) for v in layout.positions[i])]
+        cells += [repr(float(v)) for v in values[i]]
+        cells.append(str(bool(field.valid[i])).lower())
+        lines.append(",".join(cells + ([methods[i]] if methods else [])))
     return "\n".join(lines) + "\n"
+
+
+def field_to_csv(field: GradientField) -> str:
+    """Gradient components (real, then imaginary for a complex mode) per sensor."""
+    vec = field.vectors
+    if np.iscomplexobj(vec):
+        return _sensor_csv(field, ("g{}_re", "g{}_im"), np.hstack([vec.real, vec.imag]),
+                           field.methods)
+    return _sensor_csv(field, ("g{}_re",), vec, field.methods)
+
+
+def rms_to_csv(field: GradientField) -> str:
+    """Component-wise RMS gradient (see :func:`rms_gradient`) per sensor."""
+    return _sensor_csv(field, ("rms_g{}",), _rms(field.vectors))
 
 
 def field_to_svg(field: GradientField, width_px: int = 720) -> str:

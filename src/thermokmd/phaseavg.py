@@ -14,14 +14,16 @@ estimates.
 
 from __future__ import annotations
 
+import csv
 import json
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import BiasWarning, PeriodError
-from .spectral import MEAN_FREE_RTOL
+from . import timeseries
+from .errors import BiasWarning, ParseError, PeriodError
 from .timeseries import SnapshotMatrix
 
 
@@ -56,22 +58,6 @@ class PhaseAverageResult:
             raise PeriodError("phase average produced non-finite values")
 
 
-def _check_mean_free(s: SnapshotMatrix) -> tuple[str, ...]:
-    means = np.abs(s.values.mean(axis=1))
-    rms = np.sqrt((s.values**2).mean(axis=1))
-    bad = means > MEAN_FREE_RTOL * np.maximum(rms, 1.0)
-    if np.any(bad):
-        worst = int(np.argmax(means / np.maximum(rms, 1.0)))
-        msg = (
-            f"input does not look mean-removed (channel "
-            f"{s.channel_ids[worst]!r} has |mean| = {means[worst]:.3g}); "
-            "the average will absorb the bias"
-        )
-        warnings.warn(msg, BiasWarning, stacklevel=3)
-        return (msg,)
-    return ()
-
-
 def phase_average(s: SnapshotMatrix, period_samples: int) -> PhaseAverageResult:
     """Average the record at stride ``period_samples``.
 
@@ -86,10 +72,19 @@ def phase_average(s: SnapshotMatrix, period_samples: int) -> PhaseAverageResult:
         raise PeriodError(
             f"period_samples must be an integer in [2, {(N - 1) // 2}], got {period_samples}"
         )
-    notes = _check_mean_free(s)
+    notes = ()
+    offset = timeseries.mean_offset(s)
+    if offset is not None:
+        worst, mean = offset
+        notes = (
+            f"input does not look mean-removed (channel "
+            f"{s.channel_ids[worst]!r} has |mean| = {mean:.3g}); "
+            "the average will absorb the bias",
+        )
+        warnings.warn(notes[0], BiasWarning, stacklevel=2)
     Q = (N - 1) // P + 1
     sum_real = s.values[:, :: P][:, :Q].mean(axis=1)
-    harmonic = harmonic_amplitude(s, P, _warn_bias=False)
+    harmonic = harmonic_amplitude(s, P)
     return PhaseAverageResult(
         period_samples=P,
         cycles_used=Q,
@@ -101,13 +96,13 @@ def phase_average(s: SnapshotMatrix, period_samples: int) -> PhaseAverageResult:
     )
 
 
-def harmonic_amplitude(
-    s: SnapshotMatrix, period_samples: int, _warn_bias: bool = True
-) -> np.ndarray:
+def harmonic_amplitude(s: SnapshotMatrix, period_samples: int) -> np.ndarray:
     """Single-frequency Fourier coefficient over whole cycles.
 
     A := (1/L) * sum_{k=0}^{L-1} y_k exp(-i 2 pi k / P) with L = P * floor(N/P),
     so that a pure tone y_k = 2 Re[A0 exp(i 2 pi k / P)] gives back A0 exactly.
+    A constant per-channel offset sums to zero over whole cycles, so unlike
+    the stride average this needs no mean removal and issues no BiasWarning.
 
     Raises PeriodError when fewer than two whole cycles fit the record.
     """
@@ -120,8 +115,6 @@ def harmonic_amplitude(
         raise PeriodError(
             f"need at least 2 whole cycles ({2 * P} samples), record has {N}"
         )
-    if _warn_bias:
-        _check_mean_free(s)
     k = np.arange(L)
     phases = np.exp(-2j * np.pi * k / P)
     return (s.values[:, :L] @ phases) / L
@@ -134,6 +127,25 @@ def result_to_csv(res: PhaseAverageResult) -> str:
     for cid, v, h in zip(res.channel_ids, res.sum_real, res.harmonic):
         lines.append(f"{cid},{float(v)!r},{float(h.real)!r},{float(h.imag)!r}")
     return "\n".join(lines) + "\n"
+
+
+def load_result_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Channel ids, ``sum_real`` and ``harmonic`` from a :func:`result_to_csv` file."""
+    ids, sums, harmonics = [], [], []
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        needed = {"channel_id", "sum_real", "harmonic_re", "harmonic_im"}
+        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
+            raise ParseError(f"{path}: expected phase-average CSV columns {sorted(needed)}")
+        for r, rec in enumerate(reader, start=1):
+            re_sum, re_h, im_h = (
+                timeseries.parse_number(rec[k], f"{path} data row {r} {k}")
+                for k in ("sum_real", "harmonic_re", "harmonic_im")
+            )
+            ids.append(rec["channel_id"])
+            sums.append(re_sum)
+            harmonics.append(complex(re_h, im_h))
+    return ids, np.array(sums), np.array(harmonics)
 
 
 def result_to_json(res: PhaseAverageResult) -> str:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import timeseries
 from .errors import ArgumentError, DegenerateDataError, NumericalError
 from .timeseries import SnapshotMatrix
 
@@ -45,9 +46,6 @@ CONJUGATE_MATCH_RTOL = 1e-8
 #: numerically zero; their total contribution stays below the reconstruction
 #: tolerance for any |lam| the method can produce on short records
 ZERO_MODE_RTOL = 1e-12
-
-#: per-channel |mean| <= MEAN_FREE_RTOL * rms counts as mean-removed
-MEAN_FREE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,9 +114,6 @@ class ModeTable:
         """Entries that participate in the ranking (bias excluded)."""
         return tuple(e for e in self.entries if not e.bias)
 
-    def bias_entries(self) -> tuple[ModeEntry, ...]:
-        return tuple(e for e in self.entries if e.bias)
-
     def dominant(self) -> ModeEntry | None:
         ranked = self.ranked()
         return ranked[0] if ranked else None
@@ -158,12 +153,6 @@ def period_of(lam: complex, dt: float, bias_threshold: float = BIAS_THRESHOLD_RA
     if angle < bias_threshold:
         return None
     return float(2.0 * np.pi * dt / angle)
-
-
-def _is_mean_free(values: np.ndarray) -> bool:
-    means = np.abs(values.mean(axis=1))
-    rms = np.sqrt((values**2).mean(axis=1))
-    return bool(np.all(means <= MEAN_FREE_RTOL * np.maximum(rms, 1.0)))
 
 
 def companion_kmd(s: SnapshotMatrix) -> ModeTable:
@@ -218,8 +207,6 @@ def companion_kmd(s: SnapshotMatrix) -> ModeTable:
             notes.append(f"dropped zero mode at lam={lams[j]:.6g}")
             continue
         pairs.append(RitzPair(complex(lams[j]), modes[:, j], index=j))
-    if notes:
-        warnings.warn(f"dropped {len(notes)} numerically zero modes", stacklevel=2)
 
     entries = _group_and_rank(pairs, s.dt, s.n_snapshots, notes)
     return ModeTable(
@@ -227,7 +214,7 @@ def companion_kmd(s: SnapshotMatrix) -> ModeTable:
         dt=s.dt,
         n_snapshots=s.n_snapshots,
         residual=residual,
-        mean_removed=_is_mean_free(Y),
+        mean_removed=timeseries.mean_offset(s) is None,
         channel_ids=s.channel_ids,
         notes=tuple(notes),
     )
@@ -290,37 +277,28 @@ def _make_entry(
     n_snapshots: int,
     unpaired: bool = False,
 ) -> ModeEntry:
-    angle = abs(np.angle(rep.lam))
-    bias = bool(angle < BIAS_THRESHOLD_RAD)
-    nyquist = bool(not bias and angle >= np.pi)  # arg in (-pi, pi]: only arg == pi
-    period = None if (bias or nyquist) else float(2.0 * np.pi * dt / angle)
+    period = period_of(rep.lam, dt)
+    # arg in (-pi, pi]: only arg == pi sits at the sampling limit
+    nyquist = period is not None and bool(abs(np.angle(rep.lam)) >= np.pi)
     return ModeEntry(
         rep=rep,
         partner=partner,
         label=(),
         abs_lam=float(abs(rep.lam)),
-        period_seconds=period,
+        period_seconds=None if nyquist else period,
         mode_norm=float(np.linalg.norm(rep.mode)),
         energy=energy_norm(rep, n_snapshots),
-        bias=bias,
+        bias=period is None,
         nyquist=nyquist,
         unpaired=unpaired,
     )
 
 
 def rank_modes(table: ModeTable, top: int) -> ModeTable:
-    """Top ``top`` entries by energy, bias excluded, couples relabeled 1, 2, ..."""
+    """Top ``top`` entries by energy, bias excluded, keeping their labels 1, 2, ..."""
     if top < 1:
         raise ArgumentError(f"top must be >= 1, got {top}")
-    kept: list[ModeEntry] = []
-    next_index = 1
-    for e in table.ranked():
-        if len(kept) >= top:
-            break
-        width = 2 if e.is_couple else 1
-        kept.append(replace(e, label=tuple(range(next_index, next_index + width))))
-        next_index += width
-    return replace(table, entries=tuple(kept))
+    return replace(table, entries=table.ranked()[:top])
 
 
 def reconstruct(table: ModeTable, n_snapshots: int | None = None) -> np.ndarray:

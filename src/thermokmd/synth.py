@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import timeseries
 from .errors import ArgumentError, ParseError, StabilityError
-from .gradient import FluxSource
 from .spectral import ModeTable, RitzPair, _group_and_rank
 from .timeseries import SensorLayout, SnapshotMatrix
 
@@ -196,10 +196,6 @@ class AirConditioner:
         if self.mode == "heat" and not self.on_threshold < self.off_threshold:
             raise ArgumentError("heating thermostat needs on_threshold < off_threshold")
 
-    def as_flux_source(self) -> FluxSource:
-        kind = "cooling" if self.mode == "cool" else "heating"
-        return FluxSource(self.name, tuple(self.position), kind)
-
 
 @dataclass(frozen=True)
 class SwitchEvent:
@@ -271,9 +267,6 @@ class RoomSimSpec:
     @property
     def dy(self) -> float:
         return self.depth / self.ny
-
-    def flux_sources(self) -> tuple[FluxSource, ...]:
-        return tuple(ac.as_flux_source() for ac in self.acs)
 
 
 def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent, ...]]:
@@ -395,25 +388,6 @@ def write_sources_csv(acs, path) -> None:
                              repr(float(ac.position[1])), ac.mode])
 
 
-def load_sources_csv(path) -> tuple[FluxSource, ...]:
-    path = Path(path)
-    sources = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"id", "x", "y", "mode"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ParseError(f"{path}: sources file needs columns id,x,y,mode")
-        for rec in reader:
-            mode = rec["mode"].strip()
-            if mode not in ("cool", "heat"):
-                raise ParseError(f"{path}: source mode must be cool or heat, got {mode!r}")
-            kind = "cooling" if mode == "cool" else "heating"
-            sources.append(
-                FluxSource(rec["id"].strip(), (float(rec["x"]), float(rec["y"])), kind)
-            )
-    return tuple(sources)
-
-
 # -- default room and layout ---------------------------------------------------
 
 def default_layout() -> SensorLayout:
@@ -466,6 +440,14 @@ def default_analytic_spec(layout: SensorLayout | None = None) -> AnalyticSpec:
 
 # -- config file parsing ---------------------------------------------------------
 
+def _number(section, key: str, where: str, kind=float, fallback=None):
+    """A numeric INI field, or ``fallback`` when it is absent and optional."""
+    text = section.get(key)
+    if text is None and fallback is not None:
+        return fallback
+    return timeseries.parse_number(text, f"{where} [{section.name}] {key}", kind)
+
+
 def _parse_field(section, where: str, d: int):
     has_poly = "poly" in section
     has_wave = "plane_wave" in section
@@ -482,10 +464,9 @@ def _parse_field(section, where: str, d: int):
                     f"{where}: poly term {chunk.strip()!r} needs {d} exponents "
                     "plus 1 or 2 coefficients"
                 )
-            exponents = tuple(int(p) for p in parts[:d])
-            re_part = float(parts[d])
-            im_part = float(parts[d + 1]) if len(parts) == d + 2 else 0.0
-            terms.append((exponents, complex(re_part, im_part)))
+            exponents = tuple(timeseries.parse_number(p, f"{where} poly", int) for p in parts[:d])
+            coeffs = [timeseries.parse_number(p, f"{where} poly") for p in parts[d:]] + [0.0]
+            terms.append((exponents, complex(coeffs[0], coeffs[1])))
         if not terms:
             raise ParseError(f"{where}: poly field has no terms")
         return PolynomialField(tuple(terms))
@@ -494,10 +475,8 @@ def _parse_field(section, where: str, d: int):
         raise ParseError(
             f"{where}: plane_wave needs 're im' plus {d} wavevector components"
         )
-    return PlaneWaveField(
-        complex(float(parts[0]), float(parts[1])),
-        tuple(float(p) for p in parts[2:]),
-    )
+    nums = [timeseries.parse_number(p, f"{where} plane_wave") for p in parts]
+    return PlaneWaveField(complex(nums[0], nums[1]), tuple(nums[2:]))
 
 
 def _analytic_spec_from_parser(parser, layout: SensorLayout, where: str) -> AnalyticSpec:
@@ -511,9 +490,9 @@ def _analytic_spec_from_parser(parser, layout: SensorLayout, where: str) -> Anal
         sec = parser[name]
         tones.append(
             Tone(
-                period=sec.getfloat("period"),
+                period=_number(sec, "period", where),
                 amplitude=_parse_field(sec, f"{where} [{name}]", layout.d),
-                phase=sec.getfloat("phase", fallback=0.0),
+                phase=_number(sec, "phase", where, fallback=0.0),
             )
         )
     bias = None
@@ -521,12 +500,12 @@ def _analytic_spec_from_parser(parser, layout: SensorLayout, where: str) -> Anal
         bias = _parse_field(parser["bias"], f"{where} [bias]", layout.d)
     return AnalyticSpec(
         layout=layout,
-        dt=top.getfloat("dt"),
-        n_snapshots=top.getint("snapshots"),
+        dt=_number(top, "dt", where),
+        n_snapshots=_number(top, "snapshots", where, int),
         tones=tuple(tones),
         bias=bias,
-        noise_std=top.getfloat("noise_std", fallback=0.0),
-        seed=top.getint("seed", fallback=0),
+        noise_std=_number(top, "noise_std", where, fallback=0.0),
+        seed=_number(top, "seed", where, int, fallback=0),
     )
 
 
@@ -550,30 +529,30 @@ def _room_spec_from_parser(parser, sensors: SensorLayout, where: str) -> RoomSim
         acs.append(
             AirConditioner(
                 name=name[3:],
-                position=(sec.getfloat("x"), sec.getfloat("y")),
+                position=(_number(sec, "x", where), _number(sec, "y", where)),
                 mode=sec.get("mode"),
-                power=sec.getfloat("power"),
-                on_threshold=sec.getfloat("on"),
-                off_threshold=sec.getfloat("off"),
+                power=_number(sec, "power", where),
+                on_threshold=_number(sec, "on", where),
+                off_threshold=_number(sec, "off", where),
             )
         )
     return RoomSimSpec(
-        width=room.getfloat("width"),
-        depth=room.getfloat("depth"),
-        nx=room.getint("nx"),
-        ny=room.getint("ny"),
-        kappa=room.getfloat("kappa"),
-        leak=room.getfloat("leak"),
-        ambient=room.getfloat("ambient"),
+        width=_number(room, "width", where),
+        depth=_number(room, "depth", where),
+        nx=_number(room, "nx", where, int),
+        ny=_number(room, "ny", where, int),
+        kappa=_number(room, "kappa", where),
+        leak=_number(room, "leak", where),
+        ambient=_number(room, "ambient", where),
         acs=tuple(acs),
-        sim_dt=room.getfloat("sim_dt"),
-        sample_dt=room.getfloat("sample_dt"),
-        duration=room.getfloat("duration"),
+        sim_dt=_number(room, "sim_dt", where),
+        sample_dt=_number(room, "sample_dt", where),
+        duration=_number(room, "duration", where),
         sensors=sensors,
-        warmup=room.getfloat("warmup", fallback=0.0),
-        seed=room.getint("seed", fallback=0),
-        init_temperature=room.getfloat("init_temperature", fallback=25.0),
-        init_noise=room.getfloat("init_noise", fallback=0.0),
+        warmup=_number(room, "warmup", where, fallback=0.0),
+        seed=_number(room, "seed", where, int, fallback=0),
+        init_temperature=_number(room, "init_temperature", where, fallback=25.0),
+        init_noise=_number(room, "init_noise", where, fallback=0.0),
     )
 
 

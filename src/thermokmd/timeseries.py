@@ -35,6 +35,9 @@ UNIFORMITY_RTOL = Fraction(1, 10**6)
 #: absolute tolerance (meters) for matching positions to a declared lattice
 GRID_MATCH_TOL = 1e-9
 
+#: per-channel |mean| <= MEAN_FREE_RTOL * max(rms, 1) counts as mean-removed
+MEAN_FREE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
@@ -216,6 +219,17 @@ class SensorLayout:
         return SensorLayout(tuple(channel_ids), self.positions_for(channel_ids), self.grid)
 
 
+def parse_number(text, where: str, kind=float):
+    """``kind(text)`` for one input field; ``where`` names the file and field.
+
+    Raises ParseError when the field is missing (None) or not a number.
+    """
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: expected a number, got {text!r}") from None
+
+
 def _parse_time(cell: str, row: int) -> tuple[Fraction, float]:
     try:
         dec = Decimal(cell.strip())
@@ -379,3 +393,17 @@ def write_layout(layout: SensorLayout, path) -> None:
 def remove_mean(s: SnapshotMatrix) -> SnapshotMatrix:
     """Subtract the per-channel time mean over the whole record."""
     return s.with_values(s.values - s.values.mean(axis=1, keepdims=True))
+
+
+def mean_offset(s: SnapshotMatrix) -> tuple[int, float] | None:
+    """Channel index and |mean| of the channel furthest from mean-free.
+
+    Returns None when every channel has |mean| <= MEAN_FREE_RTOL * max(rms, 1),
+    i.e. the record counts as mean-removed.
+    """
+    means = np.abs(s.values.mean(axis=1))
+    scale = np.maximum(np.sqrt((s.values**2).mean(axis=1)), 1.0)
+    if np.all(means <= MEAN_FREE_RTOL * scale):
+        return None
+    worst = int(np.argmax(means / scale))
+    return worst, float(means[worst])

@@ -1,4 +1,5 @@
 import json
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -83,6 +84,29 @@ class TestSynthAndSpectrum:
         assert code == 2
         assert "zzz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["width", "poly", "x", "sum_real"])
+    def test_non_numeric_field_exit_2(self, field, two_tone_dir, tmp_path, capsys):
+        bad = tmp_path / "bad_input"
+        data = ["--layout", str(two_tone_dir / "layout.csv")]
+        room_ini = files("thermokmd.configs").joinpath("room_default.ini").read_text("utf-8")
+        text, argv = {
+            "width": (room_ini.replace("width = 14.0", "width = foo"),
+                      ["synth-room", "--config", str(bad)]),
+            "poly": ("[analytic]\ndt = 60.0\nsnapshots = 241\n"
+                     "[tone.1]\nperiod = 853.8\npoly = 0 0 x\n",
+                     ["synth-analytic", "--config", str(bad)]),
+            "x": ("id,x,y,mode\nAC-1,abc,2.9,cool\n",
+                  ["pipeline", "--snapshots", str(two_tone_dir / "snapshots.csv"), *data,
+                   "--flux-sources", str(bad)]),
+            "sum_real": ("channel_id,sum_real,harmonic_re,harmonic_im\nTH-1,zz,0.0,0.0\n",
+                         ["gradient", "--mode-file", str(bad), *data]),
+        }[field]
+        bad.write_text(text, encoding="utf-8")
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and field in err
+
 
 class TestPhaseAverageAndGradient:
     def test_chain(self, tmp_path):
@@ -158,6 +182,19 @@ class TestPipeline:
             assert key in params
         assert meta["inputs"]["snapshots"]["sha256"]
         assert meta["dominant_mode"]["couple"] == [1, 2]
+
+    def test_outputs_lists_only_this_run(self, tmp_path):
+        # a dmd_mode run leaves rms_gradient.csv behind; the next run did not write it
+        data = single_tone_dir(tmp_path)
+        out = tmp_path / "out"
+        base = ["pipeline", "--snapshots", str(data / "snapshots.csv"),
+                "--layout", str(data / "layout.csv"), "--out-dir", str(out)]
+        assert main(base + ["--gradient-source", "dmd_mode"]) == 0
+        assert main(base) == 0
+        assert (out / "rms_gradient.csv").exists()
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert meta["outputs"] == ["gradient.csv", "gradient.svg", "modes.csv", "modes.json",
+                                   "phase_average.csv", "phase_average.json"]
 
     def test_byte_determinism(self, tmp_path):
         data = single_tone_dir(tmp_path)

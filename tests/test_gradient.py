@@ -102,6 +102,13 @@ class TestConvergence:
         xs = np.arange(0.0, 1.01, 0.1)
         field = gradient_field(np.sin(np.pi * xs), line_layout(xs))
         assert np.max(np.abs(field.vectors[:, 1])) == 0.0
+        # the same line as a single column: the x component is the zero one
+        column = SensorLayout(field.layout.channel_ids, np.array([[0.0, y] for y in xs]),
+                              GridSpec(len(xs), 1, 1.0, xs[1] - xs[0]))
+        col_field = gradient_field(np.sin(np.pi * xs), column)
+        assert np.max(np.abs(col_field.vectors[:, 0])) == 0.0
+        assert np.array_equal(col_field.vectors[:, 1], field.vectors[:, 0])
+        assert col_field.methods == field.methods
 
     def test_grid_vs_scattered_agreement(self):
         h = 0.1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,11 @@ class TestHarmonicAmplitude:
         amp = harmonic_amplitude(s, 14)
         # orthogonality over 238 = 17 whole cycles
         assert np.max(np.abs(amp - v)) <= 1e-12
+        # a constant offset sums to zero over whole cycles: same coefficient
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shifted = harmonic_amplitude(record(s.values + 5.0), 14)
+        assert np.max(np.abs(shifted - v)) <= 1e-12
 
     def test_sine_tone(self):
         v = np.array([1.0, 2.0])

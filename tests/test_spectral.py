@@ -181,6 +181,11 @@ class TestRanking:
         s, *_ = self.two_tone()
         table = companion_kmd(s)
         assert len(rank_modes(table, top=1).entries) == 1
+        # the table's own ranking order and couple labels, cut at top
+        for k in (1, 2, 5):
+            assert rank_modes(table, k).entries == table.ranked()[:k]
+        labels = [i for e in rank_modes(table, 5).entries for i in e.label]
+        assert labels == list(range(1, len(labels) + 1))
         with pytest.raises(ArgumentError):
             rank_modes(table, top=0)
 
