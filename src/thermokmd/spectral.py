@@ -125,20 +125,23 @@ def energy_norm(p: RitzPair, n_snapshots: int) -> float:
     Real lam:   sqrt( sum_k || lam^k V ||^2 )
     Complex lam: sqrt( sum_k || 2 Re[lam^k V] ||^2 ), counting the couple once.
 
-    Summed directly (records are short); lam^0 is 1 even for lam = 0, so a
-    nilpotent mode still contributes its initial snapshot.
+    The powers are built in sequence, lam^k = lam^(k-1) * lam, with lam^0 = 1
+    even for lam = 0, so a nilpotent mode still contributes its initial
+    snapshot.  Each snapshot's squared norm is one BLAS ``ddot`` over its
+    row, and the squared norms are added in snapshot order.  That order is
+    part of the contract: ``einsum``, a pairwise ``sum``, or a contiguous
+    copy of a real mode's ``.real`` view (which changes the ``ddot`` stride)
+    can move the energy by an ulp, and with it the ranking and ``modes.json``.
     """
     if n_snapshots < 1:
         raise ArgumentError(f"n_snapshots must be >= 1, got {n_snapshots}")
     lam = complex(p.lam)
-    is_real = lam.imag == 0.0
-    total = 0.0
-    power = 1.0 + 0.0j  # lam^0 := 1, including lam == 0
-    for _ in range(n_snapshots):
-        contrib = (power * p.mode).real if is_real else 2.0 * (power * p.mode).real
-        total += float(np.dot(contrib, contrib))
-        power *= lam
-    return float(np.sqrt(total))
+    steps = np.full(n_snapshots, lam)
+    steps[0] = 1.0
+    terms = (np.cumprod(steps)[:, None] * p.mode).real
+    if lam.imag != 0.0:
+        terms = 2.0 * terms
+    return float(np.sqrt(np.cumsum(np.vecdot(terms, terms))[-1]))
 
 
 def period_of(lam: complex, dt: float, bias_threshold: float = BIAS_THRESHOLD_RAD) -> float | None:

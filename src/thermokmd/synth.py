@@ -509,12 +509,26 @@ def _analytic_spec_from_parser(parser, layout: SensorLayout, where: str) -> Anal
     )
 
 
-def load_analytic_config(path, layout: SensorLayout) -> AnalyticSpec:
+def _load_config(path, kind: str, spec_from_parser):
+    """``spec_from_parser(parser, where)`` on an INI file.
+
+    A value that parses but is out of range for the spec is still a fault of
+    the file, so the spec's ArgumentError becomes a ParseError naming it.
+    """
     parser = configparser.ConfigParser()
     read = parser.read(Path(path), encoding="utf-8")
     if not read:
-        raise ParseError(f"cannot read analytic config {path}")
-    return _analytic_spec_from_parser(parser, layout, str(path))
+        raise ParseError(f"cannot read {kind} config {path}")
+    try:
+        return spec_from_parser(parser, str(path))
+    except ArgumentError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def load_analytic_config(path, layout: SensorLayout) -> AnalyticSpec:
+    return _load_config(
+        path, "analytic", lambda parser, where: _analytic_spec_from_parser(parser, layout, where)
+    )
 
 
 def _room_spec_from_parser(parser, sensors: SensorLayout, where: str) -> RoomSimSpec:
@@ -557,8 +571,6 @@ def _room_spec_from_parser(parser, sensors: SensorLayout, where: str) -> RoomSim
 
 
 def load_room_config(path, sensors: SensorLayout) -> RoomSimSpec:
-    parser = configparser.ConfigParser()
-    read = parser.read(Path(path), encoding="utf-8")
-    if not read:
-        raise ParseError(f"cannot read room config {path}")
-    return _room_spec_from_parser(parser, sensors, str(path))
+    return _load_config(
+        path, "room", lambda parser, where: _room_spec_from_parser(parser, sensors, where)
+    )

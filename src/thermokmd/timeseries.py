@@ -353,7 +353,8 @@ def load_layout(path) -> SensorLayout:
         m = _GRID_RE.match(first.strip())
         if m:
             grid = GridSpec(int(m.group(1)), int(m.group(2)),
-                            float(m.group(3)), float(m.group(4)))
+                            parse_number(m.group(3), f"{path}: grid header dx"),
+                            parse_number(m.group(4), f"{path}: grid header dy"))
             header_line = fh.readline()
         elif first.startswith("#"):
             raise ParseError(f"{path}: unrecognized comment header {first.strip()!r}")

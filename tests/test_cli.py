@@ -84,7 +84,7 @@ class TestSynthAndSpectrum:
         assert code == 2
         assert "zzz" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["width", "poly", "x", "sum_real"])
+    @pytest.mark.parametrize("field", ["width", "poly", "x", "sum_real", "dx"])
     def test_non_numeric_field_exit_2(self, field, two_tone_dir, tmp_path, capsys):
         bad = tmp_path / "bad_input"
         data = ["--layout", str(two_tone_dir / "layout.csv")]
@@ -92,6 +92,9 @@ class TestSynthAndSpectrum:
         text, argv = {
             "width": (room_ini.replace("width = 14.0", "width = foo"),
                       ["synth-room", "--config", str(bad)]),
+            "dx": ("# grid rows=2 cols=2 dx=1e+ dy=1\nid,x,y\n"
+                   "a,0,0\nb,1,0\nc,0,1\nd,1,1\n",
+                   ["synth-room", "--layout", str(bad)]),
             "poly": ("[analytic]\ndt = 60.0\nsnapshots = 241\n"
                      "[tone.1]\nperiod = 853.8\npoly = 0 0 x\n",
                      ["synth-analytic", "--config", str(bad)]),
@@ -106,6 +109,21 @@ class TestSynthAndSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(bad) in err and field in err
+
+    @pytest.mark.parametrize("field", ["nx", "mode", "snapshots"])
+    def test_out_of_range_config_exit_2(self, field, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        room_ini = files("thermokmd.configs").joinpath("room_default.ini").read_text("utf-8")
+        text, command = {
+            "nx": (room_ini.replace("nx = 56", "nx = 2"), "synth-room"),
+            "mode": (room_ini.replace("mode = cool\n", "", 1), "synth-room"),
+            "snapshots": ("[analytic]\ndt = 60.0\nsnapshots = 2\n", "synth-analytic"),
+        }[field]
+        bad.write_text(text, encoding="utf-8")
+        assert main([command, "--config", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
 
 
 class TestPhaseAverageAndGradient:

@@ -111,6 +111,9 @@ class TestCompanionKmd:
             assert not e.unpaired
 
 
+LAM_KINDS = ("inside", "on", "outside", "real_pos", "real_neg", "zero", "neg_zero_imag")
+
+
 class TestEnergyNorm:
     def test_unit_stationary_mode(self):
         # oracle: direct summation of 241 unit terms
@@ -135,6 +138,58 @@ class TestEnergyNorm:
     def test_rejects_empty_record(self):
         with pytest.raises(ArgumentError):
             energy_norm(RitzPair(1.0 + 0j, np.array([1.0]), 0), 0)
+
+    @staticmethod
+    def random_lam(kind, rng):
+        theta = rng.uniform(1e-3, np.pi)
+        return {
+            "inside": rng.uniform(0.05, 0.999) * np.exp(1j * theta),
+            "on": np.exp(1j * theta),
+            "outside": rng.uniform(1.0001, 1.01) * np.exp(1j * theta),
+            "real_pos": complex(rng.uniform(0.0, 1.01), 0.0),
+            "real_neg": complex(-rng.uniform(0.0, 1.01), 0.0),
+            "zero": 0j,
+            "neg_zero_imag": complex(rng.uniform(-1.01, 1.01), -0.0),
+        }[kind]
+
+    @pytest.mark.parametrize("kind", LAM_KINDS)
+    def test_bit_identical_to_loop(self, kind):
+        # exact ==: the energies order the modes and are written to modes.json
+        rng = np.random.default_rng(LAM_KINDS.index(kind))
+        for case in range(60):
+            m = int(rng.integers(1, 71))
+            n = int(rng.integers(1, 401))
+            block = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
+            # modes from a fit are column views of a larger matrix
+            mode = block[:, 1] if case % 2 else np.ascontiguousarray(block[:, 1])
+            p = RitzPair(complex(self.random_lam(kind, rng)), mode, 0)
+            assert energy_norm(p, n) == _energy_loop(p, n), (m, n, p.lam)
+
+    def test_fitted_table_bit_identical_to_loop(self):
+        # M < N-1 with noise: the fit interpolates and gives damped, real and
+        # near-unit eigenvalues alike
+        rng = np.random.default_rng(11)
+        k = np.arange(161)
+        Y = 2 * np.real((rng.normal(size=6) + 1j * rng.normal(size=6))[:, None]
+                        * np.exp(2j * np.pi * k / 14.0)[None, :])
+        table = companion_kmd(make_record(Y + 0.05 * rng.normal(size=Y.shape)))
+        assert len(table.entries) == 81
+        assert any(e.rep.lam.imag == 0.0 for e in table.entries)
+        for e in table.entries:
+            assert e.energy == _energy_loop(e.rep, table.n_snapshots), e.rep.lam
+
+
+def _energy_loop(p, n_snapshots):
+    """The reference summation: one power, one np.dot and one add per snapshot."""
+    lam = complex(p.lam)
+    is_real = lam.imag == 0.0
+    total = 0.0
+    power = 1.0 + 0.0j
+    for _ in range(n_snapshots):
+        contrib = (power * p.mode).real if is_real else 2.0 * (power * p.mode).real
+        total += float(np.dot(contrib, contrib))
+        power *= lam
+    return float(np.sqrt(total))
 
 
 class TestPeriodOf:

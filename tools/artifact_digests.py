@@ -1,0 +1,122 @@
+"""Digest every artifact of nine fixed CLI runs, to show a change keeps them byte-identical.
+
+    python tools/artifact_digests.py run [--tree DIR] [--work DIR] --out LIST
+    python tools/artifact_digests.py diff LIST_A LIST_B
+
+``run`` executes the CLI of the source tree ``--tree`` (default: this
+checkout) in child interpreters, so two trees can be compared from one
+checkout:
+
+1. ``synth-room``, then 2. ``pipeline --flux-sources`` on it;
+3. ``synth-analytic``, then ``pipeline`` with 4. the default gradient source
+   and 5. ``--gradient-source dmd_mode``;
+6. ``spectrum --remove-mean``; 7. ``phase-average --period-samples 14``;
+8. ``gradient --use sum_real`` and 9. ``--use harmonic`` on that average.
+
+Every run writes under ``--work``, which is emptied first.  Keep ``--work``
+the same for both trees: ``run_metadata.json`` records its input paths.
+LIST holds one ``<sha256>  <path>`` line per file, sorted by path, and its
+own sha256 is printed.  ``diff`` prints the paths whose digests differ or
+that only one list has, and exits 1 if there are any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+#: written into --work, so that a later run only ever empties a directory of its own
+MARKER = ".artifact_digests"
+
+
+def _runs(w: Path) -> list[list[str]]:
+    room, ana, avg = w / "room", w / "analytic", w / "phase-average"
+    ana_data = ["--snapshots", str(ana / "snapshots.csv")]
+    ana_pipeline = ["pipeline", *ana_data, "--layout", str(ana / "layout.csv")]
+    gradient = ["gradient", "--mode-file", str(avg / "phase_average.csv"),
+                "--layout", str(ana / "layout.csv")]
+    return [
+        ["synth-room", "--out-dir", str(room)],
+        ["pipeline", "--snapshots", str(room / "snapshots.csv"),
+         "--layout", str(room / "layout.csv"), "--flux-sources", str(room / "sources.csv"),
+         "--out-dir", str(w / "room-pipeline")],
+        ["synth-analytic", "--out-dir", str(ana)],
+        [*ana_pipeline, "--out-dir", str(w / "analytic-pipeline")],
+        [*ana_pipeline, "--gradient-source", "dmd_mode", "--out-dir", str(w / "analytic-dmd")],
+        ["spectrum", *ana_data, "--remove-mean", "--out-dir", str(w / "spectrum")],
+        ["phase-average", *ana_data, "--period-samples", "14", "--out-dir", str(avg)],
+        [*gradient, "--use", "sum_real", "--out-dir", str(w / "gradient-sum-real")],
+        [*gradient, "--use", "harmonic", "--out-dir", str(w / "gradient-harmonic")],
+    ]
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def cmd_run(args) -> int:
+    tree = Path(args.tree).resolve()
+    work = Path(args.work).resolve()
+    if work.exists():
+        if any(work.iterdir()) and not (work / MARKER).exists():
+            print(f"error: {work} is not empty and was not made by this tool", file=sys.stderr)
+            return 2
+        shutil.rmtree(work)
+    work.mkdir(parents=True)
+    (work / MARKER).write_text("")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    for argv in _runs(work):
+        done = subprocess.run([sys.executable, "-m", "thermokmd.cli", *argv], env=env,
+                              cwd=work, capture_output=True, text=True)
+        if done.returncode != 0:
+            print(f"error: {argv[0]} exited {done.returncode}: {done.stderr.strip()}",
+                  file=sys.stderr)
+            return 1
+    files = sorted(p for p in work.rglob("*") if p.is_file() and p.name != MARKER)
+    lines = [f"{_sha256(p)}  {p.relative_to(work).as_posix()}\n" for p in files]
+    out = Path(args.out)
+    out.write_text("".join(lines), encoding="utf-8")
+    print(f"{len(lines)} files, list sha256 {_sha256(out)}")
+    return 0
+
+
+def _read_list(path) -> dict[str, str]:
+    pairs = (line.split("  ", 1) for line in Path(path).read_text(encoding="utf-8").splitlines())
+    return {name: digest for digest, name in pairs}
+
+
+def cmd_diff(args) -> int:
+    a, b = _read_list(args.a), _read_list(args.b)
+    differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+    for name in differ:
+        print(f"{name}: {a.get(name, '-')} != {b.get(name, '-')}")
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} files differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("run", help="run the nine CLI runs and write the digest list")
+    p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
+                   help="source tree whose src/ is run (default: this checkout)")
+    p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
+                   help="directory the runs write into; emptied first")
+    p.add_argument("--out", required=True, help="digest list to write")
+    p.set_defaults(func=cmd_run)
+    p = sub.add_parser("diff", help="compare two digest lists")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.set_defaults(func=cmd_diff)
+    args = parser.parse_args(argv)
+    return args.func(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
