@@ -276,19 +276,46 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
     coordinates every ``sample_dt``, starting when the warmup ends) and the
     switch log with times relative to the first snapshot.  Deterministic
     given the spec.
+
+    Each explicit step computes, cell by cell and in this order,
+
+        lap   = ((N + S) - 2 theta) * inv_dx2 + ((E + W) - 2 theta) * inv_dy2
+        theta = theta + sim_dt * ((kappa * lap - leak * (theta - ambient)) + source)
+
+    with the insulated walls as edge-copied ghost cells.  That order is part
+    of the contract: the neighbour sums are grouped before ``2 theta`` is
+    taken off (so a mirrored field steps bit-identically), no constants are
+    folded (``kappa * inv_dx2``, ``sim_dt *
+    kappa`` or ``sim_dt * leak`` would round differently), ``source`` is
+    added to every cell, and the rates of units that share a cell are summed
+    before they are added.  Any other grouping can move the field by an ulp,
+    and with it a switch time and every artifact.  The step time is
+    ``step * sim_dt - warmup``, never a running sum.
     """
     nx, ny, dx, dy = spec.nx, spec.ny, spec.dx, spec.dy
     rng = np.random.default_rng(spec.seed)
-    theta = np.full((nx, ny), float(spec.init_temperature))
+    # theta is the interior of a buffer whose rim holds the ghost cells; the
+    # corners are never written, and stay finite for the strip below
+    padded = np.full((nx + 2, ny + 2), float(spec.init_temperature))
+    theta = padded[1:-1, 1:-1]
     if spec.init_noise > 0:
-        theta = theta + spec.init_noise * rng.standard_normal((nx, ny))
+        theta += spec.init_noise * rng.standard_normal((nx, ny))
+    # The stencil runs over padded rows 1..nx as one contiguous strip, ghost
+    # columns included: their updates are junk that the next step's ghost
+    # copy overwrites, so interior cells see exactly the 2-D stencil.
+    w = ny + 2
+    n = nx * w
+    flat = padded.reshape(-1)
+    rows = flat[w:w + n]
 
-    cells = []
+    units = []
     for ac in spec.acs:
         ci = min(int(ac.position[0] / dx), nx - 1)
         cj = min(int(ac.position[1] / dy), ny - 1)
-        cells.append((ci, cj))
-    on = [False] * len(spec.acs)
+        rate = -ac.power if ac.mode == "cool" else ac.power
+        units.append((ac.name, ci * w + cj + 1, ac.mode == "cool", ac.on_threshold,
+                      ac.off_threshold, rate))
+    on = [False] * len(units)
 
     # bilinear interpolation stencil on cell centers, clamped at the walls
     sens = spec.sensors.positions
@@ -312,6 +339,17 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
     total = wsteps + int(round(spec.duration / spec.sim_dt)) // stride * stride
     inv_dx2 = 1.0 / dx**2
     inv_dy2 = 1.0 / dy**2
+    sim_dt, kappa, leak, ambient = spec.sim_dt, spec.kappa, spec.leak, spec.ambient
+
+    north, south = flat[2 * w:2 * w + n], flat[:n]
+    east, west = flat[w + 1:w + 1 + n], flat[w - 1:w - 1 + n]
+    # the first and last rows, then the first and last columns (nx, ny >= 3)
+    ghosts = [(padded[::nx + 1, 1:-1], theta[::nx - 1]),
+              (padded[1:-1, ::ny + 1], theta[:, ::ny - 1])]
+    a = np.empty(n)
+    b = np.empty(n)
+    t2 = np.empty(n)
+    source = np.zeros(n)
 
     snapshots: list[np.ndarray] = []
     events: list[SwitchEvent] = []
@@ -320,35 +358,46 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
             snapshots.append(sample(theta))
         if step == total:
             break
-        t = step * spec.sim_dt - spec.warmup
-        source = np.zeros_like(theta)
-        for a, ac in enumerate(spec.acs):
-            tc = float(theta[cells[a]])
-            if ac.mode == "cool":
-                should_switch_on = not on[a] and tc >= ac.on_threshold
-                should_switch_off = on[a] and tc <= ac.off_threshold
+        t = step * sim_dt - spec.warmup
+        active = []
+        for u, (name, cell, cool, on_threshold, off_threshold, rate) in enumerate(units):
+            tc = float(rows[cell])
+            if cool:
+                should_switch_on = not on[u] and tc >= on_threshold
+                should_switch_off = on[u] and tc <= off_threshold
             else:
-                should_switch_on = not on[a] and tc <= ac.on_threshold
-                should_switch_off = on[a] and tc >= ac.off_threshold
+                should_switch_on = not on[u] and tc <= on_threshold
+                should_switch_off = on[u] and tc >= off_threshold
             if should_switch_on:
-                on[a] = True
+                on[u] = True
                 if t >= 0:
-                    events.append(SwitchEvent(t, ac.name, "on", tc))
+                    events.append(SwitchEvent(t, name, "on", tc))
             elif should_switch_off:
-                on[a] = False
+                on[u] = False
                 if t >= 0:
-                    events.append(SwitchEvent(t, ac.name, "off", tc))
-            if on[a]:
-                rate = -ac.power if ac.mode == "cool" else ac.power
-                source[cells[a]] += rate
-        padded = np.pad(theta, 1, mode="edge")
-        # neighbor sums grouped first so a mirrored field steps bit-identically
-        lap = ((padded[2:, 1:-1] + padded[:-2, 1:-1]) - 2.0 * theta) * inv_dx2 + (
-            (padded[1:-1, 2:] + padded[1:-1, :-2]) - 2.0 * theta
-        ) * inv_dy2
-        theta = theta + spec.sim_dt * (
-            spec.kappa * lap - spec.leak * (theta - spec.ambient) + source
-        )
+                    events.append(SwitchEvent(t, name, "off", tc))
+            if on[u]:
+                source[cell] += rate
+                active.append(cell)
+        for ghost, edge in ghosts:
+            np.copyto(ghost, edge)
+        np.multiply(rows, 2.0, out=t2)
+        np.add(north, south, out=a)
+        a -= t2
+        a *= inv_dx2
+        np.add(east, west, out=b)
+        b -= t2
+        b *= inv_dy2
+        a += b
+        a *= kappa
+        np.subtract(rows, ambient, out=b)
+        b *= leak
+        a -= b
+        a += source
+        a *= sim_dt
+        rows += a
+        for cell in active:
+            source[cell] = 0.0
 
     values = np.array(snapshots).T
     record = SnapshotMatrix(values, spec.sample_dt, 0.0, spec.sensors.channel_ids)
@@ -512,8 +561,9 @@ def _analytic_spec_from_parser(parser, layout: SensorLayout, where: str) -> Anal
 def _load_config(path, kind: str, spec_from_parser):
     """``spec_from_parser(parser, where)`` on an INI file.
 
-    A value that parses but is out of range for the spec is still a fault of
-    the file, so the spec's ArgumentError becomes a ParseError naming it.
+    A value that parses but is out of range for the spec, or a room whose
+    explicit step would be unstable, is still a fault of the file, so the
+    spec's ArgumentError or StabilityError becomes a ParseError naming it.
     """
     parser = configparser.ConfigParser()
     read = parser.read(Path(path), encoding="utf-8")
@@ -521,7 +571,7 @@ def _load_config(path, kind: str, spec_from_parser):
         raise ParseError(f"cannot read {kind} config {path}")
     try:
         return spec_from_parser(parser, str(path))
-    except ArgumentError as exc:
+    except (ArgumentError, StabilityError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 

@@ -352,9 +352,13 @@ def load_layout(path) -> SensorLayout:
         grid = None
         m = _GRID_RE.match(first.strip())
         if m:
-            grid = GridSpec(int(m.group(1)), int(m.group(2)),
-                            parse_number(m.group(3), f"{path}: grid header dx"),
-                            parse_number(m.group(4), f"{path}: grid header dy"))
+            dx = parse_number(m.group(3), f"{path}: grid header dx")
+            dy = parse_number(m.group(4), f"{path}: grid header dy")
+            try:
+                grid = GridSpec(int(m.group(1)), int(m.group(2)), dx, dy)
+            except GeometryError as exc:
+                # an unusable header is a fault of the file, like a malformed one
+                raise ParseError(f"{path}: {exc}") from None
             header_line = fh.readline()
         elif first.startswith("#"):
             raise ParseError(f"{path}: unrecognized comment header {first.strip()!r}")

@@ -110,7 +110,7 @@ class TestSynthAndSpectrum:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(bad) in err and field in err
 
-    @pytest.mark.parametrize("field", ["nx", "mode", "snapshots"])
+    @pytest.mark.parametrize("field", ["nx", "mode", "snapshots", "sim_dt"])
     def test_out_of_range_config_exit_2(self, field, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         room_ini = files("thermokmd.configs").joinpath("room_default.ini").read_text("utf-8")
@@ -118,12 +118,26 @@ class TestSynthAndSpectrum:
             "nx": (room_ini.replace("nx = 56", "nx = 2"), "synth-room"),
             "mode": (room_ini.replace("mode = cool\n", "", 1), "synth-room"),
             "snapshots": ("[analytic]\ndt = 60.0\nsnapshots = 2\n", "synth-analytic"),
+            # an explicit step past the stability bound (19.2 > 0.25)
+            "sim_dt": (room_ini.replace("sim_dt = 0.375", "sim_dt = 30.0"), "synth-room"),
         }[field]
         bad.write_text(text, encoding="utf-8")
         assert main([command, "--config", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(bad) in err
+
+    @pytest.mark.parametrize("field", ["dx", "dy"])
+    def test_zero_grid_spacing_exit_2(self, field, tmp_path, capsys):
+        bad = tmp_path / "layout.csv"
+        spacing = {"dx": "dx=0 dy=1", "dy": "dx=1 dy=0"}[field]
+        bad.write_text(f"# grid rows=2 cols=2 {spacing}\nid,x,y\n"
+                       "a,0,0\nb,1,0\nc,0,1\nd,1,1\n", encoding="utf-8")
+        argv = ["synth-room", "--layout", str(bad), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and field in err
 
 
 class TestPhaseAverageAndGradient:

@@ -9,6 +9,7 @@ from thermokmd.synth import (
     PlaneWaveField,
     PolynomialField,
     RoomSimSpec,
+    SwitchEvent,
     Tone,
     constant_field,
     default_analytic_spec,
@@ -20,7 +21,7 @@ from thermokmd.synth import (
     simulate_room,
     switch_cycle_period,
 )
-from thermokmd.timeseries import SensorLayout
+from thermokmd.timeseries import SensorLayout, SnapshotMatrix
 
 
 def small_layout():
@@ -256,6 +257,159 @@ class TestRelayOscillation:
         cells = lines[1].split(",")
         assert cells[1] == "AC" and cells[2] in ("on", "off")
         float(cells[0])
+
+
+SIM_KINDS = ["heat", "cool", "shared_cell", "kappa_zero", "leak_zero", "warmup_zero",
+             "noise_zero", "wall_sensors"]
+
+
+def random_room(kind, rng):
+    """A small seeded room whose thermostats straddle the initial temperature."""
+    nx, ny = (int(n) for n in rng.integers(3, 12, size=2))
+    width, depth = (float(v) for v in rng.uniform(0.5, 4.0, size=2))
+    sim_dt = float(rng.choice([0.25, 0.3, 0.375, 0.5]))
+    dx, dy = width / nx, depth / ny
+    kappa = 0.0
+    if kind != "kappa_zero":
+        kappa = float(rng.uniform(0.2, 1.0)) * 0.25 / (sim_dt * (1 / dx**2 + 1 / dy**2))
+    modes = {"heat": ["heat"], "cool": ["cool"]}.get(kind)
+    if modes is None:
+        modes = [str(m) for m in rng.choice(["cool", "heat"], size=int(rng.integers(1, 4)))]
+    acs = []
+    for k, mode in enumerate(modes):
+        on = 25.0 + float(rng.uniform(-0.3, 0.3))
+        band = float(rng.uniform(0.05, 0.6))
+        acs.append(AirConditioner(
+            f"u{k}", (float(rng.uniform(0, width)), float(rng.uniform(0, depth))), mode,
+            float(rng.uniform(0.05, 1.0)), on, on - band if mode == "cool" else on + band,
+        ))
+    if kind == "shared_cell":
+        first = acs[0]
+        # a strong twin, so that the order in which the two rates are added
+        # shows in the last bit of the field
+        acs.append(AirConditioner("twin", first.position, first.mode,
+                                  float(rng.uniform(2.0, 8.0)),
+                                  first.on_threshold, first.off_threshold))
+    if kind == "wall_sensors":
+        x, y = float(rng.uniform(0, width)), float(rng.uniform(0, depth))
+        pts = [(0.0, y), (width, y), (x, 0.0), (x, depth), (0.0, 0.0), (width, depth)]
+    else:
+        pts = list(zip(rng.uniform(0, width, size=4), rng.uniform(0, depth, size=4)))
+    sensors = SensorLayout(tuple(f"s{i}" for i in range(len(pts))), np.array(pts))
+    sample_dt = sim_dt * int(rng.integers(1, 20))
+    return RoomSimSpec(
+        width=width, depth=depth, nx=nx, ny=ny, kappa=kappa,
+        leak=0.0 if kind == "leak_zero" else float(rng.uniform(1e-4, 1e-2)),
+        ambient=30.0 if modes[0] == "cool" else 20.0, acs=tuple(acs), sim_dt=sim_dt,
+        sample_dt=sample_dt, duration=sample_dt * int(rng.integers(3, 30)), sensors=sensors,
+        warmup=0.0 if kind == "warmup_zero" else sim_dt * int(rng.integers(1, 200)),
+        seed=int(rng.integers(1000)), init_temperature=25.0,
+        init_noise=0.0 if kind == "noise_zero" else float(rng.uniform(0.05, 0.5)),
+    )
+
+
+class TestSimulatorBitIdentity:
+    """simulate_room against the reference step loop, byte for byte."""
+
+    @staticmethod
+    def assert_identical(spec, got=None):
+        record, events = got or simulate_room(spec)
+        want_record, want_events = _simulate_loop(spec)
+        assert record.values.shape == want_record.values.shape
+        assert record.values.tobytes() == want_record.values.tobytes()
+        assert events == want_events
+
+    @pytest.mark.parametrize("kind", SIM_KINDS)
+    def test_random_rooms(self, kind):
+        rng = np.random.default_rng(SIM_KINDS.index(kind))
+        switched = 0
+        for _ in range(8):
+            spec = random_room(kind, rng)
+            got = simulate_room(spec)
+            self.assert_identical(spec, got)
+            switched += bool(got[1])
+        assert switched >= 2  # the thermostat path ran, not only the stencil
+
+    def test_relay_room(self, relay_run):
+        spec, record, events = relay_run
+        self.assert_identical(spec, (record, events))
+
+
+def _simulate_loop(spec):
+    """The reference step: np.pad ghost cells and fresh arrays every step."""
+    nx, ny, dx, dy = spec.nx, spec.ny, spec.dx, spec.dy
+    rng = np.random.default_rng(spec.seed)
+    theta = np.full((nx, ny), float(spec.init_temperature))
+    if spec.init_noise > 0:
+        theta = theta + spec.init_noise * rng.standard_normal((nx, ny))
+
+    cells = []
+    for ac in spec.acs:
+        ci = min(int(ac.position[0] / dx), nx - 1)
+        cj = min(int(ac.position[1] / dy), ny - 1)
+        cells.append((ci, cj))
+    on = [False] * len(spec.acs)
+
+    sens = spec.sensors.positions
+    fx = np.clip(sens[:, 0] / dx - 0.5, 0.0, nx - 1.0)
+    fy = np.clip(sens[:, 1] / dy - 0.5, 0.0, ny - 1.0)
+    i0 = np.minimum(fx.astype(int), nx - 2)
+    j0 = np.minimum(fy.astype(int), ny - 2)
+    tx = fx - i0
+    ty = fy - j0
+
+    def sample(field):
+        return (
+            field[i0, j0] * (1 - tx) * (1 - ty)
+            + field[i0 + 1, j0] * tx * (1 - ty)
+            + field[i0, j0 + 1] * (1 - tx) * ty
+            + field[i0 + 1, j0 + 1] * tx * ty
+        )
+
+    stride = int(round(spec.sample_dt / spec.sim_dt))
+    wsteps = int(round(spec.warmup / spec.sim_dt))
+    total = wsteps + int(round(spec.duration / spec.sim_dt)) // stride * stride
+    inv_dx2 = 1.0 / dx**2
+    inv_dy2 = 1.0 / dy**2
+
+    snapshots = []
+    events = []
+    for step in range(total + 1):
+        if step >= wsteps and (step - wsteps) % stride == 0:
+            snapshots.append(sample(theta))
+        if step == total:
+            break
+        t = step * spec.sim_dt - spec.warmup
+        source = np.zeros_like(theta)
+        for a, ac in enumerate(spec.acs):
+            tc = float(theta[cells[a]])
+            if ac.mode == "cool":
+                should_switch_on = not on[a] and tc >= ac.on_threshold
+                should_switch_off = on[a] and tc <= ac.off_threshold
+            else:
+                should_switch_on = not on[a] and tc <= ac.on_threshold
+                should_switch_off = on[a] and tc >= ac.off_threshold
+            if should_switch_on:
+                on[a] = True
+                if t >= 0:
+                    events.append(SwitchEvent(t, ac.name, "on", tc))
+            elif should_switch_off:
+                on[a] = False
+                if t >= 0:
+                    events.append(SwitchEvent(t, ac.name, "off", tc))
+            if on[a]:
+                rate = -ac.power if ac.mode == "cool" else ac.power
+                source[cells[a]] += rate
+        padded = np.pad(theta, 1, mode="edge")
+        lap = ((padded[2:, 1:-1] + padded[:-2, 1:-1]) - 2.0 * theta) * inv_dx2 + (
+            (padded[1:-1, 2:] + padded[1:-1, :-2]) - 2.0 * theta
+        ) * inv_dy2
+        theta = theta + spec.sim_dt * (
+            spec.kappa * lap - spec.leak * (theta - spec.ambient) + source
+        )
+
+    values = np.array(snapshots).T
+    return SnapshotMatrix(values, spec.sample_dt, 0.0, spec.sensors.channel_ids), tuple(events)
 
 
 class TestMirrorSymmetry:

@@ -1,4 +1,4 @@
-"""Digest every artifact of nine fixed CLI runs, to show a change keeps them byte-identical.
+"""Digest every artifact of ten fixed CLI runs, to show a change keeps them byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -11,7 +11,10 @@ checkout:
 3. ``synth-analytic``, then ``pipeline`` with 4. the default gradient source
    and 5. ``--gradient-source dmd_mode``;
 6. ``spectrum --remove-mean``; 7. ``phase-average --period-samples 14``;
-8. ``gradient --use sum_real`` and 9. ``--use harmonic`` on that average.
+8. ``gradient --use sum_real`` and 9. ``--use harmonic`` on that average;
+10. ``synth-room --config`` on a small room the tool writes into ``--work``
+    (:data:`BRANCH_ROOM`), which takes the simulator branches the default
+    room never takes.
 
 Every run writes under ``--work``, which is emptied first.  Keep ``--work``
 the same for both trees: ``run_metadata.json`` records its input paths.
@@ -34,6 +37,51 @@ from pathlib import Path
 #: written into --work, so that a later run only ever empties a directory of its own
 MARKER = ".artifact_digests"
 
+#: A heater, and two coolers in one cell that switch together (their rates
+#: are summed), with no warmup and a step that is not a binary fraction, on a
+#: 14 x 7 grid: about 12 000 steps, well under a second.
+BRANCH_ROOM = """\
+[room]
+width = 14.0
+depth = 7.0
+nx = 14
+ny = 7
+kappa = 0.05
+leak = 0.002
+ambient = 18.0
+sim_dt = 0.3
+sample_dt = 30.0
+duration = 3600.0
+warmup = 0.0
+seed = 5
+init_temperature = 20.0
+init_noise = 0.2
+
+[ac.heater]
+x = 5.5
+y = 3.5
+mode = heat
+power = 0.4
+on = 20.0
+off = 22.0
+
+[ac.cooler-a]
+x = 6.5
+y = 3.5
+mode = cool
+power = 0.1
+on = 20.0
+off = 19.6
+
+[ac.cooler-b]
+x = 6.7
+y = 3.6
+mode = cool
+power = 0.15
+on = 20.0
+off = 19.6
+"""
+
 
 def _runs(w: Path) -> list[list[str]]:
     room, ana, avg = w / "room", w / "analytic", w / "phase-average"
@@ -53,6 +101,7 @@ def _runs(w: Path) -> list[list[str]]:
         ["phase-average", *ana_data, "--period-samples", "14", "--out-dir", str(avg)],
         [*gradient, "--use", "sum_real", "--out-dir", str(w / "gradient-sum-real")],
         [*gradient, "--use", "harmonic", "--out-dir", str(w / "gradient-harmonic")],
+        ["synth-room", "--config", str(w / "branch_room.ini"), "--out-dir", str(w / "branch-room")],
     ]
 
 
@@ -70,6 +119,7 @@ def cmd_run(args) -> int:
         shutil.rmtree(work)
     work.mkdir(parents=True)
     (work / MARKER).write_text("")
+    (work / "branch_room.ini").write_text(BRANCH_ROOM, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for argv in _runs(work):
         done = subprocess.run([sys.executable, "-m", "thermokmd.cli", *argv], env=env,
@@ -103,7 +153,7 @@ def cmd_diff(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run the nine CLI runs and write the digest list")
+    p = sub.add_parser("run", help="run the ten CLI runs and write the digest list")
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
