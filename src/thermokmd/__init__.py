@@ -16,6 +16,7 @@ from .errors import (
     DegenerateDataError,
     DuplicateError,
     GeometryError,
+    LayoutError,
     NumericalError,
     ParseError,
     PeriodError,
@@ -73,7 +74,7 @@ __all__ = [
     "__version__",
     # errors
     "ToolkitError", "ParseError", "UniformityError", "TooShortError",
-    "DuplicateError", "GeometryError", "ArgumentError", "PeriodError",
+    "DuplicateError", "GeometryError", "ArgumentError", "LayoutError", "PeriodError",
     "DegenerateDataError", "NumericalError", "StabilityError", "BiasWarning",
     # time series
     "SnapshotMatrix", "SensorLayout", "GridSpec",

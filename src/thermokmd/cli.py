@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import gradient as gradientmod
 from . import phaseavg, spectral, synth, timeseries
-from .errors import ArgumentError, ParseError, PeriodError, ToolkitError
+from .errors import ArgumentError, LayoutError, ParseError, PeriodError, ToolkitError
 
 _IO_ERRORS = (ParseError, FileNotFoundError, IsADirectoryError, PermissionError,
               configparser.Error)
@@ -84,10 +83,15 @@ def cmd_synth_analytic(args) -> int:
 
 def cmd_synth_room(args) -> int:
     sensors = timeseries.load_layout(args.layout) if args.layout else synth.default_layout()
-    if args.config:
-        spec = synth.load_room_config(args.config, sensors)
-    else:
-        spec = synth.default_room_spec(sensors)
+    try:
+        if args.config:
+            spec = synth.load_room_config(args.config, sensors)
+        else:
+            spec = synth.default_room_spec(sensors)
+    except LayoutError as exc:
+        # the layout does not fit the room: a fault of the input files
+        files = " with ".join(str(p) for p in (args.layout, args.config) if p)
+        raise ParseError(f"{files}: {exc}") from None
     snapshots, events = synth.simulate_room(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -226,7 +230,7 @@ def cmd_pipeline(args) -> int:
         "flux_scores": scores,
         "outputs": sorted(written),
     }
-    _write(out, {"run_metadata.json": json.dumps(metadata, sort_keys=True, indent=2) + "\n"})
+    _write(out, {"run_metadata.json": timeseries.json_text(metadata)})
 
     period_min = "-" if dominant is None or dominant.period_seconds is None \
         else f"{dominant.period_seconds / 60.0:.4g}"

@@ -33,6 +33,10 @@ class ArgumentError(ToolkitError):
     """An argument is out of its documented range."""
 
 
+class LayoutError(ArgumentError):
+    """A sensor layout does not fit the domain it is used in (a sensor outside the room)."""
+
+
 class PeriodError(ArgumentError):
     """A phase-averaging period is out of range for the record length."""
 

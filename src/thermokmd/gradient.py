@@ -18,6 +18,7 @@ guess: a fabricated gradient component would defeat the diagnostic.
 from __future__ import annotations
 
 import csv
+import html
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -359,8 +360,9 @@ def field_to_svg(field: GradientField, width_px: int = 720) -> str:
     for i, cid in enumerate(layout.channel_ids):
         cx, cy = to_px(pos[i])
         parts.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="3" fill="#c22"/>')
+        label = html.escape(cid, quote=False)  # only &, < and >
         parts.append(
-            f'<text x="{cx + 4:.1f}" y="{cy - 4:.1f}" font-size="9" fill="#555">{cid}</text>'
+            f'<text x="{cx + 4:.1f}" y="{cy - 4:.1f}" font-size="9" fill="#555">{label}</text>'
         )
         if not field.valid[i]:
             continue

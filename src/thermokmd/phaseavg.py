@@ -15,7 +15,6 @@ estimates.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,4 +162,4 @@ def result_to_json(res: PhaseAverageResult) -> str:
             for cid, v, h in zip(res.channel_ids, res.sum_real, res.harmonic)
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return timeseries.json_text(payload)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import warnings
 from dataclasses import dataclass, replace
 
@@ -324,6 +323,7 @@ def reconstruct(table: ModeTable, n_snapshots: int | None = None) -> np.ndarray:
 # -- serialization ------------------------------------------------------------
 
 def _entry_record(e: ModeEntry) -> dict:
+    """The entry's scalar fields; ``"mode"`` is a placeholder for :func:`_mode_json`."""
     return {
         "couple": list(e.label),
         "lam": {"re": e.rep.lam.real, "im": e.rep.lam.imag},
@@ -334,11 +334,42 @@ def _entry_record(e: ModeEntry) -> dict:
         "bias_flag": e.bias,
         "nyquist_flag": e.nyquist,
         "unpaired_flag": e.unpaired,
-        "mode": [{"re": v.real, "im": v.imag} for v in e.rep.mode],
+        "mode": [],
     }
 
 
+#: ``"mode": []`` as :func:`timeseries.json_text` writes the placeholder; inside
+#: a JSON string every quote is escaped, so the text occurs once per entry
+_MODE_SLOT = '"mode": []'
+
+# the pieces of one mode list at the depth of an entry's "mode" value
+_MODE_OPEN = '"mode": [\n        {\n          "im": '
+_MODE_RE = ',\n          "re": '
+_MODE_NEXT = '\n        },\n        {\n          "im": '
+_MODE_CLOSE = '\n        }\n      ]'
+
+
+def _mode_json(mode: np.ndarray) -> str:
+    """``"mode": [...]`` with one ``{"im", "re"}`` object per channel, as json writes it."""
+    if mode.size == 0:
+        return _MODE_SLOT
+    pairs = zip(map(repr, mode.imag.tolist()), map(repr, mode.real.tolist()))
+    text = _MODE_OPEN + _MODE_NEXT.join(map(_MODE_RE.join, pairs)) + _MODE_CLOSE
+    # repr spells the non-finite floats nan, inf and -inf; json, NaN and (-)Infinity
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
 def table_to_json(table: ModeTable) -> str:
+    """The table as ``modes.json``.
+
+    The text is byte-identical to ``timeseries.json_text`` of the payload
+    whose ``"mode"`` lists hold one ``{"im": v.imag, "re": v.real}`` object
+    per channel.  ``json_text`` renders everything but the mode lists (key
+    order, ASCII string escapes, ``null`` periods); each mode list is
+    written from ``tolist()`` with float ``repr``, which is what json writes
+    for a finite float, ``-0.0`` included, and NaN and infinities are
+    spelled ``NaN``, ``Infinity`` and ``-Infinity`` as json spells them.
+    """
     payload = {
         "dt_seconds": table.dt,
         "n_snapshots": table.n_snapshots,
@@ -348,7 +379,11 @@ def table_to_json(table: ModeTable) -> str:
         "notes": list(table.notes),
         "modes": [_entry_record(e) for e in table.entries],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    head, *tails = timeseries.json_text(payload).split(_MODE_SLOT)
+    parts = [head]
+    for e, tail in zip(table.entries, tails, strict=True):
+        parts += [_mode_json(e.rep.mode), tail]
+    return "".join(parts)
 
 
 def table_to_csv(table: ModeTable) -> str:

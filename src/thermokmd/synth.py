@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import timeseries
-from .errors import ArgumentError, ParseError, StabilityError
+from .errors import ArgumentError, LayoutError, ParseError, StabilityError
 from .spectral import ModeTable, RitzPair, _group_and_rank
 from .timeseries import SensorLayout, SnapshotMatrix
 
@@ -255,7 +255,10 @@ class RoomSimSpec:
             raise ArgumentError("room sensors need 2-D coordinates")
         for cid, p in zip(self.sensors.channel_ids, self.sensors.positions):
             if not (0.0 <= p[0] <= self.width and 0.0 <= p[1] <= self.depth):
-                raise ArgumentError(f"sensor {cid!r} at {tuple(p)} is outside the room")
+                raise LayoutError(
+                    f"sensor {cid!r} at {tuple(p.tolist())} is outside the "
+                    f"{self.width:g} m x {self.depth:g} m room"
+                )
         for ac in self.acs:
             if not (0.0 <= ac.position[0] <= self.width and 0.0 <= ac.position[1] <= self.depth):
                 raise ArgumentError(f"AC {ac.name!r} at {ac.position} is outside the room")
@@ -564,6 +567,7 @@ def _load_config(path, kind: str, spec_from_parser):
     A value that parses but is out of range for the spec, or a room whose
     explicit step would be unstable, is still a fault of the file, so the
     spec's ArgumentError or StabilityError becomes a ParseError naming it.
+    A LayoutError (a sensor outside the room) passes through unchanged.
     """
     parser = configparser.ConfigParser()
     read = parser.read(Path(path), encoding="utf-8")
@@ -571,6 +575,8 @@ def _load_config(path, kind: str, spec_from_parser):
         raise ParseError(f"cannot read {kind} config {path}")
     try:
         return spec_from_parser(parser, str(path))
+    except LayoutError:
+        raise  # a fault of the layout and the file together; the caller names both
     except (ArgumentError, StabilityError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -13,6 +13,7 @@ and uniformity violations are detected independent of float rounding.
 from __future__ import annotations
 
 import csv
+import json
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
@@ -228,6 +229,11 @@ def parse_number(text, where: str, kind=float):
         return kind(text)
     except (TypeError, ValueError):
         raise ParseError(f"{where}: expected a number, got {text!r}") from None
+
+
+def json_text(payload) -> str:
+    """The text of every JSON artifact: sorted keys, two-space indent, final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _parse_time(cell: str, row: int) -> tuple[Fraction, float]:

@@ -139,6 +139,22 @@ class TestSynthAndSpectrum:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(bad) in err and field in err
 
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_sensor_outside_room_exit_2(self, with_config, tmp_path, capsys):
+        layout = tmp_path / "layout.csv"
+        layout.write_text("id,x,y\na,20,1\nb,1,1\nc,2,2\n", encoding="utf-8")
+        config = tmp_path / "room.ini"
+        argv = ["synth-room", "--layout", str(layout), "--out-dir", str(tmp_path / "out")]
+        if with_config:
+            config.write_text(files("thermokmd.configs").joinpath("room_default.ini")
+                              .read_text("utf-8"), encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(layout) in err and (str(config) in err) == with_config
+        assert "sensor 'a' at (20.0, 1.0) is outside" in err
+
 
 class TestPhaseAverageAndGradient:
     def test_chain(self, tmp_path):

@@ -1,3 +1,5 @@
+from xml.dom import minidom
+
 import numpy as np
 import pytest
 
@@ -268,3 +270,11 @@ class TestExports:
         assert svg1 == svg2
         assert svg1.startswith("<svg")
         assert "longest arrow" in svg1
+
+    def test_svg_escapes_sensor_ids(self):
+        base = grid_layout(2, 3, 0.5, 0.5)
+        ids = ("a&<b", "c>d", "e", "f&amp;", "g", "h")
+        layout = SensorLayout(ids, base.positions, base.grid)
+        svg = field_to_svg(gradient_field(layout.positions[:, 0], layout))
+        labels = [t.firstChild.data for t in minidom.parseString(svg).getElementsByTagName("text")]
+        assert labels[:-1] == list(ids)

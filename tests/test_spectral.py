@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -406,3 +407,120 @@ class TestSerialization:
         assert entry["period_minutes"] == pytest.approx(14.23)
         assert entry["bias_flag"] is False
         assert entry["mode"] == [{"re": 1.0640, "im": 0.0}]
+
+
+def _table_to_json_dumps(table):
+    """The reference writer: json.dumps over one {"re", "im"} dict per mode value."""
+    def record(e):
+        return {
+            "couple": list(e.label),
+            "lam": {"re": e.rep.lam.real, "im": e.rep.lam.imag},
+            "abs_lam": e.abs_lam,
+            "period_minutes": None if e.period_seconds is None else e.period_seconds / 60.0,
+            "mode_norm": e.mode_norm,
+            "energy": e.energy,
+            "bias_flag": e.bias,
+            "nyquist_flag": e.nyquist,
+            "unpaired_flag": e.unpaired,
+            "mode": [{"re": v.real, "im": v.imag} for v in e.rep.mode],
+        }
+
+    payload = {
+        "dt_seconds": table.dt,
+        "n_snapshots": table.n_snapshots,
+        "residual": table.residual,
+        "mean_removed": table.mean_removed,
+        "channel_ids": list(table.channel_ids),
+        "notes": list(table.notes),
+        "modes": [record(e) for e in table.entries],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class TestJsonBytes:
+    """table_to_json is byte-identical to the reference json.dumps writer."""
+
+    def assert_same(self, table):
+        text = table_to_json(table)
+        assert text == _table_to_json_dumps(table)
+        return text
+
+    @pytest.mark.parametrize("shape", ["room_like", "wide"])
+    def test_fitted_tables(self, shape):
+        # room_like: M < N-1, the recurrence interpolates noise; wide: M > N-1,
+        # where every eigenvalue is kept and every mode list is long
+        m, n = {"room_like": (9, 121), "wide": (70, 31)}[shape]
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            k = np.arange(n)
+            Y = 2 * np.real((rng.normal(size=m) + 1j * rng.normal(size=m))[:, None]
+                            * np.exp(2j * np.pi * k / 11.0)[None, :])
+            table = companion_kmd(make_record(Y + 0.05 * rng.normal(size=Y.shape)))
+            assert len(table.entries) > 1
+            self.assert_same(table)
+            self.assert_same(rank_modes(table, 3))
+
+    def hand_built(self):
+        modes = np.array([[1.5 - 0.25j, -3e-310 + 1e22j, 0.1 + 0.2j]])
+        pairs = [
+            RitzPair(1.0 + 0j, modes[0], 0),                  # bias
+            RitzPair(-1.0 + 0j, modes[0] * 2, 1),             # Nyquist
+            RitzPair(0.7 + 0j, modes[0].conjugate(), 2),      # real, also a bias
+            RitzPair(0.5 + 0.5j, modes[0] / 3, 3),            # unpaired
+            RitzPair(0.9 * np.exp(0.3j), modes[0] * 1j, 4),   # couple
+            RitzPair(0.9 * np.exp(-0.3j), modes[0] * -1j, 5),
+        ]
+        notes = ["dropped zero mode at lam=0"]
+        with pytest.warns(UserWarning, match="unpaired"):
+            entries = _group_and_rank(pairs, dt=60.0, n_snapshots=7, notes=notes)
+        return ModeTable(entries=entries, dt=60.0, n_snapshots=7, residual=1e-15,
+                         mean_removed=True, channel_ids=("a", "b", "c"), notes=tuple(notes))
+
+    def test_hand_built_entries(self):
+        table = self.hand_built()
+        # a real lam is a bias entry (lam > 0) or a Nyquist one (lam < 0)
+        kinds = [(e.bias, e.nyquist, e.unpaired, e.is_couple) for e in table.entries]
+        assert sorted(kinds) == sorted([(True, False, False, False)] * 2 + [
+            (False, True, False, False), (False, False, True, False), (False, False, False, True)])
+        self.assert_same(table)
+
+    def test_non_finite_and_negative_zero(self):
+        table = self.hand_built()
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0])
+        mode = np.empty(specials.size, dtype=complex)
+        mode.real, mode.imag = specials, specials[::-1]
+        odd = RitzPair(complex(-0.0, -0.0), mode, 9)
+        entries = (
+            replace(table.entries[0], rep=odd, abs_lam=np.nan, energy=np.inf,
+                    mode_norm=-np.inf, period_seconds=-0.0),
+            replace(table.entries[1], rep=RitzPair(complex(np.nan, np.inf), specials, 8)),
+            *table.entries[2:],
+        )
+        odd_table = replace(table, entries=entries, dt=np.inf, residual=np.nan,
+                            channel_ids=tuple("abcdef"))
+        text = self.assert_same(odd_table)
+        for spelling in ("NaN", "Infinity", "-Infinity", "-0.0"):
+            assert f'"im": {spelling}' in text
+        assert "nan" not in text and "inf" not in text
+
+    def test_empty_mode_vector(self):
+        pair = RitzPair(0.5 + 0j, np.zeros(0, dtype=complex), 0)
+        entries = _group_and_rank([pair], dt=1.0, n_snapshots=3, notes=[])
+        table = ModeTable(entries=entries, dt=1.0, n_snapshots=3, residual=0.0,
+                          mean_removed=False)
+        assert '"mode": []' in self.assert_same(table)
+
+    def test_no_entries(self):
+        for ids in ((), ("a", "b")):
+            table = ModeTable(entries=(), dt=60.0, n_snapshots=5, residual=0.0,
+                              mean_removed=False, channel_ids=ids)
+            self.assert_same(table)
+        self.assert_same(rank_modes(companion_kmd(make_record(np.tile([[25.0]], (2, 5)))), 3))
+
+    def test_escaped_strings(self):
+        # a string holding the placeholder text must not be taken for an entry's slot
+        ids = ('q"uote', "back\\slash", "Åsa", '"mode": []', "tab\t")
+        notes = ('x\\"mode": []', "\u00e9t\u00e9 \u2603")
+        table = replace(self.hand_built(), channel_ids=ids, notes=notes)
+        text = self.assert_same(table)
+        assert "\\u00c5sa" in text and json.loads(text)["channel_ids"] == list(ids)

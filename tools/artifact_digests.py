@@ -1,4 +1,4 @@
-"""Digest every artifact of ten fixed CLI runs, to show a change keeps them byte-identical.
+"""Digest every artifact of eleven fixed CLI runs, to show a change keeps them byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -14,7 +14,11 @@ checkout:
 8. ``gradient --use sum_real`` and 9. ``--use harmonic`` on that average;
 10. ``synth-room --config`` on a small room the tool writes into ``--work``
     (:data:`BRANCH_ROOM`), which takes the simulator branches the default
-    room never takes.
+    room never takes;
+11. ``synth-analytic --layout`` on a scattered layout of 256 sensors the tool
+    writes into ``--work`` (:func:`wide_layout`), then ``pipeline
+    --gradient-source dmd_mode`` on it: more channels than snapshots, so
+    every mode list in ``modes.json`` is long, and ids that JSON escapes.
 
 Every run writes under ``--work``, which is emptied first.  Keep ``--work``
 the same for both trees: ``run_metadata.json`` records its input paths.
@@ -83,8 +87,24 @@ off = 19.6
 """
 
 
+def wide_layout() -> str:
+    """A layout CSV of 256 scattered sensors in the default 14 m x 7 m room.
+
+    The coordinates are distinct multiples of 1 mm from integer arithmetic,
+    so the file is the same on every platform.  Each id holds a backslash
+    and a non-ASCII letter (both escaped in JSON) and no ``&``, ``<`` or
+    ``>`` (which the SVG escapes).
+    """
+    rows = ["id,x,y"]
+    for k in range(1, 257):
+        x_mm = 50 + k * 9973 % 13901
+        y_mm = 50 + k * 7919 % 6901
+        rows.append(f"Sü\\{k:03d},{x_mm / 1000!r},{y_mm / 1000!r}")
+    return "\n".join(rows) + "\n"
+
+
 def _runs(w: Path) -> list[list[str]]:
-    room, ana, avg = w / "room", w / "analytic", w / "phase-average"
+    room, ana, avg, wide = w / "room", w / "analytic", w / "phase-average", w / "wide"
     ana_data = ["--snapshots", str(ana / "snapshots.csv")]
     ana_pipeline = ["pipeline", *ana_data, "--layout", str(ana / "layout.csv")]
     gradient = ["gradient", "--mode-file", str(avg / "phase_average.csv"),
@@ -102,6 +122,10 @@ def _runs(w: Path) -> list[list[str]]:
         [*gradient, "--use", "sum_real", "--out-dir", str(w / "gradient-sum-real")],
         [*gradient, "--use", "harmonic", "--out-dir", str(w / "gradient-harmonic")],
         ["synth-room", "--config", str(w / "branch_room.ini"), "--out-dir", str(w / "branch-room")],
+        ["synth-analytic", "--layout", str(w / "wide_layout.csv"), "--out-dir", str(wide)],
+        ["pipeline", "--snapshots", str(wide / "snapshots.csv"), "--layout",
+         str(wide / "layout.csv"), "--gradient-source", "dmd_mode",
+         "--out-dir", str(w / "wide-pipeline")],
     ]
 
 
@@ -120,6 +144,7 @@ def cmd_run(args) -> int:
     work.mkdir(parents=True)
     (work / MARKER).write_text("")
     (work / "branch_room.ini").write_text(BRANCH_ROOM, encoding="utf-8")
+    (work / "wide_layout.csv").write_text(wide_layout(), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for argv in _runs(work):
         done = subprocess.run([sys.executable, "-m", "thermokmd.cli", *argv], env=env,
@@ -153,7 +178,7 @@ def cmd_diff(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run the ten CLI runs and write the digest list")
+    p = sub.add_parser("run", help="run the eleven CLI runs and write the digest list")
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
