@@ -17,6 +17,7 @@ from .errors import (
     DuplicateError,
     GeometryError,
     LayoutError,
+    LayoutFileError,
     NumericalError,
     ParseError,
     PeriodError,
@@ -74,8 +75,8 @@ __all__ = [
     "__version__",
     # errors
     "ToolkitError", "ParseError", "UniformityError", "TooShortError",
-    "DuplicateError", "GeometryError", "ArgumentError", "LayoutError", "PeriodError",
-    "DegenerateDataError", "NumericalError", "StabilityError", "BiasWarning",
+    "DuplicateError", "GeometryError", "ArgumentError", "LayoutError", "LayoutFileError",
+    "PeriodError", "DegenerateDataError", "NumericalError", "StabilityError", "BiasWarning",
     # time series
     "SnapshotMatrix", "SensorLayout", "GridSpec",
     "load_snapshots", "write_snapshots", "load_layout", "write_layout",

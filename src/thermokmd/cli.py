@@ -38,7 +38,7 @@ def _write(out: Path, files: dict[str, str]) -> list[str]:
     """Write each named text into ``out``; return the names written."""
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        (out / name).write_text(text, encoding="utf-8")
+        (out / name).write_text(text, encoding="utf-8", newline="")
     return list(files)
 
 
@@ -197,8 +197,8 @@ def cmd_pipeline(args) -> int:
     if args.flux_sources:
         sources = gradientmod.load_sources_csv(args.flux_sources)
         scores = gradientmod.flux_consistency(field, layout, sources)
-        lines = ["source_id,score"] + [f"{name},{val!r}" for name, val in scores.items()]
-        written += _write(out, {"flux_scores.csv": "\n".join(lines) + "\n"})
+        rows = [["source_id", "score"], *scores.items()]
+        written += _write(out, {"flux_scores.csv": timeseries.csv_text(rows, "\n")})
 
     metadata = {
         "tool_version": __version__,

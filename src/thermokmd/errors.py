@@ -33,6 +33,10 @@ class ArgumentError(ToolkitError):
     """An argument is out of its documented range."""
 
 
+class LayoutFileError(ParseError, GeometryError):
+    """A layout file's sensors cannot form a layout (two at one point, off its grid)."""
+
+
 class LayoutError(ArgumentError):
     """A sensor layout does not fit the domain it is used in (a sensor outside the room)."""
 

@@ -17,10 +17,8 @@ guess: a fabricated gradient component would defeat the diagnostic.
 
 from __future__ import annotations
 
-import csv
 import html
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -92,22 +90,13 @@ class FluxSource:
 
 def load_sources_csv(path) -> tuple[FluxSource, ...]:
     """Actuators from a CSV with columns ``id,x,y,mode`` (mode ``cool`` or ``heat``)."""
-    path = Path(path)
     sources = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"id", "x", "y", "mode"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ParseError(f"{path}: sources file needs columns id,x,y,mode")
-        for r, rec in enumerate(reader, start=1):
-            mode = (rec["mode"] or "").strip()
-            if mode not in ("cool", "heat"):
-                raise ParseError(f"{path}: source mode must be cool or heat, got {mode!r}")
-            kind = "cooling" if mode == "cool" else "heating"
-            position = tuple(
-                timeseries.parse_number(rec[k], f"{path} data row {r} {k}") for k in ("x", "y")
-            )
-            sources.append(FluxSource(rec["id"].strip(), position, kind))
+    for rec in timeseries.read_records(path, ("id", "mode"), ("x", "y")):
+        mode = rec["mode"].strip()
+        if mode not in ("cool", "heat"):
+            raise ParseError(f"{path}: source mode must be cool or heat, got {mode!r}")
+        kind = "cooling" if mode == "cool" else "heating"
+        sources.append(FluxSource(rec["id"].strip(), (rec["x"], rec["y"]), kind))
     return tuple(sources)
 
 
@@ -290,13 +279,13 @@ def _sensor_csv(field: GradientField, patterns, values, methods=None) -> str:
     layout = field.layout
     axes = ["x", "y", "z"][: layout.d]
     header = ["channel_id", *axes, *(p.format(a) for p in patterns for a in axes), "valid"]
-    lines = [",".join(header + (["method"] if methods else []))]
-    for i, cid in enumerate(layout.channel_ids):
-        cells = [cid, *(repr(float(v)) for v in layout.positions[i])]
-        cells += [repr(float(v)) for v in values[i]]
-        cells.append(str(bool(field.valid[i])).lower())
-        lines.append(",".join(cells + ([methods[i]] if methods else [])))
-    return "\n".join(lines) + "\n"
+    rows = [header + (["method"] if methods else [])]
+    cells = zip(layout.channel_ids, layout.positions.tolist(),
+                np.asarray(values, dtype=float).tolist(), field.valid.tolist())
+    for i, (cid, position, vals, valid) in enumerate(cells):
+        rows.append([cid, *position, *vals, "true" if valid else "false",
+                     *([methods[i]] if methods else [])])
+    return timeseries.csv_text(rows, "\n")
 
 
 def field_to_csv(field: GradientField) -> str:

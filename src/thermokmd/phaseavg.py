@@ -14,15 +14,13 @@ estimates.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import timeseries
-from .errors import BiasWarning, ParseError, PeriodError
+from .errors import BiasWarning, PeriodError
 from .timeseries import SnapshotMatrix
 
 
@@ -121,30 +119,23 @@ def harmonic_amplitude(s: SnapshotMatrix, period_samples: int) -> np.ndarray:
 
 # -- serialization ------------------------------------------------------------
 
+_RESULT_COLUMNS = ("channel_id", "sum_real", "harmonic_re", "harmonic_im")
+
+
 def result_to_csv(res: PhaseAverageResult) -> str:
-    lines = ["channel_id,sum_real,harmonic_re,harmonic_im"]
-    for cid, v, h in zip(res.channel_ids, res.sum_real, res.harmonic):
-        lines.append(f"{cid},{float(v)!r},{float(h.real)!r},{float(h.imag)!r}")
-    return "\n".join(lines) + "\n"
+    harmonic = np.asarray(res.harmonic, dtype=complex)
+    cells = zip(res.channel_ids, np.asarray(res.sum_real, dtype=float).tolist(),
+                harmonic.real.tolist(), harmonic.imag.tolist())
+    return timeseries.csv_text([_RESULT_COLUMNS, *cells], "\n")
 
 
 def load_result_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Channel ids, ``sum_real`` and ``harmonic`` from a :func:`result_to_csv` file."""
-    ids, sums, harmonics = [], [], []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"channel_id", "sum_real", "harmonic_re", "harmonic_im"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ParseError(f"{path}: expected phase-average CSV columns {sorted(needed)}")
-        for r, rec in enumerate(reader, start=1):
-            re_sum, re_h, im_h = (
-                timeseries.parse_number(rec[k], f"{path} data row {r} {k}")
-                for k in ("sum_real", "harmonic_re", "harmonic_im")
-            )
-            ids.append(rec["channel_id"])
-            sums.append(re_sum)
-            harmonics.append(complex(re_h, im_h))
-    return ids, np.array(sums), np.array(harmonics)
+    records = timeseries.read_records(path, _RESULT_COLUMNS[:1], _RESULT_COLUMNS[1:])
+    ids = [rec["channel_id"] for rec in records]
+    sums = np.array([rec["sum_real"] for rec in records])
+    harmonics = np.array([complex(rec["harmonic_re"], rec["harmonic_im"]) for rec in records])
+    return ids, sums, harmonics
 
 
 def result_to_json(res: PhaseAverageResult) -> str:

@@ -19,8 +19,6 @@ of its real reconstructed contribution.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass, replace
 
@@ -393,13 +391,11 @@ def table_to_csv(table: ModeTable) -> str:
     usual published mode tables.  The couple label carries a comma and is
     therefore quoted.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["couple", "abs_lam", "period_min", "mode_norm", "energy"])
+    rows = [["couple", "abs_lam", "period_min", "mode_norm", "energy"]]
     for e in table.ranked():
         label = "{" + ",".join(str(i) for i in e.label) + "}"
         period = "" if e.period_seconds is None else f"{e.period_seconds / 60.0:#.4g}"
-        writer.writerow(
+        rows.append(
             [label, f"{e.abs_lam:.4f}", period, f"{e.mode_norm:.4f}", f"{e.energy:#.4g}"]
         )
-    return out.getvalue()
+    return timeseries.csv_text(rows, "\n")

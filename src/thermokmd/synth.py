@@ -18,7 +18,6 @@ Two generators with known answers:
 from __future__ import annotations
 
 import configparser
-import csv
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -421,23 +420,15 @@ def switch_cycle_period(
 
 
 def write_switch_log(events, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "ac_id", "state"])
-        for e in events:
-            writer.writerow([repr(float(e.time)), e.ac, e.state])
+    rows = [["time", "ac_id", "state"], *([float(e.time), e.ac, e.state] for e in events)]
+    Path(path).write_text(timeseries.csv_text(rows, "\r\n"), encoding="utf-8", newline="")
 
 
 def write_sources_csv(acs, path) -> None:
     """Actuator locations and modes, consumable by the pipeline's flux scoring."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "x", "y", "mode"])
-        for ac in acs:
-            writer.writerow([ac.name, repr(float(ac.position[0])),
-                             repr(float(ac.position[1])), ac.mode])
+    rows = [["id", "x", "y", "mode"],
+            *([ac.name, float(ac.position[0]), float(ac.position[1]), ac.mode] for ac in acs)]
+    Path(path).write_text(timeseries.csv_text(rows, "\r\n"), encoding="utf-8", newline="")
 
 
 # -- default room and layout ---------------------------------------------------

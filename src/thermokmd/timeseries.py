@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DuplicateError,
     GeometryError,
+    LayoutFileError,
     ParseError,
     TooShortError,
     UniformityError,
@@ -236,6 +237,59 @@ def json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+class _Lines(list):
+    write = list.append  # a csv.writer target that keeps each line it is given
+
+
+def csv_text(rows, lineterminator: str) -> str:
+    """The text of every CSV artifact, one line per row, each ending in ``lineterminator``.
+
+    Cells are quoted as the csv module quotes them, so any id reads back as
+    one cell.  A float cell is a Python float (from ``tolist()``), written as
+    its shortest ``repr``.  The synthesized dataset files end lines in
+    ``"\r\n"``, the pipeline artifacts in ``"\n"``; write with ``newline=""``.
+    """
+    lines = _Lines()
+    # csv quotes a cell holding a character of its own terminator, so lines are
+    # written with csv's "\r\n" (CR and LF both quoted) and then re-ended
+    csv.writer(lines).writerows(rows)
+    if lineterminator == "\r\n":
+        return "".join(lines)
+    return "".join([line[:-2] + lineterminator for line in lines])
+
+
+def _csv_rows(path, lines):
+    """``csv.reader(lines)``; a line csv cannot parse raises ParseError naming ``path``."""
+    try:
+        yield from csv.reader(lines)
+    except csv.Error as exc:  # such as a cell over csv's field size limit
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def read_records(path, text_columns, number_columns) -> list[dict]:
+    """Data rows of a CSV file with a header row, as dicts keyed by column name.
+
+    The header must name every given column; ``number_columns`` cells are
+    parsed as floats.  Blank lines are skipped.  ParseError, naming the file
+    and data row, for a row whose cell count differs from the header's.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        header, *rows = [row for row in _csv_rows(path, fh) if row] or [[]]
+    columns = (*text_columns, *number_columns)
+    if not set(columns).issubset(header):
+        raise ParseError(f"{path}: expected columns {','.join(columns)}, got {header!r}")
+    records = []
+    for r, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ParseError(f"{path}: data row {r} has {len(row)} cells, expected {len(header)}")
+        rec = dict(zip(header, row))
+        for k in number_columns:
+            rec[k] = parse_number(rec[k], f"{path} data row {r} {k}")
+        records.append(rec)
+    return records
+
+
 def _parse_time(cell: str, row: int) -> tuple[Fraction, float]:
     try:
         dec = Decimal(cell.strip())
@@ -265,7 +319,7 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -325,20 +379,19 @@ def write_snapshots(s: SnapshotMatrix, path) -> None:
     Timestamps are emitted as exact decimal expansions of t0 + k*dt computed
     in rational arithmetic, so the reader recovers dt without float rounding.
     """
-    path = Path(path)
     t0 = Fraction(s.t0)
     dt = Fraction(s.dt)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", *s.channel_ids])
-        # binary floats are dyadic rationals, so every t0 + k*dt has a finite
-        # decimal expansion; a double's expansion can need ~1400 digits
-        with localcontext() as ctx:
-            ctx.prec = 1600
-            for k in range(s.n_snapshots):
-                t = t0 + k * dt
-                cell = str(Decimal(t.numerator) / Decimal(t.denominator))
-                writer.writerow([cell, *(repr(float(v)) for v in s.values[:, k])])
+    # binary floats are dyadic rationals, so every t0 + k*dt has a finite
+    # decimal expansion; a double's expansion can need ~1400 digits
+    with localcontext() as ctx:
+        ctx.prec = 1600
+        times = [str(Decimal(t.numerator) / Decimal(t.denominator))
+                 for t in (t0 + k * dt for k in range(s.n_snapshots))]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        # row by row, so that the text of a wide record is never held whole
+        fh.write(csv_text([["time", *s.channel_ids]], "\r\n"))
+        fh.writelines(csv_text([[t, *s.values[:, k].tolist()]], "\r\n")
+                      for k, t in enumerate(times))
 
 
 _GRID_RE = re.compile(
@@ -370,7 +423,7 @@ def load_layout(path) -> SensorLayout:
             raise ParseError(f"{path}: unrecognized comment header {first.strip()!r}")
         else:
             header_line = first
-        reader = csv.reader([header_line] + fh.readlines())
+        reader = _csv_rows(path, [header_line] + fh.readlines())
         header = [h.strip() for h in next(reader)]
         if header[:1] != ["id"] or header[1:] not in (["x", "y"], ["x", "y", "z"]):
             raise ParseError(f"{path}: header must be 'id,x,y[,z]', got {header!r}")
@@ -386,19 +439,22 @@ def load_layout(path) -> SensorLayout:
                 raise ParseError(f"{path}: non-numeric coordinate at layout row {r}") from None
     if not ids:
         raise ParseError(f"{path}: layout file has no sensors")
-    return SensorLayout(tuple(ids), np.array(pts, dtype=float), grid)
+    try:  # sensors that cannot form a layout are a fault of the file, like a bad header
+        return SensorLayout(tuple(ids), np.array(pts, dtype=float), grid)
+    except DuplicateError as exc:
+        raise DuplicateError(f"{path}: {exc}") from None
+    except GeometryError as exc:
+        raise LayoutFileError(f"{path}: {exc}") from None
 
 
 def write_layout(layout: SensorLayout, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        if layout.grid is not None:
-            g = layout.grid
-            fh.write(f"# grid rows={g.rows} cols={g.cols} dx={g.dx!r} dy={g.dy!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["id", "x", "y", "z"][: 1 + layout.d])
-        for cid, p in zip(layout.channel_ids, layout.positions):
-            writer.writerow([cid, *(repr(float(v)) for v in p)])
+    head = ""
+    if layout.grid is not None:
+        g = layout.grid
+        head = f"# grid rows={g.rows} cols={g.cols} dx={g.dx!r} dy={g.dy!r}\n"
+    rows = [["id", "x", "y", "z"][: 1 + layout.d],
+            *([cid, *p] for cid, p in zip(layout.channel_ids, layout.positions.tolist()))]
+    Path(path).write_text(head + csv_text(rows, "\r\n"), encoding="utf-8", newline="")
 
 
 def remove_mean(s: SnapshotMatrix) -> SnapshotMatrix:

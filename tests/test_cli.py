@@ -1,3 +1,4 @@
+import csv
 import json
 from importlib.resources import files
 
@@ -155,6 +156,52 @@ class TestSynthAndSpectrum:
         assert str(layout) in err and (str(config) in err) == with_config
         assert "sensor 'a' at (20.0, 1.0) is outside" in err
 
+    @pytest.mark.parametrize("fault", ["coincident", "duplicate"])
+    def test_unusable_layout_exit_2(self, fault, tmp_path, capsys):
+        layout = tmp_path / "layout.csv"
+        second = {"coincident": "b,1,1", "duplicate": "a,2,1"}[fault]
+        layout.write_text(f"id,x,y\na,1,1\n{second}\nc,2,2\n", encoding="utf-8")
+        assert main(["synth-room", "--layout", str(layout),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(layout) in err
+
+    @pytest.mark.parametrize("kind", ["sources", "mode_file"])
+    def test_short_row_exit_2(self, kind, two_tone_dir, tmp_path, capsys):
+        bad = tmp_path / "short.csv"
+        data = ["--layout", str(two_tone_dir / "layout.csv")]
+        text, argv = {
+            "sources": ("x,y,mode,id\n1,1,cool\n",
+                        ["pipeline", "--snapshots", str(two_tone_dir / "snapshots.csv"), *data,
+                         "--flux-sources", str(bad)]),
+            "mode_file": ("sum_real,harmonic_re,harmonic_im,channel_id\n1,2,3\n",
+                          ["gradient", "--mode-file", str(bad), *data]),
+        }[kind]
+        bad.write_text(text, encoding="utf-8")
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and "data row 1" in err
+
+    @pytest.mark.parametrize("kind", ["snapshots", "layout", "sources"])
+    def test_oversized_cell_exit_2(self, kind, two_tone_dir, tmp_path, capsys):
+        bad = tmp_path / "big.csv"
+        big = "1" * 200_000  # over the csv module's field size limit
+        snapshots, layout = two_tone_dir / "snapshots.csv", two_tone_dir / "layout.csv"
+        text = {"snapshots": f"time,a\n0,{big}\n60,1\n120,1\n",
+                "layout": f"id,x,y\na,1,{big}\n",
+                "sources": f"id,x,y,mode\nAC,1,{big},cool\n"}[kind]
+        bad.write_text(text, encoding="utf-8")
+        argv = {"snapshots": ["pipeline", "--snapshots", str(bad), "--layout", str(layout)],
+                "layout": ["pipeline", "--snapshots", str(snapshots), "--layout", str(bad)],
+                "sources": ["pipeline", "--snapshots", str(snapshots), "--layout", str(layout),
+                            "--flux-sources", str(bad)]}[kind]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and "field larger than field limit" in err
+
 
 class TestPhaseAverageAndGradient:
     def test_chain(self, tmp_path):
@@ -188,6 +235,53 @@ class TestPhaseAverageAndGradient:
         # the injected amplitude is affine: rms x-component is sqrt(2)|0.15+0.1i|
         first = rms[1].split(",")
         assert float(first[3]) == pytest.approx(np.sqrt(2) * abs(0.15 + 0.1j), rel=1e-6)
+
+
+class TestQuotedIds:
+    """Ids with a comma, a quote, a backslash and SVG escapes survive every CSV artifact."""
+
+    IDS = ["a,b", 'q"x', "Sü\\1", "h&<>", *(f"S{k:02d}" for k in range(5, 21))]
+    SOURCES = ["AC,1", "AC,2"]
+
+    @staticmethod
+    def write_rows(path, rows):
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+
+    @staticmethod
+    def read_rows(path):
+        with path.open(newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+
+    def check(self, path, id_column, ids, text_columns=()):
+        rows = self.read_rows(path)
+        assert [row[id_column] for row in rows] == ids
+        for row in rows:
+            assert None not in row and None not in row.values()
+            for column, cell in row.items():
+                if column != id_column and column not in text_columns:
+                    float(cell)
+
+    def test_end_to_end(self, tmp_path):
+        layout = tmp_path / "layout.csv"
+        # 4 rows of 5 sensors, each row shifted so the points form no grid
+        self.write_rows(layout, [["id", "x", "y"], *(
+            [cid, 1.0 + 3.0 * (k % 5) + 0.2 * (k // 5), 1.0 + 1.5 * (k // 5)]
+            for k, cid in enumerate(self.IDS))])
+        sources = tmp_path / "sources.csv"
+        self.write_rows(sources, [["id", "x", "y", "mode"], [self.SOURCES[0], 4.0, 2.5, "cool"],
+                                  [self.SOURCES[1], 10.0, 4.0, "heat"]])
+        data, run, grad = tmp_path / "data", tmp_path / "run", tmp_path / "grad"
+        assert main(["synth-analytic", "--layout", str(layout), "--out-dir", str(data)]) == 0
+        assert main(["pipeline", "--snapshots", str(data / "snapshots.csv"),
+                     "--layout", str(data / "layout.csv"), "--flux-sources", str(sources),
+                     "--out-dir", str(run)]) == 0
+        assert main(["gradient", "--mode-file", str(run / "phase_average.csv"),
+                     "--layout", str(data / "layout.csv"), "--out-dir", str(grad)]) == 0
+        self.check(run / "phase_average.csv", "channel_id", self.IDS)
+        self.check(run / "flux_scores.csv", "source_id", self.SOURCES)
+        for out in (run, grad):
+            self.check(out / "gradient.csv", "channel_id", self.IDS, ("valid", "method"))
 
 
 class TestPipeline:

@@ -1,0 +1,121 @@
+"""The CSV format: every writer and loader pair gives back any channel id."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermokmd.errors import ParseError
+from thermokmd.gradient import load_sources_csv
+from thermokmd.phaseavg import PhaseAverageResult, load_result_csv, result_to_csv
+from thermokmd.synth import AirConditioner, write_sources_csv
+from thermokmd.timeseries import (
+    SensorLayout,
+    SnapshotMatrix,
+    csv_text,
+    load_layout,
+    load_snapshots,
+    read_records,
+    write_layout,
+    write_snapshots,
+)
+
+#: a comma, a quote, a backslash with a non-ASCII letter, and the SVG escapes
+QUOTED_IDS = ("a,b", 'q"x', "Sü\\1", "h&<>")
+
+#: ids that read back as themselves: the loaders strip the cells of a layout,
+#: a snapshot header and a sources file, so no leading or trailing whitespace
+ids_strategy = st.lists(
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+    .filter(lambda t: t == t.strip()),
+    min_size=1, max_size=5, unique=True,
+)
+
+
+def round_trip(kind, ids, path):
+    """Write ``ids`` with the ``kind`` writer and return the ids its loader reads."""
+    m = len(ids)
+    values = np.arange(3.0 * m).reshape(m, 3) / 7.0
+    if kind == "layout":
+        layout = SensorLayout(tuple(ids), np.column_stack([np.arange(m) / 3.0, np.ones(m)]))
+        write_layout(layout, path)
+        back = load_layout(path)
+        assert np.array_equal(back.positions, layout.positions)
+        return list(back.channel_ids)
+    if kind == "snapshots":
+        write_snapshots(SnapshotMatrix(values, 60.0, 0.0, tuple(ids)), path)
+        back = load_snapshots(path)
+        assert np.array_equal(back.values, values)
+        return list(back.channel_ids)
+    if kind == "sources":
+        acs = [AirConditioner(cid, (i / 3.0, 0.1), "cool", 0.1, 20.0, 19.0)
+               for i, cid in enumerate(ids)]
+        write_sources_csv(acs, path)
+        back = load_sources_csv(path)
+        assert [s.position for s in back] == [ac.position for ac in acs]
+        return [s.name for s in back]
+    res = PhaseAverageResult(period_samples=3, cycles_used=2, sum_real=values[:, 0],
+                             harmonic=values[:, 1] - 1j * values[:, 2], dt=60.0,
+                             channel_ids=tuple(ids))
+    path.write_text(result_to_csv(res), encoding="utf-8", newline="")
+    back_ids, sums, harmonics = load_result_csv(path)
+    assert np.array_equal(sums, res.sum_real) and np.array_equal(harmonics, res.harmonic)
+    return back_ids
+
+
+KINDS = ["layout", "snapshots", "sources", "phase_average"]
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_quoted_ids(self, kind, tmp_path):
+        ids = [*QUOTED_IDS, "plain"]
+        assert round_trip(kind, ids, tmp_path / "f.csv") == ids
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(ids=ids_strategy)
+    def test_any_ids(self, kind, ids, tmp_path_factory):
+        path = tmp_path_factory.mktemp("rt") / "f.csv"
+        assert round_trip(kind, ids, path) == ids
+
+
+class TestCsvText:
+    def test_line_endings(self):
+        rows = [["id", "v"], ["a", 0.1 + 0.2], ["b", -0.0]]
+        assert csv_text(rows, "\r\n") == "id,v\r\na,0.30000000000000004\r\nb,-0.0\r\n"
+        assert csv_text(rows, "\n") == "id,v\na,0.30000000000000004\nb,-0.0\n"
+        assert csv_text([], "\n") == ""
+
+    @pytest.mark.parametrize("cell", ["a\rb", "a\nb", "a\r\nb", 'a"b', "a,b"])
+    def test_lf_text_quotes_line_breaks(self, cell):
+        # a CR in an LF file must be quoted as well, or a reader ends the row there
+        text = csv_text([[cell, 1.5]], "\n")
+        assert text.startswith('"') and text.endswith(",1.5\n")
+
+
+class TestReadRecords:
+    def test_records(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text('b,a,c\n1.5,"x,y",u\n\n-2, z ,v\n', encoding="utf-8")
+        assert read_records(path, ("a",), ("b",)) == [{"b": 1.5, "a": "x,y", "c": "u"},
+                                                      {"b": -2.0, "a": " z ", "c": "v"}]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected columns a,b"),
+        ("a,c\n1,2\n", "expected columns a,b"),
+        ("a,b\n1,2\n3\n", "data row 2 has 1 cells, expected 2"),
+        ("a,b\n1,2,3\n", "data row 1 has 3 cells, expected 2"),
+    ])
+    def test_rejects(self, text, message, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as err:
+            read_records(path, ("a", "b"), ())
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_rejects_non_number(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("a,b\nx,1\ny,zz\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="data row 2 b: expected a number, got 'zz'"):
+            read_records(path, ("a",), ("b",))

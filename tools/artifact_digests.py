@@ -1,4 +1,4 @@
-"""Digest every artifact of eleven fixed CLI runs, to show a change keeps them byte-identical.
+"""Digest every artifact of twelve fixed CLI runs, to show a change keeps them byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -18,7 +18,11 @@ checkout:
 11. ``synth-analytic --layout`` on a scattered layout of 256 sensors the tool
     writes into ``--work`` (:func:`wide_layout`), then ``pipeline
     --gradient-source dmd_mode`` on it: more channels than snapshots, so
-    every mode list in ``modes.json`` is long, and ids that JSON escapes.
+    every mode list in ``modes.json`` is long, and ids that JSON escapes;
+12. ``synth-analytic --layout`` on a declared 5 x 8 grid layout the tool
+    writes into ``--work`` (:func:`grid_layout`), then ``pipeline`` on it:
+    the ``# grid`` comment line of ``layout.csv`` and the central and
+    one-sided grid stencils of ``gradient.csv``.
 
 Every run writes under ``--work``, which is emptied first.  Keep ``--work``
 the same for both trees: ``run_metadata.json`` records its input paths.
@@ -103,8 +107,23 @@ def wide_layout() -> str:
     return "\n".join(rows) + "\n"
 
 
+def grid_layout() -> str:
+    """A layout CSV of 40 sensors on a declared 5 x 8 grid in the default room.
+
+    ``dx`` is a binary fraction and ``dy`` is not; the coordinates come from
+    integer arithmetic, so the file is the same on every platform.  Of the 40
+    stencils 18 are central and 22 one-sided.
+    """
+    rows = ["# grid rows=5 cols=8 dx=1.75 dy=1.4", "id,x,y"]
+    for r in range(5):
+        for c in range(8):
+            rows.append(f"G{r}{c},{(875 + 1750 * c) / 1000!r},{(700 + 1400 * r) / 1000!r}")
+    return "\n".join(rows) + "\n"
+
+
 def _runs(w: Path) -> list[list[str]]:
     room, ana, avg, wide = w / "room", w / "analytic", w / "phase-average", w / "wide"
+    grid = w / "grid"
     ana_data = ["--snapshots", str(ana / "snapshots.csv")]
     ana_pipeline = ["pipeline", *ana_data, "--layout", str(ana / "layout.csv")]
     gradient = ["gradient", "--mode-file", str(avg / "phase_average.csv"),
@@ -126,6 +145,9 @@ def _runs(w: Path) -> list[list[str]]:
         ["pipeline", "--snapshots", str(wide / "snapshots.csv"), "--layout",
          str(wide / "layout.csv"), "--gradient-source", "dmd_mode",
          "--out-dir", str(w / "wide-pipeline")],
+        ["synth-analytic", "--layout", str(w / "grid_layout.csv"), "--out-dir", str(grid)],
+        ["pipeline", "--snapshots", str(grid / "snapshots.csv"), "--layout",
+         str(grid / "layout.csv"), "--out-dir", str(w / "grid-pipeline")],
     ]
 
 
@@ -145,6 +167,7 @@ def cmd_run(args) -> int:
     (work / MARKER).write_text("")
     (work / "branch_room.ini").write_text(BRANCH_ROOM, encoding="utf-8")
     (work / "wide_layout.csv").write_text(wide_layout(), encoding="utf-8")
+    (work / "grid_layout.csv").write_text(grid_layout(), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for argv in _runs(work):
         done = subprocess.run([sys.executable, "-m", "thermokmd.cli", *argv], env=env,
@@ -178,7 +201,7 @@ def cmd_diff(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run the eleven CLI runs and write the digest list")
+    p = sub.add_parser("run", help="run the twelve CLI runs and write the digest list")
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
