@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from . import gradient as gradientmod
 from . import phaseavg, spectral, synth, timeseries
-from .errors import ArgumentError, LayoutError, ParseError, PeriodError, ToolkitError
+from .errors import (ArgumentError, GeometryError, LayoutError, ParseError, PeriodError,
+                     ToolkitError)
 
 _IO_ERRORS = (ParseError, FileNotFoundError, IsADirectoryError, PermissionError,
               configparser.Error)
@@ -60,6 +61,16 @@ def _write_gradient(out: Path, field) -> list[str]:
     if np.iscomplexobj(field.vectors):
         files["rms_gradient.csv"] = gradientmod.rms_to_csv(field)
     return _write(out, files)
+
+
+def _layout_for(layout_path, data_path, channel_ids):
+    """The layout file's sensors in the order of ``channel_ids`` from ``data_path``."""
+    layout = timeseries.load_layout(layout_path)
+    try:
+        return layout.reordered_to(channel_ids)
+    except GeometryError as exc:
+        # the two input files do not match
+        raise ParseError(f"{data_path} with {layout_path}: {exc}") from None
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -137,7 +148,7 @@ def cmd_phase_average(args) -> int:
 
 def cmd_gradient(args) -> int:
     ids, sums, harmonics = phaseavg.load_result_csv(args.mode_file)
-    layout = timeseries.load_layout(args.layout).reordered_to(ids)
+    layout = _layout_for(args.layout, args.mode_file, ids)
     mode = harmonics if args.use == "harmonic" else sums
     field = gradientmod.gradient_field(
         mode, layout, source=gradientmod.SOURCE_PHASE_AVERAGE, neighbors=args.neighbors
@@ -169,7 +180,7 @@ def _select_period(dominant, dt, n_snapshots, explicit):
 
 def cmd_pipeline(args) -> int:
     snapshots = timeseries.load_snapshots(args.snapshots, dt_override=args.dt_override)
-    layout = timeseries.load_layout(args.layout).reordered_to(snapshots.channel_ids)
+    layout = _layout_for(args.layout, args.snapshots, snapshots.channel_ids)
     out = Path(args.out_dir)
 
     mean_free = timeseries.remove_mean(snapshots)

@@ -100,15 +100,61 @@ def load_sources_csv(path) -> tuple[FluxSource, ...]:
     return tuple(sources)
 
 
+#: sensors whose distance rows one array pass computes; temporaries are
+#: _BLOCK_ROWS x M, never M x M
+_BLOCK_ROWS = 128
+
+
+def _distance_blocks(pos):
+    """Yield ``(start, dist)``: rows ``start:start + len(dist)`` of the sensor distance matrix.
+
+    Each distance is ``sqrt(dx**2 + dy**2 [+ dz**2])`` with the squares summed
+    in axis order, the value of ``np.sqrt(((pos - pos[i]) ** 2).sum(axis=1))``.
+    """
+    axes = np.ascontiguousarray(pos.T)
+    for start in range(0, len(pos), _BLOCK_ROWS):
+        sq = 0.0  # adding the first square to +0.0 is exact
+        for coord in axes:
+            delta = coord - coord[start:start + _BLOCK_ROWS, None]
+            sq = sq + delta * delta
+        yield start, np.sqrt(sq)
+
+
+def _nearest(pos, k):
+    """Indices and distances (M, k) of each sensor's k nearest other sensors.
+
+    Row i is ``np.argsort(dist_i, kind="stable")[1 : k + 1]``, ties included:
+    candidates at or below the (k+1)-th smallest distance, ordered by
+    (distance, index), first one dropped.
+    """
+    m = len(pos)
+    index = np.empty((m, k), dtype=np.intp)
+    dist = np.empty((m, k))
+    take = np.arange(k + 1)
+    for start, block in _distance_blocks(pos):
+        kth = np.partition(block, k, axis=1)[:, k]
+        rows, cols = np.nonzero(block <= kth[:, None])
+        near = block[rows, cols]
+        order = np.lexsort((cols, near, rows))
+        # rows come out of nonzero ascending, so each row's candidates start where they did
+        counts = np.bincount(rows, minlength=len(block))
+        pick = order[(np.cumsum(counts) - counts)[:, None] + take][:, 1:]
+        index[start:start + len(block)] = cols[pick]
+        dist[start:start + len(block)] = near[pick]
+    return index, dist
+
+
 def median_spacing(layout: SensorLayout) -> float:
     """Median over sensors of the distance to the nearest other sensor."""
     pos = layout.positions
     if len(pos) < 2:
         raise GeometryError("need at least 2 sensors to define a spacing")
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    return float(np.median(dist.min(axis=1)))
+    nearest = np.empty(len(pos))
+    for start, dist in _distance_blocks(pos):
+        rows = np.arange(len(dist))
+        dist[rows, start + rows] = np.inf  # a sensor is not its own neighbour
+        nearest[start:start + len(dist)] = dist.min(axis=1)
+    return float(np.median(nearest))
 
 
 def gradient_field(
@@ -186,25 +232,18 @@ def _scattered_gradient(mode, layout, neighbors, condition_limit):
     k = min(neighbors, m - 1)
     vectors = np.zeros((m, d), dtype=mode.dtype)
     valid = np.zeros(m, dtype=bool)
-    methods = []
-    for i in range(m):
-        if k < d + 1:
-            methods.append(INVALID)
-            continue
-        dist = np.sqrt(((pos - pos[i]) ** 2).sum(axis=1))
-        order = np.argsort(dist, kind="stable")[1 : k + 1]
-        dr = pos[order] - pos[i]
-        w = 1.0 / dist[order]
-        a = dr * w[:, None]
+    if k >= d + 1:
+        order, dist = _nearest(pos, k)
+        w = 1.0 / dist
+        a = (pos[order] - pos[:, None, :]) * w[:, :, None]
         sv = np.linalg.svd(a, compute_uv=False)
-        if sv[-1] <= 0 or sv[0] / sv[-1] > condition_limit:
-            methods.append(INVALID)
-            continue
-        b = (mode[order] - mode[i]) * w
-        g, *_ = np.linalg.lstsq(a, b, rcond=None)
-        vectors[i] = g
-        valid[i] = True
-        methods.append(SCATTERED_LSQ)
+        # the ratio is taken only where the smallest singular value is positive
+        valid = ~(sv[:, -1] <= 0)
+        valid[valid] = ~(sv[valid, 0] / sv[valid, -1] > condition_limit)
+        b = (mode[order] - mode[:, None]) * w
+        for i in np.flatnonzero(valid):
+            vectors[i] = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
+    methods = [SCATTERED_LSQ if v else INVALID for v in valid.tolist()]
     return vectors, valid, methods
 
 
@@ -328,52 +367,52 @@ def field_to_svg(field: GradientField, width_px: int = 720) -> str:
     px_per_m = width_px / span_x
     height_px = span_y * px_per_m + 40  # room for the legend line
 
-    def to_px(p):
+    def to_px(x, y):
         # svg y grows downward
-        return (
-            (p[0] - x0 + pad) * px_per_m,
-            (y1 - p[1] + pad) * px_per_m,
-        )
+        return (x - x0 + pad) * px_per_m, (y1 - y + pad) * px_per_m
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px:.0f}" '
         f'height="{height_px:.0f}" viewBox="0 0 {width_px:.0f} {height_px:.0f}">',
         '<rect x="0" y="0" width="100%" height="100%" fill="white"/>',
     ]
-    bx0, by0 = to_px((x0, y1))
-    bx1, by1 = to_px((x1, y0))
+    bx0, by0 = to_px(x0, y1)
+    bx1, by1 = to_px(x1, y0)
     parts.append(
         f'<rect x="{bx0:.1f}" y="{by0:.1f}" width="{bx1 - bx0:.1f}" '
         f'height="{by1 - by0:.1f}" fill="none" stroke="#999" stroke-width="1"/>'
     )
-    for i, cid in enumerate(layout.channel_ids):
-        cx, cy = to_px(pos[i])
-        parts.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="3" fill="#c22"/>')
+    # every arrow as whole arrays: a line from the sensor to its tip, and an
+    # arrow head of two short back-strokes at a tip that has a direction
+    px, py = to_px(pos[:, 0], pos[:, 1])
+    drawn = np.flatnonzero(field.valid)
+    tip = pos[drawn] + scale * grads[drawn]
+    tx, ty = to_px(tip[:, 0], tip[:, 1])
+    vx, vy = tx - px[drawn], ty - py[drawn]
+    norm = np.sqrt(vx * vx + vy * vy)
+    headed = norm > 1e-9
+    ux, uy = vx[headed] / norm[headed], vy[headed] / norm[headed]
+    hx, hy = tx[headed], ty[headed]
+    head = 5.0
+    barbs = []  # x and y of the back-stroke ends, one side, then the other
+    for s in (+1, -1):
+        barbs += [(hx - head * ux + s * 0.6 * head * -uy).tolist(),
+                  (hy - head * uy + s * 0.6 * head * ux).tolist()]
+    cx, cy = px.tolist(), py.tolist()
+    line = ('<line x1="{:.1f}" y1="{:.1f}" x2="{:.1f}" y2="{:.1f}" '
+            'stroke="#1648b0" stroke-width="1.5"/>')
+    arrows = {i: [line.format(cx[i], cy[i], x, y)]
+              for i, x, y in zip(drawn.tolist(), tx.tolist(), ty.tolist())}
+    for i, x, y, ax, ay, bx, by in zip(drawn[headed].tolist(), hx.tolist(), hy.tolist(), *barbs):
+        arrows[i] += [line.format(x, y, ax, ay), line.format(x, y, bx, by)]
+
+    for i, (cid, x, y) in enumerate(zip(layout.channel_ids, cx, cy)):
+        parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="#c22"/>')
         label = html.escape(cid, quote=False)  # only &, < and >
         parts.append(
-            f'<text x="{cx + 4:.1f}" y="{cy - 4:.1f}" font-size="9" fill="#555">{label}</text>'
+            f'<text x="{x + 4:.1f}" y="{y - 4:.1f}" font-size="9" fill="#555">{label}</text>'
         )
-        if not field.valid[i]:
-            continue
-        tip = pos[i] + scale * grads[i]
-        tx, ty = to_px(tip)
-        parts.append(
-            f'<line x1="{cx:.1f}" y1="{cy:.1f}" x2="{tx:.1f}" y2="{ty:.1f}" '
-            'stroke="#1648b0" stroke-width="1.5"/>'
-        )
-        # arrow head: two short back-strokes at the tip
-        v = np.array([tx - cx, ty - cy])
-        norm = np.sqrt((v**2).sum())
-        if norm > 1e-9:
-            u = v / norm
-            n = np.array([-u[1], u[0]])
-            head = 5.0
-            for s in (+1, -1):
-                hx, hy = np.array([tx, ty]) - head * u + s * 0.6 * head * n
-                parts.append(
-                    f'<line x1="{tx:.1f}" y1="{ty:.1f}" x2="{hx:.1f}" y2="{hy:.1f}" '
-                    'stroke="#1648b0" stroke-width="1.5"/>'
-                )
+        parts += arrows.get(i, ())
     legend = (
         f"longest arrow = {max_norm:.4g} units/m (drawn {arrow_m:.3g} m)"
         if max_norm > 0

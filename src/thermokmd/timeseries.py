@@ -336,18 +336,23 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
                     f"{path}: data row {r} has {len(rec)} cells, expected {len(header)}"
                 )
             t_frac, t_float = _parse_time(rec[0], r)
-            vals = []
-            for c, cell in enumerate(rec[1:], start=1):
-                text = cell.strip()
-                if not text:
-                    raise ParseError(f"{path}: missing value at data row {r}, column {c + 1}")
-                try:
-                    v = float(text)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric value {cell!r} at data row {r}, column {c + 1}"
-                    ) from None
-                vals.append(v)
+            try:
+                # float() ignores the same surrounding whitespace that str.strip() removes
+                vals = list(map(float, rec[1:]))
+            except ValueError:  # find and name the bad cell
+                for c, cell in enumerate(rec[1:], start=1):
+                    text = cell.strip()
+                    if not text:
+                        raise ParseError(
+                            f"{path}: missing value at data row {r}, column {c + 1}"
+                        ) from None
+                    try:
+                        float(text)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: non-numeric value {cell!r} at data row {r}, column {c + 1}"
+                        ) from None
+                raise
             times.append(t_frac)
             t_floats.append(t_float)
             rows.append(vals)

@@ -202,6 +202,24 @@ class TestSynthAndSpectrum:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(bad) in err and "field larger than field limit" in err
 
+    @pytest.mark.parametrize("command", ["pipeline", "gradient"])
+    def test_channel_missing_from_layout_exit_2(self, command, two_tone_dir, tmp_path, capsys):
+        layout = tmp_path / "layout.csv"
+        layout.write_text("id,x,y\na,1,1\nb,2,1\nc,1,2\n", encoding="utf-8")
+        data = tmp_path / "data.csv"
+        if command == "pipeline":
+            rows = [f"{60 * k},{k % 3},{k % 5},{k % 7},{k % 2}" for k in range(20)]
+            data.write_text("time,a,b,c,zz\n" + "\n".join(rows) + "\n", encoding="utf-8")
+            argv = ["pipeline", "--snapshots", str(data)]
+        else:
+            data.write_text("channel_id,sum_real,harmonic_re,harmonic_im\n"
+                            "a,1,0,0\nzz,2,0,0\nb,3,0,0\nc,4,0,0\n", encoding="utf-8")
+            argv = ["gradient", "--mode-file", str(data)]
+        assert main(argv + ["--layout", str(layout), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(data) in err and str(layout) in err and "'zz'" in err
+
 
 class TestPhaseAverageAndGradient:
     def test_chain(self, tmp_path):

@@ -1,3 +1,4 @@
+import html
 from xml.dom import minidom
 
 import numpy as np
@@ -5,11 +6,15 @@ import pytest
 
 from thermokmd.errors import ArgumentError, GeometryError
 from thermokmd.gradient import (
+    CONDITION_LIMIT,
+    DEFAULT_NEIGHBORS,
     GRID_CENTRAL,
     GRID_ONESIDED,
+    INVALID,
     SCATTERED_LSQ,
     FluxSource,
     GradientField,
+    _scattered_gradient,
     field_to_csv,
     field_to_svg,
     flux_consistency,
@@ -278,3 +283,233 @@ class TestExports:
         svg = field_to_svg(gradient_field(layout.positions[:, 0], layout))
         labels = [t.firstChild.data for t in minidom.parseString(svg).getElementsByTagName("text")]
         assert labels[:-1] == list(ids)
+
+
+# -- the per-sensor reference code that the array passes reproduce bit for bit ------
+
+def _scattered_gradient_loop(mode, layout, neighbors, condition_limit):
+    """The reference stencil: a full distance row and a stable argsort per sensor."""
+    pos = layout.positions
+    m, d = pos.shape
+    k = min(neighbors, m - 1)
+    vectors = np.zeros((m, d), dtype=mode.dtype)
+    valid = np.zeros(m, dtype=bool)
+    methods = []
+    for i in range(m):
+        if k < d + 1:
+            methods.append(INVALID)
+            continue
+        dist = np.sqrt(((pos - pos[i]) ** 2).sum(axis=1))
+        order = np.argsort(dist, kind="stable")[1 : k + 1]
+        dr = pos[order] - pos[i]
+        w = 1.0 / dist[order]
+        a = dr * w[:, None]
+        sv = np.linalg.svd(a, compute_uv=False)
+        if sv[-1] <= 0 or sv[0] / sv[-1] > condition_limit:
+            methods.append(INVALID)
+            continue
+        b = (mode[order] - mode[i]) * w
+        g, *_ = np.linalg.lstsq(a, b, rcond=None)
+        vectors[i] = g
+        valid[i] = True
+        methods.append(SCATTERED_LSQ)
+    return vectors, valid, methods
+
+
+def _median_spacing_full(layout):
+    """The reference spacing: the whole (M, M, d) difference array at once."""
+    pos = layout.positions
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return float(np.median(dist.min(axis=1)))
+
+
+def _field_to_svg_loop(field, width_px=720):
+    """The reference quiver plot: each arrow tip and head from 2-vectors, one sensor at a time."""
+    layout = field.layout
+    pos = layout.positions[:, :2]
+    grads = np.real(field.vectors[:, :2])
+    spacing = _median_spacing_full(layout)
+    finite = field.valid
+    max_norm = float(np.sqrt((grads[finite] ** 2).sum(axis=1)).max()) if np.any(finite) else 0.0
+    arrow_m = 0.8 * spacing
+    scale = arrow_m / max_norm if max_norm > 0 else 0.0
+
+    x0, y0 = pos.min(axis=0)
+    x1, y1 = pos.max(axis=0)
+    pad = max(spacing, 0.05 * max(x1 - x0, y1 - y0, 1.0))
+    span_x = (x1 - x0) + 2 * pad
+    span_y = (y1 - y0) + 2 * pad
+    px_per_m = width_px / span_x
+    height_px = span_y * px_per_m + 40
+
+    def to_px(p):
+        return (
+            (p[0] - x0 + pad) * px_per_m,
+            (y1 - p[1] + pad) * px_per_m,
+        )
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px:.0f}" '
+        f'height="{height_px:.0f}" viewBox="0 0 {width_px:.0f} {height_px:.0f}">',
+        '<rect x="0" y="0" width="100%" height="100%" fill="white"/>',
+    ]
+    bx0, by0 = to_px((x0, y1))
+    bx1, by1 = to_px((x1, y0))
+    parts.append(
+        f'<rect x="{bx0:.1f}" y="{by0:.1f}" width="{bx1 - bx0:.1f}" '
+        f'height="{by1 - by0:.1f}" fill="none" stroke="#999" stroke-width="1"/>'
+    )
+    for i, cid in enumerate(layout.channel_ids):
+        cx, cy = to_px(pos[i])
+        parts.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="3" fill="#c22"/>')
+        label = html.escape(cid, quote=False)
+        parts.append(
+            f'<text x="{cx + 4:.1f}" y="{cy - 4:.1f}" font-size="9" fill="#555">{label}</text>'
+        )
+        if not field.valid[i]:
+            continue
+        tip = pos[i] + scale * grads[i]
+        tx, ty = to_px(tip)
+        parts.append(
+            f'<line x1="{cx:.1f}" y1="{cy:.1f}" x2="{tx:.1f}" y2="{ty:.1f}" '
+            'stroke="#1648b0" stroke-width="1.5"/>'
+        )
+        v = np.array([tx - cx, ty - cy])
+        norm = np.sqrt((v**2).sum())
+        if norm > 1e-9:
+            u = v / norm
+            n = np.array([-u[1], u[0]])
+            head = 5.0
+            for s in (+1, -1):
+                hx, hy = np.array([tx, ty]) - head * u + s * 0.6 * head * n
+                parts.append(
+                    f'<line x1="{tx:.1f}" y1="{ty:.1f}" x2="{hx:.1f}" y2="{hy:.1f}" '
+                    'stroke="#1648b0" stroke-width="1.5"/>'
+                )
+    legend = (
+        f"longest arrow = {max_norm:.4g} units/m (drawn {arrow_m:.3g} m)"
+        if max_norm > 0
+        else "all gradients zero or invalid"
+    )
+    parts.append(
+        f'<text x="8" y="{height_px - 12:.1f}" font-size="12" fill="#333">{legend}</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def scattered_layout(m, d, seed):
+    """``m`` sensors at seeded uniform points of a 14 m x 7 m x 3 m box, first ``d`` axes."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform((0.0, 0.0, 0.0), (14.0, 7.0, 3.0), size=(m, 3))[:, :d]
+    return SensorLayout(tuple(f"s{i}" for i in range(m)), pts)
+
+
+def lattice_layout():
+    """An undeclared 9 x 15 lattice: binary-fraction spacing, so neighbour distances tie exactly."""
+    pts = [(0.5 + 0.875 * c, 0.25 + 0.875 * r) for r in range(9) for c in range(15)]
+    return SensorLayout(tuple(f"L{i}" for i in range(len(pts))), np.array(pts))
+
+
+def collinear_layout():
+    """Twelve sensors on a line, whose stencils are degenerate, and two off it."""
+    pts = [[float(x), 0.0] for x in range(12)] + [[0.0, 50.0], [11.0, 50.0]]
+    return SensorLayout(tuple(f"c{i}" for i in range(14)), np.array(pts))
+
+
+ORACLE_LAYOUTS = {
+    "scattered-d1": lambda: scattered_layout(150, 1, 11),
+    "scattered-d2": lambda: scattered_layout(300, 2, 12),  # three row blocks
+    "scattered-d3": lambda: scattered_layout(200, 3, 13),
+    "lattice": lattice_layout,
+    "collinear": collinear_layout,
+    "default-room": default_layout,
+}
+
+
+def oracle_mode(layout, complex_mode):
+    rng = np.random.default_rng(layout.n_sensors)
+    x = layout.positions
+    mode = np.sin(x[:, 0]) + 0.3 * x.sum(axis=1) + 0.01 * rng.normal(size=len(x))
+    if complex_mode:
+        mode = mode + 1j * (np.cos(1.3 * x[:, -1]) + 0.01 * rng.normal(size=len(x)))
+    return mode
+
+
+@pytest.mark.filterwarnings("error")
+class TestArrayPassesMatchLoop:
+    @pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("name", ORACLE_LAYOUTS)
+    def test_scattered_gradient(self, name, complex_mode):
+        layout = ORACLE_LAYOUTS[name]()
+        mode = oracle_mode(layout, complex_mode)
+        for neighbors in (DEFAULT_NEIGHBORS, 3, 9):
+            got = _scattered_gradient(mode, layout, neighbors, CONDITION_LIMIT)
+            want = _scattered_gradient_loop(mode, layout, neighbors, CONDITION_LIMIT)
+            assert got[0].dtype == want[0].dtype
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+        if name == "collinear":
+            assert 0 < want[1].sum() < layout.n_sensors
+
+    def test_lattice_neighbours_tie(self):
+        layout = lattice_layout()
+        dist = np.sqrt(((layout.positions - layout.positions[20]) ** 2).sum(axis=1))
+        # four at 0.875, four diagonals: six neighbours cut through a tie
+        assert np.sort(dist)[1:9].tolist() == [0.875] * 4 + [0.875 * np.sqrt(2)] * 4
+
+    @pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("neighbors", [7, 8, 50])
+    def test_neighbors_at_least_m_minus_1(self, neighbors, complex_mode):
+        layout = scattered_layout(8, 2, 14)
+        mode = oracle_mode(layout, complex_mode)
+        got = _scattered_gradient(mode, layout, neighbors, CONDITION_LIMIT)
+        want = _scattered_gradient_loop(mode, layout, neighbors, CONDITION_LIMIT)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2] == [SCATTERED_LSQ] * 8
+
+    @pytest.mark.parametrize("d, neighbors", [(1, 1), (2, 2), (3, 3), (2, 0)])
+    def test_too_few_neighbours_every_sensor_invalid(self, d, neighbors):
+        layout = scattered_layout(20, d, 15)
+        mode = oracle_mode(layout, False)
+        got = _scattered_gradient(mode, layout, neighbors, CONDITION_LIMIT)
+        want = _scattered_gradient_loop(mode, layout, neighbors, CONDITION_LIMIT)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2] == [INVALID] * 20
+
+    def test_degenerate_stencil_no_warning(self):
+        # exactly collinear stencils: the smallest singular value is 0
+        layout = collinear_layout()
+        sv = np.linalg.svd((layout.positions[1:7] - layout.positions[0])[None], compute_uv=False)
+        assert sv[0, -1] == 0.0
+        field = gradient_field(layout.positions[:, 0], layout)  # warnings are errors here
+        assert field.methods[:12] == (INVALID,) * 12
+
+    @pytest.mark.parametrize("name", [*ORACLE_LAYOUTS, "pair", "wide"])
+    def test_median_spacing(self, name):
+        layout = {"pair": lambda: SensorLayout(("a", "b"), np.array([[0.0, 0.0], [0.3, 0.4]])),
+                  "wide": lambda: scattered_layout(1024, 2, 16),
+                  **ORACLE_LAYOUTS}[name]()
+        assert median_spacing(layout) == _median_spacing_full(layout)
+
+    @pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("name", ["scattered-d2", "scattered-d3", "lattice", "collinear",
+                                      "default-room"])
+    def test_svg(self, name, complex_mode):
+        layout = ORACLE_LAYOUTS[name]()
+        field = gradient_field(oracle_mode(layout, complex_mode), layout)
+        assert field_to_svg(field) == _field_to_svg_loop(field)
+        assert field_to_svg(field, width_px=333) == _field_to_svg_loop(field, width_px=333)
+
+    def test_svg_arrows_without_heads(self):
+        # zero vectors draw a line without a head; an all-zero field has no scale
+        layout = lattice_layout()
+        vectors = np.zeros((layout.n_sensors, 2))
+        vectors[::3] = [1.5, -0.25]
+        for vec in (vectors, np.zeros_like(vectors)):
+            field = GradientField(vec, np.arange(layout.n_sensors) % 5 > 0,
+                                  (SCATTERED_LSQ,) * layout.n_sensors, layout)
+            assert field_to_svg(field) == _field_to_svg_loop(field)

@@ -89,6 +89,50 @@ class TestLoadSnapshots:
             load_snapshots(path)
 
 
+def _row_values_loop(path, rec, r):
+    """The reference cell parser: strip, then float(), one cell at a time."""
+    vals = []
+    for c, cell in enumerate(rec[1:], start=1):
+        text = cell.strip()
+        if not text:
+            raise ParseError(f"{path}: missing value at data row {r}, column {c + 1}")
+        try:
+            v = float(text)
+        except ValueError:
+            raise ParseError(
+                f"{path}: non-numeric value {cell!r} at data row {r}, column {c + 1}"
+            ) from None
+        vals.append(v)
+    return vals
+
+
+class TestCellParsing:
+    """``load_snapshots`` parses a row at once and matches the per-cell loop on every cell."""
+
+    @pytest.mark.parametrize("cell", [
+        " 1.5 ", "1_0", "nan", "-inf", "\u0661\u0662", "\uff11.\uff15", "\u2003-0.0\u00a0",
+        "+.5e-3", "1e400", "Infinity", "", "  ", "\u00a0", "oops", "1 2", "0x10", "1__0",
+    ])
+    def test_matches_loop(self, cell, tmp_path):
+        path = tmp_path / "a.csv"
+        rec = ["60", "1", cell, "2"]
+        path.write_text(f"time,a,b,c\n0,1,1,1\n{','.join(rec)}\n120,1,1,1\n", encoding="utf-8")
+        try:
+            want = _row_values_loop(path, rec, 2)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                load_snapshots(path)
+            assert str(err.value) == str(exc)
+            assert str(exc).endswith("at data row 2, column 3")
+            return
+        if not np.all(np.isfinite(want)):
+            with pytest.raises(ParseError, match="NaN or Inf"):
+                load_snapshots(path)
+            return
+        got = load_snapshots(path).values[:, 1]
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestRoundTrip:
     def test_simple(self, tmp_path):
         s = SnapshotMatrix(

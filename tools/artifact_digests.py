@@ -1,4 +1,4 @@
-"""Digest every artifact of twelve fixed CLI runs, to show a change keeps them byte-identical.
+"""Digest every artifact of thirteen fixed CLI runs, to show a change keeps them byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -22,7 +22,13 @@ checkout:
 12. ``synth-analytic --layout`` on a declared 5 x 8 grid layout the tool
     writes into ``--work`` (:func:`grid_layout`), then ``pipeline`` on it:
     the ``# grid`` comment line of ``layout.csv`` and the central and
-    one-sided grid stencils of ``gradient.csv``.
+    one-sided grid stencils of ``gradient.csv``;
+13. ``synth-analytic --layout`` on an undeclared 6 x 11 lattice the tool
+    writes into ``--work`` (:func:`lattice_layout`), then ``pipeline
+    --gradient-source dmd_mode --flux-sources`` on it with a sources file
+    written there too (:data:`LATTICE_SOURCES`): the scattered stencils meet
+    exact distance ties, and the median spacing serves both the SVG and the
+    flux scores.
 
 Every run writes under ``--work``, which is emptied first.  Keep ``--work``
 the same for both trees: ``run_metadata.json`` records its input paths.
@@ -121,9 +127,27 @@ def grid_layout() -> str:
     return "\n".join(rows) + "\n"
 
 
+def lattice_layout() -> str:
+    """A layout CSV of 66 sensors on a 6 x 11 lattice in the default room, with no ``# grid`` line.
+
+    The spacing is 1.25 m in x and y and every coordinate is a binary
+    fraction, so distances to lattice neighbours tie exactly and the
+    scattered stencil must break the ties by sensor order.
+    """
+    rows = ["id,x,y"]
+    for r in range(6):
+        for c in range(11):
+            rows.append(f"L{r}-{c:02d},{(625 + 1250 * c) / 1000!r},{(625 + 1250 * r) / 1000!r}")
+    return "\n".join(rows) + "\n"
+
+
+#: a cooler and a heater inside the lattice, for ``pipeline --flux-sources``
+LATTICE_SOURCES = "id,x,y,mode\nAC-1,3.0,3.5,cool\nHT-1,10.5,2.0,heat\n"
+
+
 def _runs(w: Path) -> list[list[str]]:
     room, ana, avg, wide = w / "room", w / "analytic", w / "phase-average", w / "wide"
-    grid = w / "grid"
+    grid, lattice = w / "grid", w / "lattice"
     ana_data = ["--snapshots", str(ana / "snapshots.csv")]
     ana_pipeline = ["pipeline", *ana_data, "--layout", str(ana / "layout.csv")]
     gradient = ["gradient", "--mode-file", str(avg / "phase_average.csv"),
@@ -148,6 +172,11 @@ def _runs(w: Path) -> list[list[str]]:
         ["synth-analytic", "--layout", str(w / "grid_layout.csv"), "--out-dir", str(grid)],
         ["pipeline", "--snapshots", str(grid / "snapshots.csv"), "--layout",
          str(grid / "layout.csv"), "--out-dir", str(w / "grid-pipeline")],
+        ["synth-analytic", "--layout", str(w / "lattice_layout.csv"), "--out-dir", str(lattice)],
+        ["pipeline", "--snapshots", str(lattice / "snapshots.csv"), "--layout",
+         str(lattice / "layout.csv"), "--gradient-source", "dmd_mode",
+         "--flux-sources", str(w / "lattice_sources.csv"),
+         "--out-dir", str(w / "lattice-pipeline")],
     ]
 
 
@@ -168,6 +197,8 @@ def cmd_run(args) -> int:
     (work / "branch_room.ini").write_text(BRANCH_ROOM, encoding="utf-8")
     (work / "wide_layout.csv").write_text(wide_layout(), encoding="utf-8")
     (work / "grid_layout.csv").write_text(grid_layout(), encoding="utf-8")
+    (work / "lattice_layout.csv").write_text(lattice_layout(), encoding="utf-8")
+    (work / "lattice_sources.csv").write_text(LATTICE_SOURCES, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for argv in _runs(work):
         done = subprocess.run([sys.executable, "-m", "thermokmd.cli", *argv], env=env,
@@ -201,7 +232,7 @@ def cmd_diff(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run the twelve CLI runs and write the digest list")
+    p = sub.add_parser("run", help="run the thirteen CLI runs and write the digest list")
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
