@@ -41,6 +41,7 @@ from .spectral import (
     RitzPair,
     companion_kmd,
     energy_norm,
+    mode_table,
     period_of,
     rank_modes,
     reconstruct,
@@ -83,7 +84,7 @@ __all__ = [
     "remove_mean",
     # spectral
     "RitzPair", "ModeEntry", "ModeTable",
-    "companion_kmd", "energy_norm", "period_of", "rank_modes", "reconstruct",
+    "companion_kmd", "mode_table", "energy_norm", "period_of", "rank_modes", "reconstruct",
     # phase averaging
     "PhaseAverageResult", "phase_average", "harmonic_amplitude",
     # gradients

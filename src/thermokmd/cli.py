@@ -63,9 +63,15 @@ def _write_gradient(out: Path, field) -> list[str]:
     return _write(out, files)
 
 
-def _layout_for(layout_path, data_path, channel_ids):
-    """The layout file's sensors in the order of ``channel_ids`` from ``data_path``."""
+def _layout_for(layout_path, data_path, channel_ids, neighbors):
+    """The layout file's sensors in the order of ``channel_ids`` from ``data_path``.
+
+    A scattered layout's stencils need ``neighbors`` >= d + 1; a declared grid uses none.
+    """
     layout = timeseries.load_layout(layout_path)
+    if layout.grid is None and neighbors < layout.d + 1:
+        raise ParseError(f"--neighbors {neighbors} is below d + 1 = {layout.d + 1} "
+                         f"for a scattered layout in d = {layout.d} dimensions")
     try:
         return layout.reordered_to(channel_ids)
     except GeometryError as exc:
@@ -148,7 +154,7 @@ def cmd_phase_average(args) -> int:
 
 def cmd_gradient(args) -> int:
     ids, sums, harmonics = phaseavg.load_result_csv(args.mode_file)
-    layout = _layout_for(args.layout, args.mode_file, ids)
+    layout = _layout_for(args.layout, args.mode_file, ids, args.neighbors)
     mode = harmonics if args.use == "harmonic" else sums
     field = gradientmod.gradient_field(
         mode, layout, source=gradientmod.SOURCE_PHASE_AVERAGE, neighbors=args.neighbors
@@ -180,7 +186,7 @@ def _select_period(dominant, dt, n_snapshots, explicit):
 
 def cmd_pipeline(args) -> int:
     snapshots = timeseries.load_snapshots(args.snapshots, dt_override=args.dt_override)
-    layout = _layout_for(args.layout, args.snapshots, snapshots.channel_ids)
+    layout = _layout_for(args.layout, args.snapshots, snapshots.channel_ids, args.neighbors)
     out = Path(args.out_dir)
 
     mean_free = timeseries.remove_mean(snapshots)

@@ -234,11 +234,13 @@ def _scattered_gradient(mode, layout, neighbors, condition_limit):
     valid = np.zeros(m, dtype=bool)
     if k >= d + 1:
         order, dist = _nearest(pos, k)
-        w = 1.0 / dist
+        # distinct sensors whose squared distance underflows to 0 void the stencil
+        apart = dist > 0
+        w = np.divide(1.0, dist, out=np.zeros_like(dist), where=apart)
         a = (pos[order] - pos[:, None, :]) * w[:, :, None]
         sv = np.linalg.svd(a, compute_uv=False)
         # the ratio is taken only where the smallest singular value is positive
-        valid = ~(sv[:, -1] <= 0)
+        valid = apart.all(axis=1) & ~(sv[:, -1] <= 0)
         valid[valid] = ~(sv[valid, 0] / sv[valid, -1] > condition_limit)
         b = (mode[order] - mode[:, None]) * w
         for i in np.flatnonzero(valid):

@@ -198,37 +198,41 @@ def companion_kmd(s: SnapshotMatrix) -> ModeTable:
         raise NumericalError(f"mode least-squares solve failed: {exc}") from exc
     modes = modes_t.T  # (M, n_eigs)
 
-    notes: list[str] = []
-    pairs: list[RitzPair] = []
     norms = np.linalg.norm(modes, axis=0)
-    cutoff = ZERO_MODE_RTOL * norms.max(initial=0.0)
-    for j in range(n1):
-        if norms[j] <= cutoff:
-            notes.append(f"dropped zero mode at lam={lams[j]:.6g}")
-            continue
-        pairs.append(RitzPair(complex(lams[j]), modes[:, j], index=j))
-
-    entries = _group_and_rank(pairs, s.dt, s.n_snapshots, notes)
-    return ModeTable(
-        entries=entries,
-        dt=s.dt,
-        n_snapshots=s.n_snapshots,
-        residual=residual,
-        mean_removed=timeseries.mean_offset(s) is None,
-        channel_ids=s.channel_ids,
-        notes=tuple(notes),
+    keep = ~(norms <= ZERO_MODE_RTOL * norms.max(initial=0.0))
+    notes = tuple(f"dropped zero mode at lam={lam:.6g}" for lam in lams[~keep])
+    return mode_table(
+        lams[keep], modes[:, keep], s.dt, s.n_snapshots,
+        residual=residual, mean_removed=timeseries.mean_offset(s) is None,
+        channel_ids=s.channel_ids, notes=notes,
     )
+
+
+def mode_table(lams: np.ndarray, modes: np.ndarray, dt: float, n_snapshots: int, *,
+               residual: float, mean_removed: bool, channel_ids: tuple[str, ...] = (),
+               notes: tuple[str, ...] = ()) -> ModeTable:
+    """Eigenvalues ``lams[j]`` with mode columns ``modes[:, j]`` as a ranked ModeTable.
+
+    Conjugate members are grouped into couples and the entries sorted by
+    energy over ``n_snapshots`` samples.  Every column is kept: a zero mode
+    is the caller's to drop.  ``notes`` come first in the table's notes,
+    followed by one note per unpaired complex eigenvalue.
+    """
+    pairs = [RitzPair(complex(lams[j]), modes[:, j], j) for j in range(len(lams))]
+    notes = list(notes)
+    entries = _group_and_rank(pairs, dt, n_snapshots, notes)
+    return ModeTable(entries=entries, dt=dt, n_snapshots=n_snapshots, residual=residual,
+                     mean_removed=mean_removed, channel_ids=channel_ids, notes=tuple(notes))
 
 
 def _group_and_rank(
     pairs: list[RitzPair], dt: float, n_snapshots: int, notes: list[str]
 ) -> tuple[ModeEntry, ...]:
     upper = [p for p in pairs if p.lam.imag > 0]
-    lower = {p.index: p for p in pairs if p.lam.imag < 0}
+    unmatched_lower = {p.index: p for p in pairs if p.lam.imag < 0}
     real = [p for p in pairs if p.lam.imag == 0]
 
     entries: list[ModeEntry] = []
-    unmatched_lower = dict(lower)
     for p in upper:
         target = p.lam.conjugate()
         scale = max(1.0, abs(p.lam))
@@ -242,11 +246,11 @@ def _group_and_rank(
             entries.append(_make_entry(p, best, dt, n_snapshots))
         else:
             notes.append(f"unpaired complex eigenvalue lam={p.lam:.6g}")
-            warnings.warn(notes[-1], stacklevel=3)
+            warnings.warn(notes[-1], stacklevel=4)
             entries.append(_make_entry(p, None, dt, n_snapshots, unpaired=True))
     for q in unmatched_lower.values():
         notes.append(f"unpaired complex eigenvalue lam={q.lam:.6g}")
-        warnings.warn(notes[-1], stacklevel=3)
+        warnings.warn(notes[-1], stacklevel=4)
         # report through the conjugate so the listed member has Im >= 0
         flipped = RitzPair(q.lam.conjugate(), q.mode.conjugate(), q.index)
         entries.append(_make_entry(flipped, None, dt, n_snapshots, unpaired=True))
@@ -304,18 +308,11 @@ def rank_modes(table: ModeTable, top: int) -> ModeTable:
 def reconstruct(table: ModeTable, n_snapshots: int | None = None) -> np.ndarray:
     """Real reconstruction sum_j lam_j^k V_j over k = 0 .. n-1 from all entries."""
     n = table.n_snapshots - 1 if n_snapshots is None else n_snapshots
-    lams, modes = [], []
-    for e in table.entries:
-        lams.append(e.rep.lam)
-        modes.append(e.rep.mode)
-        if e.partner is not None:
-            lams.append(e.partner.lam)
-            modes.append(e.partner.mode)
-    if not lams:
-        m = len(table.channel_ids)
-        return np.zeros((m, n))
-    powers = np.vander(np.asarray(lams, dtype=complex), N=n, increasing=True)
-    return np.real(np.column_stack(modes) @ powers)
+    pairs = [p for e in table.entries for p in (e.rep, e.partner) if p is not None]
+    if not pairs:
+        return np.zeros((len(table.channel_ids), n))
+    powers = np.vander(np.array([p.lam for p in pairs], dtype=complex), N=n, increasing=True)
+    return np.real(np.column_stack([p.mode for p in pairs]) @ powers)
 
 
 # -- serialization ------------------------------------------------------------

@@ -24,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import timeseries
+from . import spectral, timeseries
 from .errors import ArgumentError, LayoutError, ParseError, StabilityError
-from .spectral import ModeTable, RitzPair, _group_and_rank
 from .timeseries import SensorLayout, SnapshotMatrix
 
 
@@ -115,7 +114,7 @@ class AnalyticSpec:
         object.__setattr__(self, "tones", tuple(self.tones))
 
 
-def generate_analytic(spec: AnalyticSpec) -> tuple[SnapshotMatrix, ModeTable]:
+def generate_analytic(spec: AnalyticSpec) -> tuple[SnapshotMatrix, spectral.ModeTable]:
     """Sample the tone sum at the sensors and return data plus exact truth.
 
     y_k(r_i) = bias(r_i) + sum_m 2 Re[A_m(r_i) exp(i (2 pi k dt / T_m + psi_m))]
@@ -135,31 +134,25 @@ def generate_analytic(spec: AnalyticSpec) -> tuple[SnapshotMatrix, ModeTable]:
             raise ArgumentError("bias field must be real-valued")
         values += bias_vals.real[:, None]
 
-    truth_pairs: list[RitzPair] = []
-    index = 0
+    lams, modes = [], []
     for tone in spec.tones:
         lam = np.exp(2j * np.pi * spec.dt / tone.period)
         mode = tone.amplitude.evaluate(pts) * np.exp(1j * tone.phase)
         values += 2.0 * np.real(mode[:, None] * lam ** k[None, :])
-        truth_pairs.append(RitzPair(complex(lam), mode, index))
-        truth_pairs.append(RitzPair(complex(lam).conjugate(), mode.conjugate(), index + 1))
-        index += 2
+        lams += [lam, lam.conjugate()]
+        modes += [mode, mode.conjugate()]
     if spec.bias is not None and np.any(bias_vals.real):
-        truth_pairs.append(RitzPair(1.0 + 0.0j, bias_vals.real.astype(complex), index))
+        lams.append(1.0 + 0.0j)
+        modes.append(bias_vals.real.astype(complex))
 
     if spec.noise_std > 0:
         rng = np.random.default_rng(spec.seed)
         values = values + rng.normal(0.0, spec.noise_std, size=values.shape)
 
     snapshots = SnapshotMatrix(values, spec.dt, 0.0, spec.layout.channel_ids)
-    entries = _group_and_rank(truth_pairs, spec.dt, spec.n_snapshots, notes=[])
-    truth = ModeTable(
-        entries=entries,
-        dt=spec.dt,
-        n_snapshots=spec.n_snapshots,
-        residual=0.0,
-        mean_removed=spec.bias is None,
-        channel_ids=spec.layout.channel_ids,
+    truth = spectral.mode_table(
+        np.array(lams), np.array(modes).T, spec.dt, spec.n_snapshots, residual=0.0,
+        mean_removed=spec.bias is None, channel_ids=spec.layout.channel_ids,
     )
     return snapshots, truth
 

@@ -221,6 +221,50 @@ class TestSynthAndSpectrum:
         assert str(data) in err and str(layout) in err and "'zz'" in err
 
 
+    @pytest.mark.parametrize("command", ["pipeline", "gradient"])
+    def test_too_few_neighbors_exit_2(self, command, two_tone_dir, tmp_path, capsys):
+        data = ["--layout", str(two_tone_dir / "layout.csv")]
+        if command == "pipeline":
+            argv = ["pipeline", "--snapshots", str(two_tone_dir / "snapshots.csv"), *data]
+        else:
+            avg = tmp_path / "avg"
+            assert main(["phase-average", "--snapshots", str(two_tone_dir / "snapshots.csv"),
+                         "--period-samples", "14", "--out-dir", str(avg)]) == 0
+            argv = ["gradient", "--mode-file", str(avg / "phase_average.csv"), *data]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(argv + ["--neighbors", "2", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: --neighbors 2 is below d + 1 = 3 "
+                       "for a scattered layout in d = 2 dimensions\n")
+        assert not out.exists()
+
+    def test_grid_layout_ignores_neighbors(self, tmp_path):
+        layout = tmp_path / "grid.csv"
+        rows = [f"G{r}{c},{0.875 + 1.75 * c},{0.7 + 1.4 * r}" for r in range(5) for c in range(8)]
+        layout.write_text("# grid rows=5 cols=8 dx=1.75 dy=1.4\nid,x,y\n" + "\n".join(rows) + "\n",
+                          encoding="utf-8")
+        data = tmp_path / "data"
+        assert main(["synth-analytic", "--layout", str(layout), "--out-dir", str(data)]) == 0
+        assert main(["pipeline", "--snapshots", str(data / "snapshots.csv"), "--layout",
+                     str(data / "layout.csv"), "--neighbors", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_sensors_closer_than_distance_underflow_exit_0(self, tmp_path):
+        # (1e-170)**2 underflows to 0: the two stencils are invalid, the rest fit
+        layout = tmp_path / "layout.csv"
+        layout.write_text("id,x,y\nA,0,0\nB,1e-170,0\nC,3,1\nD,5,2\nE,7,4\nF,2,5\n"
+                          "G,9,6\nH,12,3\n", encoding="utf-8")
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["synth-analytic", "--layout", str(layout), "--out-dir", str(data)]) == 0
+        assert main(["pipeline", "--snapshots", str(data / "snapshots.csv"),
+                     "--layout", str(data / "layout.csv"), "--out-dir", str(out)]) == 0
+        with (out / "gradient.csv").open(newline="", encoding="utf-8") as fh:
+            valid = {row["channel_id"]: row["valid"] for row in csv.DictReader(fh)}
+        assert valid == {cid: "false" if cid in "AB" else "true" for cid in "ABCDEFGH"}
+
+
 class TestPhaseAverageAndGradient:
     def test_chain(self, tmp_path):
         data = single_tone_dir(tmp_path)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -5,19 +6,31 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from thermokmd import timeseries
 from thermokmd.errors import ArgumentError, DegenerateDataError
 from thermokmd.spectral import (
+    RANK_RCOND,
+    ZERO_MODE_RTOL,
     ModeEntry,
     ModeTable,
     RitzPair,
     _group_and_rank,
     companion_kmd,
     energy_norm,
+    mode_table,
     period_of,
     rank_modes,
     reconstruct,
     table_to_csv,
     table_to_json,
+)
+from thermokmd.synth import (
+    PolynomialField,
+    Tone,
+    default_analytic_spec,
+    default_room_spec,
+    generate_analytic,
+    simulate_room,
 )
 from thermokmd.timeseries import SnapshotMatrix
 
@@ -340,12 +353,140 @@ class TestInvariants:
 
 class TestUnpaired:
     def test_lone_complex_eigenvalue_reported(self):
-        pairs = [RitzPair(0.5 + 0.5j, np.array([1.0 + 0j]), 0)]
         with pytest.warns(UserWarning, match="unpaired"):
-            entries = _group_and_rank(pairs, dt=1.0, n_snapshots=5, notes=[])
-        assert len(entries) == 1
-        assert entries[0].unpaired
-        assert entries[0].rep.lam.imag > 0
+            table = mode_table(np.array([0.5 + 0.5j]), np.array([[1.0 + 0j]]), 1.0, 5,
+                               residual=0.0, mean_removed=True)
+        assert len(table.entries) == 1
+        assert table.entries[0].unpaired
+        assert table.entries[0].rep.lam.imag > 0
+        assert table.notes == ("unpaired complex eigenvalue lam=0.5+0.5j",)
+
+    def test_warning_points_at_the_stage_caller(self):
+        def stage():  # stands where companion_kmd and generate_analytic call mode_table
+            return mode_table(np.array([0.5 - 0.5j]), np.array([[1.0 + 0j]]), 1.0, 5,
+                              residual=0.0, mean_removed=True)
+
+        with pytest.warns(UserWarning, match="unpaired") as record:
+            line = inspect.currentframe().f_lineno + 1
+            stage()
+        assert record[0].filename == __file__ and record[0].lineno == line
+
+
+# -- the assembly before mode_table, kept as oracles --------------------------------
+
+def _companion_kmd_per_column(s):
+    """companion_kmd as it was: one RitzPair per kept column, grouped and ranked in place."""
+    Y = s.values
+    K = Y[:, :-1]
+    y_last = Y[:, -1]
+    n1 = s.n_snapshots - 1
+    c, *_ = np.linalg.lstsq(K, y_last, rcond=RANK_RCOND)
+    residual = float(np.linalg.norm(K @ c - y_last))
+    companion = np.zeros((n1, n1))
+    companion[np.arange(1, n1), np.arange(n1 - 1)] = 1.0
+    companion[:, -1] = c
+    lams = np.linalg.eigvals(companion)
+    vander = np.vander(lams, N=n1, increasing=True)
+    modes = np.linalg.lstsq(vander.T, K.T.astype(complex), rcond=None)[0].T
+
+    notes, pairs = [], []
+    norms = np.linalg.norm(modes, axis=0)
+    cutoff = ZERO_MODE_RTOL * norms.max(initial=0.0)
+    for j in range(n1):
+        if norms[j] <= cutoff:
+            notes.append(f"dropped zero mode at lam={lams[j]:.6g}")
+            continue
+        pairs.append(RitzPair(complex(lams[j]), modes[:, j], index=j))
+    entries = _group_and_rank(pairs, s.dt, s.n_snapshots, notes)
+    return ModeTable(entries=entries, dt=s.dt, n_snapshots=s.n_snapshots, residual=residual,
+                     mean_removed=timeseries.mean_offset(s) is None,
+                     channel_ids=s.channel_ids, notes=tuple(notes))
+
+
+def _reconstruct_two_lists(table, n_snapshots=None):
+    """reconstruct as it was: the lam and mode lists rebuilt side by side."""
+    n = table.n_snapshots - 1 if n_snapshots is None else n_snapshots
+    lams, modes = [], []
+    for e in table.entries:
+        lams.append(e.rep.lam)
+        modes.append(e.rep.mode)
+        if e.partner is not None:
+            lams.append(e.partner.lam)
+            modes.append(e.partner.mode)
+    if not lams:
+        return np.zeros((len(table.channel_ids), n))
+    powers = np.vander(np.asarray(lams, dtype=complex), N=n, increasing=True)
+    return np.real(np.column_stack(modes) @ powers)
+
+
+def single_tone_record(n, noise):
+    rng = np.random.default_rng(3)
+    amp = rng.normal(size=6) + 1j * rng.normal(size=6)
+    Y = 2 * np.real(amp[:, None] * np.exp(2j * np.pi * 60.0 * np.arange(n) / 853.8)[None, :])
+    return make_record(Y + noise * np.random.default_rng(n).normal(size=Y.shape))
+
+
+@pytest.fixture(scope="module")
+def room_record():
+    record, _ = simulate_room(default_room_spec())
+    return timeseries.remove_mean(record)
+
+
+class TestModeTableMatchesPerColumn:
+    """companion_kmd and reconstruct give the bytes and arrays of the code before mode_table."""
+
+    def assert_same(self, s):
+        table, oracle = companion_kmd(s), _companion_kmd_per_column(s)
+        assert table_to_json(table) == table_to_json(oracle)
+        assert table.notes == oracle.notes
+        for n in (None, s.n_snapshots):
+            assert np.array_equal(reconstruct(table, n), _reconstruct_two_lists(oracle, n))
+        return table
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    @pytest.mark.parametrize("n", [5, 7, 9, 12, 20, 41])
+    def test_single_tone(self, n, noise):
+        table = self.assert_same(single_tone_record(n, noise))
+        # a noiseless record leaves n - 3 zero modes to drop, a noisy one none
+        dropped = [note for note in table.notes if note.startswith("dropped zero mode")]
+        assert len(dropped) == (n - 3 if noise == 0.0 else 0)
+
+    def test_seeded_room(self, room_record):
+        self.assert_same(room_record)
+
+    def test_analytic(self):
+        snaps, _ = generate_analytic(default_analytic_spec())
+        self.assert_same(snaps)
+        self.assert_same(timeseries.remove_mean(snaps))
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_truth_reconstruction(self, extra):
+        spec = default_analytic_spec()
+        if extra:  # a bias field and a zero-amplitude tone
+            silent = Tone(period=900.0, amplitude=PolynomialField((((0, 0), 0j),)))
+            spec = replace(spec, tones=(*spec.tones, silent),
+                           bias=PolynomialField((((0, 0), 1.5 + 0j), ((1, 0), 0.2 + 0j))))
+        _, truth = generate_analytic(spec)
+        assert len(truth.entries) == (4 if extra else 2)
+        for n in (None, 1, spec.n_snapshots):
+            assert np.array_equal(reconstruct(truth, n), _reconstruct_two_lists(truth, n))
+
+    def test_hand_built_unpaired(self):
+        lams = np.array([0.9 * np.exp(0.3j), 0.5 - 0.5j, 1.0, 0.9 * np.exp(-0.3j), 0.2 + 0.7j])
+        modes = np.array([[1.0 + 2j, 0.5j, 3.0, 1.0 - 2j, -1.0], [0.5, 2.0, -1.0, 0.5, 1j]])
+        notes = ["dropped zero mode at lam=0"]
+        with pytest.warns(UserWarning, match="unpaired"):
+            table = mode_table(lams, modes, 60.0, 9, residual=0.25, mean_removed=False,
+                               channel_ids=("a", "b"), notes=notes)
+        with pytest.warns(UserWarning, match="unpaired"):
+            pairs = [RitzPair(complex(lam), modes[:, j], j) for j, lam in enumerate(lams)]
+            entries = _group_and_rank(pairs, 60.0, 9, notes)
+        oracle = ModeTable(entries=entries, dt=60.0, n_snapshots=9, residual=0.25,
+                           mean_removed=False, channel_ids=("a", "b"), notes=tuple(notes))
+        assert table_to_json(table) == table_to_json(oracle)
+        assert table.notes == oracle.notes and len(table.notes) == 3
+        assert [e.unpaired for e in table.entries].count(True) == 2
+        assert np.array_equal(reconstruct(table), _reconstruct_two_lists(oracle))
 
 
 class TestSerialization:
@@ -461,20 +602,19 @@ class TestJsonBytes:
             self.assert_same(rank_modes(table, 3))
 
     def hand_built(self):
-        modes = np.array([[1.5 - 0.25j, -3e-310 + 1e22j, 0.1 + 0.2j]])
-        pairs = [
-            RitzPair(1.0 + 0j, modes[0], 0),                  # bias
-            RitzPair(-1.0 + 0j, modes[0] * 2, 1),             # Nyquist
-            RitzPair(0.7 + 0j, modes[0].conjugate(), 2),      # real, also a bias
-            RitzPair(0.5 + 0.5j, modes[0] / 3, 3),            # unpaired
-            RitzPair(0.9 * np.exp(0.3j), modes[0] * 1j, 4),   # couple
-            RitzPair(0.9 * np.exp(-0.3j), modes[0] * -1j, 5),
-        ]
-        notes = ["dropped zero mode at lam=0"]
+        v = np.array([1.5 - 0.25j, -3e-310 + 1e22j, 0.1 + 0.2j])
+        lams, modes = zip(
+            (1.0 + 0j, v),                   # bias
+            (-1.0 + 0j, v * 2),              # Nyquist
+            (0.7 + 0j, v.conjugate()),       # real, also a bias
+            (0.5 + 0.5j, v / 3),             # unpaired
+            (0.9 * np.exp(0.3j), v * 1j),    # couple
+            (0.9 * np.exp(-0.3j), v * -1j),
+        )
         with pytest.warns(UserWarning, match="unpaired"):
-            entries = _group_and_rank(pairs, dt=60.0, n_snapshots=7, notes=notes)
-        return ModeTable(entries=entries, dt=60.0, n_snapshots=7, residual=1e-15,
-                         mean_removed=True, channel_ids=("a", "b", "c"), notes=tuple(notes))
+            return mode_table(np.array(lams), np.column_stack(modes), 60.0, 7, residual=1e-15,
+                              mean_removed=True, channel_ids=("a", "b", "c"),
+                              notes=("dropped zero mode at lam=0",))
 
     def test_hand_built_entries(self):
         table = self.hand_built()
@@ -504,10 +644,8 @@ class TestJsonBytes:
         assert "nan" not in text and "inf" not in text
 
     def test_empty_mode_vector(self):
-        pair = RitzPair(0.5 + 0j, np.zeros(0, dtype=complex), 0)
-        entries = _group_and_rank([pair], dt=1.0, n_snapshots=3, notes=[])
-        table = ModeTable(entries=entries, dt=1.0, n_snapshots=3, residual=0.0,
-                          mean_removed=False)
+        table = mode_table(np.array([0.5 + 0j]), np.zeros((0, 1), dtype=complex), 1.0, 3,
+                           residual=0.0, mean_removed=False)
         assert '"mode": []' in self.assert_same(table)
 
     def test_no_entries(self):

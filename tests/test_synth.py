@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from thermokmd.errors import ArgumentError, ParseError, StabilityError
-from thermokmd.spectral import companion_kmd
+from thermokmd.spectral import (
+    ModeTable,
+    RitzPair,
+    _group_and_rank,
+    companion_kmd,
+    reconstruct,
+    table_to_json,
+)
 from thermokmd.synth import (
     AirConditioner,
     AnalyticSpec,
@@ -128,6 +135,49 @@ class TestGenerateAnalytic:
         with pytest.raises(ArgumentError):
             AnalyticSpec(layout=layout, dt=60.0, n_snapshots=10, tones=(),
                          noise_std=-1.0)
+
+
+def _truth_per_pair(spec):
+    """generate_analytic's truth table as it was: RitzPairs appended tone by tone."""
+    pts = spec.layout.positions
+    pairs, index = [], 0
+    for tone in spec.tones:
+        lam = np.exp(2j * np.pi * spec.dt / tone.period)
+        mode = tone.amplitude.evaluate(pts) * np.exp(1j * tone.phase)
+        pairs.append(RitzPair(complex(lam), mode, index))
+        pairs.append(RitzPair(complex(lam).conjugate(), mode.conjugate(), index + 1))
+        index += 2
+    if spec.bias is not None and np.any(spec.bias.evaluate(pts).real):
+        pairs.append(RitzPair(1.0 + 0.0j, spec.bias.evaluate(pts).real.astype(complex), index))
+    entries = _group_and_rank(pairs, spec.dt, spec.n_snapshots, notes=[])
+    return ModeTable(entries=entries, dt=spec.dt, n_snapshots=spec.n_snapshots, residual=0.0,
+                     mean_removed=spec.bias is None, channel_ids=spec.layout.channel_ids)
+
+
+def truth_specs():
+    """The default spec, and truths with a bias field, a zero-amplitude tone, or both."""
+    layout = default_layout()
+    bias = PolynomialField((((0, 0), 1.5 + 0j), ((1, 0), 0.2 + 0j)))
+    wave = Tone(period=853.8, amplitude=PlaneWaveField(1.0 + 0.5j, (0.4, 0.9)), phase=0.3)
+    silent = Tone(period=900.0, amplitude=PolynomialField((((0, 0), 0j),)))
+    cases = [((wave,), bias), ((wave, silent), None), ((silent, wave), bias), ((), bias),
+             ((silent,), None), ((), None)]
+    return [default_analytic_spec(), *(
+        AnalyticSpec(layout=layout, dt=60.0, n_snapshots=20, tones=tones, bias=b)
+        for tones, b in cases)]
+
+
+class TestTruthMatchesPerPair:
+    """generate_analytic's truth, through mode_table, is the table the per-pair assembly built."""
+
+    @pytest.mark.parametrize("spec", truth_specs())
+    def test_same_table(self, spec):
+        _, truth = generate_analytic(spec)
+        oracle = _truth_per_pair(spec)
+        assert table_to_json(truth) == table_to_json(oracle)
+        assert truth.notes == oracle.notes == ()
+        for n in (None, 1, spec.n_snapshots):
+            assert np.array_equal(reconstruct(truth, n), reconstruct(oracle, n))
 
 
 def quiet_room(sensors, **overrides):

@@ -1,4 +1,4 @@
-"""Digest every artifact of thirteen fixed CLI runs, to show a change keeps them byte-identical.
+"""Digest every artifact of fourteen fixed CLI runs, to show a change keeps them byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -28,7 +28,12 @@ checkout:
     --gradient-source dmd_mode --flux-sources`` on it with a sources file
     written there too (:data:`LATTICE_SOURCES`): the scattered stencils meet
     exact distance ties, and the median spacing serves both the SVG and the
-    flux scores.
+    flux scores;
+14. ``synth-analytic --config`` on a short record with a bias field and a
+    zero-amplitude tone the tool writes into ``--work`` (:data:`BIAS_TONE`),
+    then ``spectrum`` on it without ``--remove-mean``: a truth table with a
+    bias entry and a zero-energy couple, and a fit that drops zero modes and
+    reports ``mean_removed: false``.
 
 Every run writes under ``--work``, which is emptied first.  Keep ``--work``
 the same for both trees: ``run_metadata.json`` records its input paths.
@@ -145,9 +150,29 @@ def lattice_layout() -> str:
 LATTICE_SOURCES = "id,x,y,mode\nAC-1,3.0,3.5,cool\nHT-1,10.5,2.0,heat\n"
 
 
+#: 20 snapshots of a plane-wave tone, a tone of zero amplitude and a static
+#: bias field; the noiseless fit leaves 16 zero modes to drop
+BIAS_TONE = """\
+[analytic]
+dt = 60.0
+snapshots = 20
+
+[tone.1]
+period = 853.8
+plane_wave = 1.0 0.0 0.4 0.9
+
+[tone.2]
+period = 900.0
+poly = 0 0 0.0
+
+[bias]
+poly = 0 0 1.5; 1 0 0.2
+"""
+
+
 def _runs(w: Path) -> list[list[str]]:
     room, ana, avg, wide = w / "room", w / "analytic", w / "phase-average", w / "wide"
-    grid, lattice = w / "grid", w / "lattice"
+    grid, lattice, bias = w / "grid", w / "lattice", w / "bias-tone"
     ana_data = ["--snapshots", str(ana / "snapshots.csv")]
     ana_pipeline = ["pipeline", *ana_data, "--layout", str(ana / "layout.csv")]
     gradient = ["gradient", "--mode-file", str(avg / "phase_average.csv"),
@@ -177,6 +202,9 @@ def _runs(w: Path) -> list[list[str]]:
          str(lattice / "layout.csv"), "--gradient-source", "dmd_mode",
          "--flux-sources", str(w / "lattice_sources.csv"),
          "--out-dir", str(w / "lattice-pipeline")],
+        ["synth-analytic", "--config", str(w / "bias_tone.ini"), "--out-dir", str(bias)],
+        ["spectrum", "--snapshots", str(bias / "snapshots.csv"),
+         "--out-dir", str(w / "bias-tone-spectrum")],
     ]
 
 
@@ -199,6 +227,7 @@ def cmd_run(args) -> int:
     (work / "grid_layout.csv").write_text(grid_layout(), encoding="utf-8")
     (work / "lattice_layout.csv").write_text(lattice_layout(), encoding="utf-8")
     (work / "lattice_sources.csv").write_text(LATTICE_SOURCES, encoding="utf-8")
+    (work / "bias_tone.ini").write_text(BIAS_TONE, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for argv in _runs(work):
         done = subprocess.run([sys.executable, "-m", "thermokmd.cli", *argv], env=env,
@@ -232,7 +261,7 @@ def cmd_diff(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run the thirteen CLI runs and write the digest list")
+    p = sub.add_parser("run", help="run the fourteen CLI runs and write the digest list")
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
