@@ -40,7 +40,9 @@ from .spectral import (
     ModeTable,
     RitzPair,
     companion_kmd,
+    decompose,
     energy_norm,
+    hankel_dmd,
     mode_table,
     period_of,
     rank_modes,
@@ -84,7 +86,8 @@ __all__ = [
     "remove_mean",
     # spectral
     "RitzPair", "ModeEntry", "ModeTable",
-    "companion_kmd", "mode_table", "energy_norm", "period_of", "rank_modes", "reconstruct",
+    "hankel_dmd", "companion_kmd", "decompose", "mode_table",
+    "energy_norm", "period_of", "rank_modes", "reconstruct",
     # phase averaging
     "PhaseAverageResult", "phase_average", "harmonic_amplitude",
     # gradients

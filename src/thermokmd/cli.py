@@ -127,7 +127,7 @@ def cmd_spectrum(args) -> int:
     snapshots = timeseries.load_snapshots(args.snapshots, dt_override=args.dt_override)
     if args.remove_mean:
         snapshots = timeseries.remove_mean(snapshots)
-    table = spectral.companion_kmd(snapshots)
+    table = spectral.decompose(snapshots, args.method)
     ranked = spectral.rank_modes(table, args.top)
     _write_modes(Path(args.out_dir), table, ranked)
     if not ranked.entries:
@@ -190,7 +190,7 @@ def cmd_pipeline(args) -> int:
     out = Path(args.out_dir)
 
     mean_free = timeseries.remove_mean(snapshots)
-    table = spectral.companion_kmd(mean_free)
+    table = spectral.decompose(mean_free, args.method)
     dominant = table.dominant()
     written = _write_modes(out, table, spectral.rank_modes(table, args.top))
 
@@ -224,6 +224,7 @@ def cmd_pipeline(args) -> int:
             "layout": {"path": str(args.layout), "sha256": _sha256(args.layout)},
         },
         "parameters": {
+            "method": args.method,
             "mean_removed": True,
             "top": args.top,
             "period_samples": period_samples,
@@ -243,7 +244,8 @@ def cmd_pipeline(args) -> int:
             "period_seconds": dominant.period_seconds,
             "energy": dominant.energy,
         },
-        "companion_residual": table.residual,
+        "decomposition": table.fit,
+        "companion_residual": table.residual if args.method == "companion" else None,
         "flux_scores": scores,
         "outputs": sorted(written),
     }
@@ -259,6 +261,12 @@ def cmd_pipeline(args) -> int:
 
 
 # -- parser ----------------------------------------------------------------------
+
+def _add_method(p) -> None:
+    p.add_argument("--method", choices=spectral.METHODS, default=spectral.METHODS[0],
+                   help="decomposition: Hankel DMD with projected amplitudes (default) "
+                        "or the companion-matrix method")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -287,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=8)
     p.add_argument("--remove-mean", action="store_true",
                    help="subtract per-channel means before the decomposition")
+    _add_method(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_spectrum)
 
@@ -321,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neighbors", type=int, default=gradientmod.DEFAULT_NEIGHBORS)
     p.add_argument("--flux-sources", default=None,
                    help="CSV (id,x,y,mode) of actuator locations for consistency scores")
+    _add_method(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_pipeline)
     return parser

@@ -1,7 +1,19 @@
-"""Ritz eigenvalue/mode extraction via the companion-matrix method.
+"""Ritz eigenvalue/mode extraction: Hankel DMD (default) and the companion-matrix method.
 
-Given a uniformly sampled record y_0 .. y_{N-1} (columns of the snapshot
-matrix), the method fits a linear recurrence to the final snapshot,
+Both method stages end in :func:`mode_table`, which groups conjugate couples
+and ranks them by energy.  Modes of real input data come in conjugate
+couples; each couple is reported once through its Im(lam) > 0 member and
+ranked by the energy norm of its real reconstructed contribution.
+
+:func:`hankel_dmd` is exact DMD (Tu et al. 2014) on a delay-embedded record
+(Arbabi & Mezic 2017).  It stacks q delayed copies of the record into a
+Hankel matrix H, truncates the thin SVD of X = H[:, :-1] at the Gavish-Donoho
+hard threshold (floored at ``RANK_RCOND``), takes the eigenpairs of the
+projected one-step map, and scales each mode by the amplitudes of the
+projected initial condition, b = Phi^+ h_0.
+
+:func:`companion_kmd`, the paper's reference method, fits a linear recurrence
+to the final snapshot,
 
     y_{N-1} ~ c_0 y_0 + ... + c_{N-2} y_{N-2},
 
@@ -12,15 +24,16 @@ complex mode vector per Ritz value from the global Vandermonde fit
     y_k ~ sum_j lam_j^k V_j   over k = 0 .. N-2,
 
 solved as a least-squares system rather than by inverting the Vandermonde
-matrix.  Modes of real input data come in conjugate couples; each couple is
-reported once through its Im(lam) > 0 member and ranked by the energy norm
-of its real reconstructed contribution.
+matrix.  It is cubic in N, and on noisy records its interpolating fit can
+give damped spurious modes large cancelling amplitudes.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,9 +45,17 @@ from .timeseries import SnapshotMatrix
 BIAS_THRESHOLD_RAD = 1e-6
 
 #: singular values below RANK_RCOND * sigma_max are truncated in the
-#: recurrence fit; keeps numerically low-rank clean data from injecting
-#: spurious dynamics into the recurrence coefficients
+#: recurrence fit and in the Hankel SVD; keeps numerically low-rank clean data
+#: from injecting spurious dynamics
 RANK_RCOND = 1e-10
+
+#: the Hankel method stacks q = ceil(HANKEL_ROWS / M) delayed copies of an
+#: M-channel record (at most (N - 1) // 4, at least one), so the embedded
+#: record has about this many rows and its SVD stays small
+HANKEL_ROWS = 128
+
+#: the decomposition methods, default first
+METHODS = ("hankel", "companion")
 
 #: relative tolerance when matching lam with its conjugate partner
 CONJUGATE_MATCH_RTOL = 1e-8
@@ -93,10 +114,12 @@ class ModeEntry:
 class ModeTable:
     """Ritz pairs grouped into entries, sorted by energy (descending).
 
-    ``residual`` is the Euclidean norm of the recurrence least-squares
-    residual.  ``mean_removed`` records whether the analyzed data was
-    per-channel mean-free, since the energies are computed on exactly the
-    data passed in.
+    ``residual`` is the norm of the method's fit residual: the recurrence
+    least-squares residual for companion, the Frobenius norm of the projected
+    one-step residual for Hankel.  ``mean_removed`` records whether the
+    analyzed data was per-channel mean-free, since the energies are computed
+    on exactly the data passed in.  ``fit`` holds the method's fit facts as
+    JSON values, for ``run_metadata.json``; ``modes.json`` does not carry it.
     """
 
     entries: tuple[ModeEntry, ...]
@@ -106,6 +129,7 @@ class ModeTable:
     mean_removed: bool
     channel_ids: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
+    fit: dict = field(default_factory=dict)
 
     def ranked(self) -> tuple[ModeEntry, ...]:
         """Entries that participate in the ranking (bias excluded)."""
@@ -198,31 +222,128 @@ def companion_kmd(s: SnapshotMatrix) -> ModeTable:
         raise NumericalError(f"mode least-squares solve failed: {exc}") from exc
     modes = modes_t.T  # (M, n_eigs)
 
+    lams, modes, notes = _drop_zero_modes(lams, modes)
+    return mode_table(
+        lams, modes, s.dt, s.n_snapshots,
+        residual=residual, mean_removed=timeseries.mean_offset(s) is None,
+        channel_ids=s.channel_ids, notes=notes,
+        fit={"recurrence_rank": int(rank), "amplitudes": "vandermonde_fit",
+             "residual": residual},
+    )
+
+
+def hankel_delays(n_channels: int, n_snapshots: int) -> int:
+    """Delay count q = max(1, min(ceil(HANKEL_ROWS / M), (N - 1) // 4))."""
+    return max(1, min(-(-HANKEL_ROWS // n_channels), (n_snapshots - 1) // 4))
+
+
+def hankel_dmd(s: SnapshotMatrix, delays: int | None = None) -> ModeTable:
+    """Decompose a snapshot record by exact DMD on its delay embedding.
+
+    H stacks q = ``delays`` delayed copies of the record (by default
+    :func:`hankel_delays`), rows ``i*M:(i+1)*M`` holding snapshots
+    ``i .. i+N-q``; X = H[:, :-1] and X' = H[:, 1:].  With the thin SVD
+    X = U S W^T, the rank r is the smaller of the Gavish-Donoho count and the
+    count above ``RANK_RCOND * s_1`` (at least 1).  The eigenpairs (lam, y)
+    of A = U_r^T X' W_r S_r^-1 give the modes Phi = X' W_r S_r^-1 y, scaled
+    by b = Phi^+ h_0, the projected initial condition; each channel mode is
+    the first M rows of Phi b.
+
+    Returns at most r pairs grouped into conjugate couples and sorted by
+    energy, with the notes led by one line naming the method, q and r.
+
+    Raises
+    ------
+    DegenerateDataError
+        The snapshot matrix carries no signal (largest singular value 0).
+    NumericalError
+        The SVD or the eigenvalue solver did not converge.
+    """
+    m, n = s.values.shape
+    q = hankel_delays(m, n) if delays is None else delays
+    if not 1 <= q <= n - 1:
+        raise ArgumentError(f"delays must be in [1, {n - 1}], got {q}")
+    H = np.concatenate([s.values[:, i:n - q + 1 + i] for i in range(q)])
+    X, Xp = H[:, :-1], H[:, 1:]
+    try:
+        U, sigma, Wt = np.linalg.svd(X, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Hankel SVD failed: {exc}") from exc
+    if not sigma[0] > 0:
+        raise DegenerateDataError(
+            "snapshot matrix has effective rank 0 (no signal); nothing to fit"
+        )
+    # Gavish & Donoho (2014) for an unknown noise level; beta is the aspect ratio of X
+    beta = min(X.shape) / max(X.shape)
+    threshold = float((0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43) * np.median(sigma))
+    r_gd = int(np.count_nonzero(sigma > threshold))
+    r_rcond = int(np.count_nonzero(sigma > RANK_RCOND * sigma[0]))
+    r = max(1, min(r_gd, r_rcond))
+    limit = "gavish_donoho" if r_gd <= r_rcond else "rank_rcond"
+
+    U_r = U[:, :r]
+    B = Xp @ (Wt[:r].T / sigma[:r])  # X' W_r S_r^-1, (qM, r)
+    A = U_r.T @ B
+    try:
+        lams, Y = np.linalg.eig(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Hankel eigenvalue solve failed: {exc}") from exc
+    Phi = B @ Y
+    try:
+        b, *_ = np.linalg.lstsq(Phi, H[:, 0], rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"mode amplitude solve failed: {exc}") from exc
+    # X' - U_r A U_r^T X, with U_r^T X = S_r W_r^T
+    residual = float(np.linalg.norm(Xp - U_r @ (A @ (sigma[:r, None] * Wt[:r]))))
+
+    lams, modes, dropped = _drop_zero_modes(lams, Phi[:m] * b)
+    return mode_table(
+        lams, modes, s.dt, s.n_snapshots,
+        residual=residual, mean_removed=timeseries.mean_offset(s) is None,
+        channel_ids=s.channel_ids,
+        notes=(f"hankel dmd: q={q} delays, rank r={r} ({limit})", *dropped),
+        fit={"delays": q, "rank": r, "gd_threshold": threshold, "rank_limit": limit,
+             "amplitudes": "projected_initial_condition", "residual": residual},
+    )
+
+
+def decompose(s: SnapshotMatrix, method: str = "hankel") -> ModeTable:
+    """The ranked mode table of ``s`` by one of :data:`METHODS`."""
+    if method == "hankel":
+        return hankel_dmd(s)
+    if method == "companion":
+        return companion_kmd(s)
+    raise ArgumentError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
+
+
+def _drop_zero_modes(lams: np.ndarray, modes: np.ndarray):
+    """Columns whose norm exceeds ZERO_MODE_RTOL * the largest, and one note per dropped one.
+
+    A NaN norm is kept.
+    """
     norms = np.linalg.norm(modes, axis=0)
     keep = ~(norms <= ZERO_MODE_RTOL * norms.max(initial=0.0))
     notes = tuple(f"dropped zero mode at lam={lam:.6g}" for lam in lams[~keep])
-    return mode_table(
-        lams[keep], modes[:, keep], s.dt, s.n_snapshots,
-        residual=residual, mean_removed=timeseries.mean_offset(s) is None,
-        channel_ids=s.channel_ids, notes=notes,
-    )
+    return lams[keep], modes[:, keep], notes
 
 
 def mode_table(lams: np.ndarray, modes: np.ndarray, dt: float, n_snapshots: int, *,
                residual: float, mean_removed: bool, channel_ids: tuple[str, ...] = (),
-               notes: tuple[str, ...] = ()) -> ModeTable:
+               notes: tuple[str, ...] = (), fit: dict | None = None) -> ModeTable:
     """Eigenvalues ``lams[j]`` with mode columns ``modes[:, j]`` as a ranked ModeTable.
 
     Conjugate members are grouped into couples and the entries sorted by
     energy over ``n_snapshots`` samples.  Every column is kept: a zero mode
     is the caller's to drop.  ``notes`` come first in the table's notes,
-    followed by one note per unpaired complex eigenvalue.
+    followed by one note per unpaired complex eigenvalue.  ``fit`` is the
+    method's fit facts (see :class:`ModeTable`).
     """
     pairs = [RitzPair(complex(lams[j]), modes[:, j], j) for j in range(len(lams))]
     notes = list(notes)
     entries = _group_and_rank(pairs, dt, n_snapshots, notes)
     return ModeTable(entries=entries, dt=dt, n_snapshots=n_snapshots, residual=residual,
-                     mean_removed=mean_removed, channel_ids=channel_ids, notes=tuple(notes))
+                     mean_removed=mean_removed, channel_ids=channel_ids, notes=tuple(notes),
+                     fit={} if fit is None else fit)
 
 
 def _group_and_rank(
@@ -246,11 +367,11 @@ def _group_and_rank(
             entries.append(_make_entry(p, best, dt, n_snapshots))
         else:
             notes.append(f"unpaired complex eigenvalue lam={p.lam:.6g}")
-            warnings.warn(notes[-1], stacklevel=4)
+            warnings.warn(notes[-1], stacklevel=_caller_stacklevel())
             entries.append(_make_entry(p, None, dt, n_snapshots, unpaired=True))
     for q in unmatched_lower.values():
         notes.append(f"unpaired complex eigenvalue lam={q.lam:.6g}")
-        warnings.warn(notes[-1], stacklevel=4)
+        warnings.warn(notes[-1], stacklevel=_caller_stacklevel())
         # report through the conjugate so the listed member has Im >= 0
         flipped = RitzPair(q.lam.conjugate(), q.mode.conjugate(), q.index)
         entries.append(_make_entry(flipped, None, dt, n_snapshots, unpaired=True))
@@ -272,6 +393,20 @@ def _group_and_rank(
         next_index += width
         labeled.append(replace(e, label=label))
     return tuple(labeled)
+
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` that makes a warning raised by the calling function
+    name the first frame outside this package, however many package frames
+    (stages, wrappers, the CLI) lie between."""
+    frame, level = sys._getframe(1), 1
+    while (frame.f_back is not None
+           and os.path.abspath(frame.f_code.co_filename).startswith(_PACKAGE_DIR)):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _make_entry(

@@ -1,7 +1,8 @@
 """Acceptance suite.
 
 One test per acceptance criterion, each printing a PASS/FAIL line (visible
-regardless of capture settings).  Criteria run at the full production scale:
+regardless of capture settings); criteria 1 and 5 run once per decomposition
+method.  Criteria run at the full production scale:
 28 channels, 241 snapshots, 60 s sampling.
 """
 
@@ -15,7 +16,7 @@ import pytest
 from thermokmd.cli import main
 from thermokmd.gradient import gradient_field, rms_gradient
 from thermokmd.phaseavg import harmonic_amplitude, phase_average
-from thermokmd.spectral import companion_kmd, rank_modes, reconstruct
+from thermokmd.spectral import METHODS, decompose, rank_modes, reconstruct
 from thermokmd.synth import (
     AnalyticSpec,
     PolynomialField,
@@ -88,15 +89,17 @@ def room_artifacts(tmp_path_factory):
     }
 
 
-def test_criterion_1_oracle_eigenvalue_recovery(announce):
-    with announce(1, "both injected couples recovered, dominant ranked first, < 2 s"):
+@pytest.mark.parametrize("method", METHODS)
+def test_criterion_1_oracle_eigenvalue_recovery(announce, method):
+    with announce(f"1 [{method}]",
+                  "both injected couples recovered, dominant ranked first, < 2 s"):
         spec = default_analytic_spec()
         truth_periods = sorted((t.period for t in spec.tones), reverse=True)
         assert truth_periods == [5349.6, 853.8]
 
         snapshots, truth = generate_analytic(spec)
         t0 = time.perf_counter()
-        table = companion_kmd(snapshots)
+        table = decompose(snapshots, method)
         elapsed = time.perf_counter() - t0
 
         ranked = rank_modes(table, top=2)
@@ -187,8 +190,10 @@ def test_criterion_4_end_to_end_flux_direction(announce, room_artifacts):
         assert total < 30.0, f"end-to-end run took {total:.1f} s"
 
 
-def test_criterion_5_reconstruction_invariant(announce):
-    with announce(5, "low-rank record reconstructed to 1e-8; conjugate sum real to 1e-10"):
+@pytest.mark.parametrize("method", METHODS)
+def test_criterion_5_reconstruction_invariant(announce, method):
+    with announce(f"5 [{method}]",
+                  "low-rank record reconstructed to 1e-8; conjugate sum real to 1e-10"):
         spec = default_analytic_spec()
         layout = spec.layout
         spec = AnalyticSpec(
@@ -197,7 +202,7 @@ def test_criterion_5_reconstruction_invariant(announce):
             bias=PolynomialField((((0, 0), 24.0), ((1, 0), 0.05))),
         )
         snapshots, _ = generate_analytic(spec)
-        table = companion_kmd(snapshots)
+        table = decompose(snapshots, method)
 
         recon = reconstruct(table)
         target = snapshots.values[:, :-1]

@@ -415,6 +415,64 @@ class TestPipeline:
             if name.endswith((".csv", ".json")):
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    @pytest.mark.parametrize("method", ["hankel", "companion"])
+    def test_method_recorded(self, method, two_tone_dir, tmp_path):
+        out, spec = tmp_path / "out", tmp_path / "spec"
+        assert main(["pipeline", "--snapshots", str(two_tone_dir / "snapshots.csv"),
+                     "--layout", str(two_tone_dir / "layout.csv"), "--method", method,
+                     "--out-dir", str(out)]) == 0
+        assert main(["spectrum", "--snapshots", str(two_tone_dir / "snapshots.csv"),
+                     "--remove-mean", "--method", method, "--out-dir", str(spec)]) == 0
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert meta["parameters"]["method"] == method
+        decomposition = meta["decomposition"]
+        modes = json.loads((out / "modes.json").read_text())
+        assert decomposition["residual"] == modes["residual"]
+        assert meta["dominant_mode"]["period_seconds"] == pytest.approx(853.8, rel=1e-4)
+        notes = json.loads((spec / "modes.json").read_text())["notes"]
+        assert (spec / "modes.json").read_bytes() == (out / "modes.json").read_bytes()
+        if method == "hankel":
+            assert meta["companion_residual"] is None
+            assert decomposition["amplitudes"] == "projected_initial_condition"
+            assert decomposition["rank_limit"] in ("gavish_donoho", "rank_rcond")
+            assert notes[0] == (f"hankel dmd: q={decomposition['delays']} delays, rank "
+                                f"r={decomposition['rank']} ({decomposition['rank_limit']})")
+        else:
+            assert meta["companion_residual"] == decomposition["residual"]
+            assert not any(n.startswith("hankel") for n in notes)
+
+    def test_default_method_is_hankel(self, two_tone_dir, tmp_path):
+        base = ["pipeline", "--snapshots", str(two_tone_dir / "snapshots.csv"),
+                "--layout", str(two_tone_dir / "layout.csv")]
+        assert main(base + ["--out-dir", str(tmp_path / "a")]) == 0
+        assert main(base + ["--method", "hankel", "--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("modes.json", "run_metadata.json", "gradient.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["spectrum", "pipeline"])
+    def test_unknown_method_exit_2(self, command, two_tone_dir, tmp_path, capsys):
+        argv = [command, "--snapshots", str(two_tone_dir / "snapshots.csv"),
+                "--method", "dft", "--out-dir", str(tmp_path / "out")]
+        if command == "pipeline":
+            argv += ["--layout", str(two_tone_dir / "layout.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'dft'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["hankel", "companion"])
+    def test_zero_after_mean_removal_exit_1(self, method, tmp_path, capsys):
+        (tmp_path / "snapshots.csv").write_text(
+            "time,a,b\n" + "".join(f"{60 * k},25.0,26.0\n" for k in range(6)))
+        (tmp_path / "layout.csv").write_text("id,x,y\na,1.0,1.0\nb,2.0,1.5\n")
+        code = main(["pipeline", "--snapshots", str(tmp_path / "snapshots.csv"),
+                     "--layout", str(tmp_path / "layout.csv"), "--method", method,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "rank 0" in err[0]
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -1,12 +1,12 @@
-import inspect
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from thermokmd import timeseries
+from thermokmd import spectral, timeseries
 from thermokmd.errors import ArgumentError, DegenerateDataError
 from thermokmd.spectral import (
     RANK_RCOND,
@@ -16,7 +16,10 @@ from thermokmd.spectral import (
     RitzPair,
     _group_and_rank,
     companion_kmd,
+    decompose,
     energy_norm,
+    hankel_delays,
+    hankel_dmd,
     mode_table,
     period_of,
     rank_modes,
@@ -123,6 +126,90 @@ class TestCompanionKmd:
             assert e.rep.lam.imag > 0
             assert abs(e.partner.lam - e.rep.lam.conjugate()) <= 1e-8
             assert not e.unpaired
+
+
+class TestHankelDmd:
+    @pytest.mark.parametrize("m, n, q", [(28, 241, 5), (28, 1441, 5), (1024, 241, 1),
+                                         (1, 241, 60), (1, 3, 1), (200, 9, 1), (8, 9, 2)])
+    def test_delay_rule(self, m, n, q):
+        assert hankel_delays(m, n) == q
+
+    def test_analytic_long_ranks_the_tone_first(self):
+        # the benchmark's analytic-long record; companion ranks a damped
+        # spurious mode first on seeds 10, 13 and 17
+        base = replace(default_analytic_spec(), n_snapshots=1441, noise_std=0.05)
+        for seed in range(27):
+            record, _ = generate_analytic(replace(base, seed=seed))
+            dominant = hankel_dmd(timeseries.remove_mean(record)).dominant()
+            assert abs(dominant.period_seconds - 853.8) <= 1e-4 * 853.8, seed
+
+    def test_single_channel_needs_delays(self):
+        # one channel has rank 1 without delays; 60 delays resolve the couple
+        k = np.arange(241)
+        lam_true = np.exp(2j * np.pi / 14.3)
+        table = hankel_dmd(make_record(2 * np.real((0.7 - 0.2j) * lam_true**k)[None, :]))
+        assert table.fit["delays"] == 60 and table.fit["rank"] == 2
+        entry = couple_near(table, lam_true, tol=1e-8)
+        assert entry.rep.mode == pytest.approx([0.7 - 0.2j], abs=1e-8)
+
+    def test_three_snapshots(self):
+        table = hankel_dmd(make_record([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]], dt=1.0))
+        assert table.fit["delays"] == 1 and table.fit["rank"] >= 1
+        assert table.n_snapshots == 3 and table.entries
+
+    def test_zero_data_degenerate(self):
+        with pytest.raises(DegenerateDataError):
+            hankel_dmd(make_record(np.zeros((2, 5))))
+
+    def test_zero_initial_condition_drops_every_mode(self):
+        # the amplitudes come from the first snapshot alone: a record that
+        # starts at zero gives the fitted lam = 0.5 a zero mode, dropped with a note
+        table = hankel_dmd(make_record([[0.0, 1.0, 0.5, 0.25, 0.125],
+                                        [0.0, 2.0, 1.0, 0.5, 0.25]]))
+        assert table.entries == ()
+        assert table.notes[1:] == ("dropped zero mode at lam=0.5",)
+
+    def test_rank_rcond_floor_on_noiseless_record(self):
+        # the median singular value is round-off, so Gavish-Donoho alone keeps
+        # noise directions; the RANK_RCOND floor leaves the tone's two
+        s = single_tone_record(20, 0.0)
+        table = hankel_dmd(s)
+        assert table.fit["rank_limit"] == "rank_rcond" and table.fit["rank"] == 2
+        assert table.notes[0] == "hankel dmd: q=4 delays, rank r=2 (rank_rcond)"
+        target = s.values[:, :-1]
+        assert np.max(np.abs(reconstruct(table) - target)) <= 1e-10 * np.max(np.abs(target))
+
+    def test_gavish_donoho_limit_on_noisy_record(self):
+        table = hankel_dmd(single_tone_record(241, 0.05))
+        assert table.fit["rank_limit"] == "gavish_donoho" and table.fit["rank"] == 2
+        assert table.fit["gd_threshold"] > 0
+        couple_near(table, np.exp(2j * np.pi * 60.0 / 853.8), tol=1e-4)
+
+    def test_residual_is_the_projected_defect(self):
+        # U_r A U_r^T X = P_U X' P_W, with P_U, P_W the rank-r projectors
+        s = single_tone_record(80, 0.05)
+        table = hankel_dmd(s)
+        q, r = table.fit["delays"], table.fit["rank"]
+        H = np.concatenate([s.values[:, i:80 - q + 1 + i] for i in range(q)])
+        U, _, Wt = np.linalg.svd(H[:, :-1], full_matrices=False)
+        P_U, P_W = U[:, :r] @ U[:, :r].T, Wt[:r].T @ Wt[:r]
+        defect = np.linalg.norm(H[:, 1:] - P_U @ H[:, 1:] @ P_W)
+        assert table.residual == pytest.approx(defect, rel=1e-9)
+        assert table.fit["residual"] == table.residual
+
+    def test_fit_facts(self):
+        table = hankel_dmd(single_tone_record(80, 0.05))
+        assert set(table.fit) == {"delays", "rank", "gd_threshold", "rank_limit",
+                                  "amplitudes", "residual"}
+        assert table.fit["amplitudes"] == "projected_initial_condition"
+        json.dumps(table.fit)  # JSON values only
+
+    def test_decompose_picks_the_method(self):
+        s = single_tone_record(40, 1e-3)
+        assert table_to_json(decompose(s)) == table_to_json(hankel_dmd(s))
+        assert table_to_json(decompose(s, "companion")) == table_to_json(companion_kmd(s))
+        with pytest.raises(ArgumentError, match="method"):
+            decompose(s, "dft")
 
 
 LAM_KINDS = ("inside", "on", "outside", "real_pos", "real_neg", "zero", "neg_zero_imag")
@@ -361,15 +448,26 @@ class TestUnpaired:
         assert table.entries[0].rep.lam.imag > 0
         assert table.notes == ("unpaired complex eigenvalue lam=0.5+0.5j",)
 
-    def test_warning_points_at_the_stage_caller(self):
-        def stage():  # stands where companion_kmd and generate_analytic call mode_table
-            return mode_table(np.array([0.5 - 0.5j]), np.array([[1.0 + 0j]]), 1.0, 5,
-                              residual=0.0, mean_removed=True)
-
-        with pytest.warns(UserWarning, match="unpaired") as record:
-            line = inspect.currentframe().f_lineno + 1
-            stage()
-        assert record[0].filename == __file__ and record[0].lineno == line
+    def test_warning_points_at_the_stage_caller(self, monkeypatch):
+        # with a negative match tolerance no conjugates pair, so every entry
+        # point warns once per complex eigenvalue
+        monkeypatch.setattr(spectral, "CONJUGATE_MATCH_RTOL", -1.0)
+        lone = (np.array([0.5 - 0.5j]), np.array([[1.0 + 0j]]), 1.0, 5)
+        record = single_tone_record(20, 1e-3)
+        calls = {
+            "mode_table": lambda: mode_table(*lone, residual=0.0, mean_removed=True),
+            "companion_kmd": lambda: companion_kmd(record),
+            "hankel_dmd": lambda: hankel_dmd(record),
+            "generate_analytic": lambda: generate_analytic(default_analytic_spec()),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                call()
+            unpaired = [w for w in got if "unpaired" in str(w.message)]
+            assert unpaired, name
+            for w in unpaired:
+                assert (w.filename, w.lineno) == (__file__, call.__code__.co_firstlineno), name
 
 
 # -- the assembly before mode_table, kept as oracles --------------------------------

@@ -1,6 +1,6 @@
 """Digest every artifact of fourteen fixed CLI runs, to show a change keeps them byte-identical.
 
-    python tools/artifact_digests.py run [--tree DIR] [--work DIR] --out LIST
+    python tools/artifact_digests.py run [--tree DIR] [--work DIR] [--method M] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
 
 ``run`` executes the CLI of the source tree ``--tree`` (default: this
@@ -34,6 +34,11 @@ checkout:
     then ``spectrum`` on it without ``--remove-mean``: a truth table with a
     bias entry and a zero-energy couple, and a fit that drops zero modes and
     reports ``mean_removed: false``.
+
+``--method M`` adds ``--method M`` to every ``spectrum`` and ``pipeline``
+call; without it those calls take the tree's default method.  So one
+checkout compares ``run --tree OLD`` with ``run --method companion`` (the
+companion artifacts) and with ``run`` (the default method's artifacts).
 
 Every run writes under ``--work``, which is emptied first.  Keep ``--work``
 the same for both trees: ``run_metadata.json`` records its input paths.
@@ -230,6 +235,8 @@ def cmd_run(args) -> int:
     (work / "bias_tone.ini").write_text(BIAS_TONE, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for argv in _runs(work):
+        if args.method and argv[0] in ("spectrum", "pipeline"):
+            argv = [*argv, "--method", args.method]
         done = subprocess.run([sys.executable, "-m", "thermokmd.cli", *argv], env=env,
                               cwd=work, capture_output=True, text=True)
         if done.returncode != 0:
@@ -266,6 +273,9 @@ def main(argv=None) -> int:
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
                    help="directory the runs write into; emptied first")
+    p.add_argument("--method", default=None,
+                   help="--method passed to every spectrum and pipeline call "
+                        "(default: none, so the tree's default method)")
     p.add_argument("--out", required=True, help="digest list to write")
     p.set_defaults(func=cmd_run)
     p = sub.add_parser("diff", help="compare two digest lists")
