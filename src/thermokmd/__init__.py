@@ -61,6 +61,7 @@ from .synth import (
     default_room_spec,
     generate_analytic,
     simulate_room,
+    step_room,
     switch_cycle_period,
 )
 from .timeseries import (
@@ -96,6 +97,6 @@ __all__ = [
     # synthesis
     "AnalyticSpec", "Tone", "PolynomialField", "PlaneWaveField",
     "RoomSimSpec", "AirConditioner", "SwitchEvent",
-    "generate_analytic", "simulate_room", "switch_cycle_period",
+    "generate_analytic", "simulate_room", "step_room", "switch_cycle_period",
     "default_layout", "default_room_spec", "default_analytic_spec",
 ]

@@ -12,12 +12,17 @@ Two generators with known answers:
   senses the temperature at its own grid cell and switches between on and
   off across a dead band, which produces a sustained limit-cycle
   oscillation whose period can be measured independently from the switch
-  log.  The explicit scheme refuses to run outside its CFL bound.
+  log.  The discrete system is an explicit step; :func:`simulate_room`
+  advances it in closed form in the cosine basis that diagonalises it,
+  from one relay switch or snapshot to the next, and :func:`step_room`
+  takes the same steps one at a time as its reference.  Both refuse to run
+  outside the step's CFL bound.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -75,6 +80,21 @@ class PlaneWaveField:
         return complex(self.amplitude) * np.exp(1j * phase)
 
 
+def _require_finite(where: str, **values: float) -> None:
+    """ArgumentError for the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ArgumentError(f"{where}{name} must be finite, got {value!r}")
+
+
+def _whole_steps(name: str, seconds: float, sim_dt: float) -> int:
+    """``seconds`` in ``sim_dt`` steps; ArgumentError unless a whole number (within 1e-9)."""
+    steps = seconds / sim_dt
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+        raise ArgumentError(f"{name} must be an integer multiple of sim_dt")
+    return round(steps)
+
+
 def constant_field(value: complex) -> PolynomialField:
     return PolynomialField(((tuple(), complex(value)),))
 
@@ -99,6 +119,9 @@ class AnalyticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite("", dt=self.dt, noise_std=self.noise_std)
+        for tone in self.tones:
+            _require_finite("tone ", period=tone.period, phase=tone.phase)
         if self.n_snapshots < 3:
             raise ArgumentError(f"need at least 3 snapshots, got {self.n_snapshots}")
         if not self.dt > 0:
@@ -177,6 +200,9 @@ class AirConditioner:
     off_threshold: float
 
     def __post_init__(self):
+        _require_finite(f"AC {self.name!r} ", x=self.position[0], y=self.position[1],
+                        power=self.power, on_threshold=self.on_threshold,
+                        off_threshold=self.off_threshold)
         if self.mode not in ("cool", "heat"):
             raise ArgumentError(f"AC mode must be cool or heat, got {self.mode!r}")
         if self.power <= 0:
@@ -202,10 +228,11 @@ class RoomSimSpec:
     """Room, actuator, and sampling description for :func:`simulate_room`.
 
     The field is integrated on an ``nx`` by ``ny`` cell-centred grid with
-    insulated walls.  ``warmup`` seconds are integrated and discarded before
-    sampling starts, so the record captures the established limit cycle
-    rather than the initial transient.  The seed only perturbs the initial
-    field (by ``init_noise`` degrees RMS).
+    insulated walls.  ``warmup`` seconds (a whole number of ``sim_dt``
+    steps, as ``sample_dt`` is) are integrated and discarded before sampling
+    starts, so the record captures the established limit cycle rather than
+    the initial transient.  The seed only perturbs the initial field (by
+    ``init_noise`` degrees RMS).  Every float field must be finite.
     """
 
     width: float
@@ -227,18 +254,33 @@ class RoomSimSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "acs", tuple(self.acs))
+        _require_finite("", width=self.width, depth=self.depth, kappa=self.kappa,
+                        leak=self.leak, ambient=self.ambient, sim_dt=self.sim_dt,
+                        sample_dt=self.sample_dt, duration=self.duration, warmup=self.warmup,
+                        init_temperature=self.init_temperature, init_noise=self.init_noise)
         if self.width <= 0 or self.depth <= 0 or self.nx < 3 or self.ny < 3:
             raise ArgumentError("domain must be positive with at least 3x3 cells")
         if self.kappa < 0 or self.leak < 0:
             raise ArgumentError("kappa and leak must be nonnegative")
         if self.sim_dt <= 0 or self.sample_dt <= 0 or self.duration <= 0:
             raise ArgumentError("sim_dt, sample_dt and duration must be positive")
-        stride = self.sample_dt / self.sim_dt
-        if abs(stride - round(stride)) > 1e-9:
-            raise ArgumentError("sample_dt must be an integer multiple of sim_dt")
+        if not math.isfinite(self.duration / self.sim_dt):
+            raise ArgumentError("duration / sim_dt overflows")
+        if _whole_steps("sample_dt", self.sample_dt, self.sim_dt) < 1:
+            raise ArgumentError("sample_dt must be at least sim_dt")
         if self.warmup < 0:
             raise ArgumentError("warmup must be >= 0")
-        cfl = self.kappa * self.sim_dt * (1.0 / self.dx**2 + 1.0 / self.dy**2)
+        # snapshots start at step round(warmup / sim_dt) while switch times are
+        # step * sim_dt - warmup, so the two clocks agree only on a whole step
+        _whole_steps("warmup", self.warmup, self.sim_dt)
+        if self.init_noise < 0:
+            raise ArgumentError("init_noise must be >= 0")
+        try:  # a float power overflows with an exception, not to inf
+            inv_dx2, inv_dy2 = 1.0 / self.dx**2, 1.0 / self.dy**2
+        except (OverflowError, ZeroDivisionError):
+            raise ArgumentError(
+                f"cell size {self.dx!r} m x {self.dy!r} m is out of range") from None
+        cfl = self.kappa * self.sim_dt * (inv_dx2 + inv_dy2)
         if cfl > 0.25:
             raise StabilityError(
                 f"explicit step unstable: kappa*dt*(1/dx^2+1/dy^2) = {cfl:.4g} > 0.25"
@@ -264,13 +306,197 @@ class RoomSimSpec:
         return self.depth / self.ny
 
 
+def _schedule(spec: RoomSimSpec) -> tuple[int, int, int]:
+    """(stride, warmup steps, total steps); snapshots fall on warmup + k * stride."""
+    stride = int(round(spec.sample_dt / spec.sim_dt))
+    wsteps = int(round(spec.warmup / spec.sim_dt))
+    total = wsteps + int(round(spec.duration / spec.sim_dt)) // stride * stride
+    return stride, wsteps, total
+
+
+def _cell(spec: RoomSimSpec, ac: AirConditioner) -> tuple[int, int]:
+    """The grid cell an AC senses and heats or cools."""
+    return (min(int(ac.position[0] / spec.dx), spec.nx - 1),
+            min(int(ac.position[1] / spec.dy), spec.ny - 1))
+
+
+def _bilinear(spec: RoomSimSpec):
+    """The sensor sampler: bilinear interpolation on cell centers, clamped at the walls."""
+    nx, ny, dx, dy = spec.nx, spec.ny, spec.dx, spec.dy
+    sens = spec.sensors.positions
+    fx = np.clip(sens[:, 0] / dx - 0.5, 0.0, nx - 1.0)
+    fy = np.clip(sens[:, 1] / dy - 0.5, 0.0, ny - 1.0)
+    i0 = np.minimum(fx.astype(int), nx - 2)
+    j0 = np.minimum(fy.astype(int), ny - 2)
+    tx = fx - i0
+    ty = fy - j0
+
+    def sample(field: np.ndarray) -> np.ndarray:
+        return (
+            field[i0, j0] * (1 - tx) * (1 - ty)
+            + field[i0 + 1, j0] * tx * (1 - ty)
+            + field[i0, j0 + 1] * (1 - tx) * ty
+            + field[i0 + 1, j0 + 1] * tx * ty
+        )
+
+    return sample
+
+
+def _switch(acs, on: list[bool], readings, t: float, events: list) -> list[int]:
+    """Apply every relay to its cell reading at step time ``t``; the indices of the units on.
+
+    A switch is logged only from the first snapshot on (``t >= 0``).
+    """
+    active = []
+    for u, (ac, tc) in enumerate(zip(acs, readings)):
+        tc = float(tc)
+        if ac.mode == "cool":
+            should_switch_on = not on[u] and tc >= ac.on_threshold
+            should_switch_off = on[u] and tc <= ac.off_threshold
+        else:
+            should_switch_on = not on[u] and tc <= ac.on_threshold
+            should_switch_off = on[u] and tc >= ac.off_threshold
+        if should_switch_on:
+            on[u] = True
+            if t >= 0:
+                events.append(SwitchEvent(t, ac.name, "on", tc))
+        elif should_switch_off:
+            on[u] = False
+            if t >= 0:
+                events.append(SwitchEvent(t, ac.name, "off", tc))
+        if on[u]:
+            active.append(u)
+    return active
+
+
+def _cosine_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DCT-II rows, and the eigenvalues of the edge-copied 1-D Laplacian.
+
+    Row k of the basis is an eigenvector of (theta[i-1] - 2 theta[i] +
+    theta[i+1]) / h^2 with theta[-1] = theta[0] and theta[n] = theta[n-1],
+    for the eigenvalue -4 sin^2(pi k / 2n) / h^2.
+    """
+    k = np.arange(n)
+    scale = np.sqrt(np.where(k == 0, 1.0, 2.0) / n)
+    basis = scale[:, None] * np.cos(np.pi * np.outer(k, np.arange(n) + 0.5) / n)
+    return basis, -4.0 * np.sin(np.pi * k / (2 * n)) ** 2 / h**2
+
+
+#: at most this many steps per closed-form block, so that the step tables stay
+#: small whatever the sampling stride
+MAX_BLOCK = 256
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent, ...]]:
     """Integrate the thermostat-driven room and sample it at the sensors.
 
     Returns the sensor record (bilinear interpolation at the sensor
     coordinates every ``sample_dt``, starting when the warmup ends) and the
     switch log with times relative to the first snapshot.  Deterministic
-    given the spec.
+    given the spec.  A field that overflows raises no numpy warning: the
+    record it gives holds NaN or Inf, which SnapshotMatrix refuses.
+
+    This is the discrete system of :func:`step_room` (the same explicit
+    step, relays and schedule) advanced in closed form between events.  The
+    edge-copied Laplacian is diagonal in the separable DCT-II basis, so with
+    theta = init_temperature + Cx^T a Cy one step is a <- mu a + sim_dt f,
+    where mu = 1 + sim_dt (kappa (lam_x + lam_y) - leak) and f holds the
+    leak toward ambient (on the constant mode) plus the rate of each unit
+    that is on, at its cell.  While no relay switches, f is constant and j
+    steps give a <- mu^j a + G_j f, G_j = sim_dt (1 + mu + ... + mu^(j-1)).
+    Each block runs to the next snapshot at most: it predicts the readings
+    of the relays that could reach their level within it, jumps to the first
+    step at which one switches, and decides there as a step would.  The
+    result agrees with :func:`step_room` to round-off, not bit for bit.
+    """
+    nx, ny = spec.nx, spec.ny
+    c0 = float(spec.init_temperature)
+    rng = np.random.default_rng(spec.seed)
+    noise = np.zeros((nx, ny))
+    if spec.init_noise > 0:
+        noise = spec.init_noise * rng.standard_normal((nx, ny))
+    cx, lam_x = _cosine_basis(nx, spec.dx)
+    cy, lam_y = _cosine_basis(ny, spec.dy)
+    # c0 stays out of the modal state, so a quiet room samples exactly c0
+    a = (cx @ noise @ cy.T).ravel()
+    mu = (1.0 + spec.sim_dt * (spec.kappa * (lam_x[:, None] + lam_y[None, :]) - spec.leak)).ravel()
+    # row u: unit u's cell in the modal basis, which both reads and heats it
+    rows = np.array([np.outer(cx[:, i], cy[:, j]).ravel()
+                     for i, j in (_cell(spec, ac) for ac in spec.acs)]).reshape(-1, mu.size)
+    magnitude = np.abs(rows)
+    rates = np.array([-ac.power if ac.mode == "cool" else ac.power for ac in spec.acs])
+    cool = np.array([ac.mode == "cool" for ac in spec.acs], dtype=bool)
+    on_level = np.array([ac.on_threshold for ac in spec.acs])
+    off_level = np.array([ac.off_threshold for ac in spec.acs])
+    drift = np.zeros(mu.size)
+    drift[0] = spec.leak * (spec.ambient - c0) * np.sqrt(nx * ny)
+    sample = _bilinear(spec)
+
+    stride, wsteps, total = _schedule(spec)
+    # power[j] = mu^j and gain[j] = G_j, by the recurrence the steps follow
+    steps = min(stride, total, MAX_BLOCK)
+    power = np.empty((steps + 1, mu.size))
+    gain = np.empty((steps + 1, mu.size))
+    power[0], gain[0] = 1.0, 0.0
+    for j in range(steps):
+        np.multiply(power[j], mu, out=power[j + 1])
+        np.multiply(gain[j], mu, out=gain[j + 1])
+        gain[j + 1] += spec.sim_dt
+    # |1 - mu^j| <= 1 - mu^n for j <= n when mu >= 0, and <= 1 - mu when -1 <= mu < 0
+    swing = np.where(mu >= -1.0, 1.0 - mu, np.inf)
+
+    forced = {}  # units on -> f, each reading's response G_j f, and its running max and min
+
+    def forcing(active: list[int]):
+        f = drift + rates[active] @ rows[active]
+        response = gain @ (rows * f).T
+        return (f, response, np.maximum.accumulate(response), np.minimum.accumulate(response),
+                np.abs(response).max(axis=0, initial=0.0))
+
+    on = [False] * len(spec.acs)
+    snapshots: list[np.ndarray] = []
+    events: list[SwitchEvent] = []
+    step = 0
+    while True:
+        if step >= wsteps and (step - wsteps) % stride == 0:
+            snapshots.append(sample(c0 + cx.T @ a.reshape(nx, ny) @ cy))
+        if step == total:
+            break
+        base = c0 + rows @ a
+        active = _switch(spec.acs, on, base, step * spec.sim_dt - spec.warmup, events)
+        if tuple(active) not in forced:
+            forced[tuple(active)] = forcing(active)
+        f, response, peak, trough, size = forced[tuple(active)]
+        after = wsteps if step < wsteps else step + stride - (step - wsteps) % stride
+        n = min(steps, after - step, total - step)
+        # A relay can switch within the block only if its reading can reach its
+        # level: the free response moves by at most |rows| @ (|a| |1 - mu^j|)
+        # (plus a margin far above round-off), and the forced one is tabled.
+        state = np.array(on, dtype=bool)
+        level = np.where(state, off_level, on_level)
+        rising = cool != state
+        scale = np.abs(a)
+        reach = magnitude @ (scale * np.where(mu >= 0.0, 1.0 - power[n], swing))
+        reach += 1e-9 * (np.abs(base) + magnitude @ scale + size)
+        maybe = np.flatnonzero(np.where(rising, ~(base + peak[n] + reach < level),
+                                        ~(base + trough[n] - reach > level)))
+        if maybe.size:
+            reading = c0 + (power[1:n + 1] @ (rows[maybe] * a).T + response[1:n + 1, maybe])
+            hit = np.flatnonzero(np.where(rising[maybe], reading >= level[maybe],
+                                          reading <= level[maybe]).any(axis=1))
+            if hit.size:
+                n = int(hit[0]) + 1
+        a = power[n] * a + gain[n] * f
+        step += n
+
+    values = np.array(snapshots).T
+    record = SnapshotMatrix(values, spec.sample_dt, 0.0, spec.sensors.channel_ids)
+    return record, tuple(events)
+
+
+def step_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent, ...]]:
+    """The reference for :func:`simulate_room`: one explicit step at a time.
 
     Each explicit step computes, cell by cell and in this order,
 
@@ -303,35 +529,12 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
     flat = padded.reshape(-1)
     rows = flat[w:w + n]
 
-    units = []
-    for ac in spec.acs:
-        ci = min(int(ac.position[0] / dx), nx - 1)
-        cj = min(int(ac.position[1] / dy), ny - 1)
-        rate = -ac.power if ac.mode == "cool" else ac.power
-        units.append((ac.name, ci * w + cj + 1, ac.mode == "cool", ac.on_threshold,
-                      ac.off_threshold, rate))
-    on = [False] * len(units)
+    cells = [ci * w + cj + 1 for ci, cj in (_cell(spec, ac) for ac in spec.acs)]
+    rates = [-ac.power if ac.mode == "cool" else ac.power for ac in spec.acs]
+    on = [False] * len(spec.acs)
+    sample = _bilinear(spec)
 
-    # bilinear interpolation stencil on cell centers, clamped at the walls
-    sens = spec.sensors.positions
-    fx = np.clip(sens[:, 0] / dx - 0.5, 0.0, nx - 1.0)
-    fy = np.clip(sens[:, 1] / dy - 0.5, 0.0, ny - 1.0)
-    i0 = np.minimum(fx.astype(int), nx - 2)
-    j0 = np.minimum(fy.astype(int), ny - 2)
-    tx = fx - i0
-    ty = fy - j0
-
-    def sample(field: np.ndarray) -> np.ndarray:
-        return (
-            field[i0, j0] * (1 - tx) * (1 - ty)
-            + field[i0 + 1, j0] * tx * (1 - ty)
-            + field[i0, j0 + 1] * (1 - tx) * ty
-            + field[i0 + 1, j0 + 1] * tx * ty
-        )
-
-    stride = int(round(spec.sample_dt / spec.sim_dt))
-    wsteps = int(round(spec.warmup / spec.sim_dt))
-    total = wsteps + int(round(spec.duration / spec.sim_dt)) // stride * stride
+    stride, wsteps, total = _schedule(spec)
     inv_dx2 = 1.0 / dx**2
     inv_dy2 = 1.0 / dy**2
     sim_dt, kappa, leak, ambient = spec.sim_dt, spec.kappa, spec.leak, spec.ambient
@@ -353,27 +556,10 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
             snapshots.append(sample(theta))
         if step == total:
             break
-        t = step * sim_dt - spec.warmup
-        active = []
-        for u, (name, cell, cool, on_threshold, off_threshold, rate) in enumerate(units):
-            tc = float(rows[cell])
-            if cool:
-                should_switch_on = not on[u] and tc >= on_threshold
-                should_switch_off = on[u] and tc <= off_threshold
-            else:
-                should_switch_on = not on[u] and tc <= on_threshold
-                should_switch_off = on[u] and tc >= off_threshold
-            if should_switch_on:
-                on[u] = True
-                if t >= 0:
-                    events.append(SwitchEvent(t, name, "on", tc))
-            elif should_switch_off:
-                on[u] = False
-                if t >= 0:
-                    events.append(SwitchEvent(t, name, "off", tc))
-            if on[u]:
-                source[cell] += rate
-                active.append(cell)
+        active = _switch(spec.acs, on, [rows[cell] for cell in cells],
+                         step * sim_dt - spec.warmup, events)
+        for u in active:
+            source[cells[u]] += rates[u]
         for ghost, edge in ghosts:
             np.copyto(ghost, edge)
         np.multiply(rows, 2.0, out=t2)
@@ -391,8 +577,8 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
         a += source
         a *= sim_dt
         rows += a
-        for cell in active:
-            source[cell] = 0.0
+        for u in active:
+            source[cells[u]] = 0.0
 
     values = np.array(snapshots).T
     record = SnapshotMatrix(values, spec.sample_dt, 0.0, spec.sensors.channel_ids)

@@ -1,9 +1,16 @@
 import csv
+import io
 import json
+import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thermokmd.cli import main
 from thermokmd.synth import (
@@ -263,6 +270,96 @@ class TestSynthAndSpectrum:
         with (out / "gradient.csv").open(newline="", encoding="utf-8") as fh:
             valid = {row["channel_id"]: row["valid"] for row in csv.DictReader(fh)}
         assert valid == {cid: "false" if cid in "AB" else "true" for cid in "ABCDEFGH"}
+
+
+#: A small room (8 x 4 cells, 240 steps) with one heater that switches, for
+#: config values drawn at random; ``{section: {key: value}}``.
+SMALL_ROOM = {
+    "room": {"width": 2.0, "depth": 1.0, "nx": 8, "ny": 4, "kappa": 0.001, "leak": 0.0005,
+             "ambient": 28.0, "sim_dt": 0.5, "sample_dt": 10.0, "duration": 100.0,
+             "warmup": 20.0, "seed": 3, "init_temperature": 25.0, "init_noise": 0.2},
+    "ac.unit": {"x": 1.0, "y": 0.5, "mode": "heat", "power": 0.5, "on": 25.0, "off": 25.3},
+}
+ROOM_FLOAT_KEYS = [(section, key) for section, values in SMALL_ROOM.items()
+                   for key, value in values.items() if isinstance(value, float)]
+
+
+def room_ini(config) -> str:
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v!r}\n" if isinstance(v, float)
+                                              else f"{k} = {v}\n" for k, v in values.items())
+                   for section, values in config.items())
+
+
+class TestConfigValues:
+    """A config value out of range is a fault of the file: exit 2, one ``error:`` line."""
+
+    @staticmethod
+    def assert_exit_2(argv, path, key, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and key in err
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("duration", "nan", "duration"), ("sim_dt", "nan", "sim_dt"),
+        ("warmup", "inf", "warmup"), ("kappa", "nan", "kappa"),
+        ("init_noise", "nan", "init_noise"), ("init_noise", "-1", "init_noise"),
+        ("leak", "-inf", "leak"), ("ambient", "inf", "ambient"),
+        # sample_dt / sim_dt overflows
+        ("sim_dt", "5e-324", "sim_dt"),
+        # warmup is not a whole number of 0.375 s steps
+        ("warmup", "7200.1", "warmup"),
+        # the first [ac.*] section's fields
+        ("power", "nan", "AC-1"), ("on", "nan", "AC-1"), ("x", "nan", "AC-1"),
+    ])
+    def test_room_value(self, key, value, named, tmp_path, capsys):
+        text = files("thermokmd.configs").joinpath("room_default.ini").read_text("utf-8")
+        bad = tmp_path / "room.ini"
+        old = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+        bad.write_text(text.replace(old, f"{key} = {value}", 1), encoding="utf-8")
+        argv = ["synth-room", "--config", str(bad), "--out-dir", str(tmp_path / "out")]
+        self.assert_exit_2(argv, bad, named, capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise_std", "nan"), ("dt", "inf"), ("period", "inf"), ("phase", "nan")])
+    def test_analytic_value(self, key, value, tmp_path, capsys):
+        bad = tmp_path / "analytic.ini"
+        fields = {"dt": "60.0", "noise_std": "0.05", "period": "853.8", "phase": "0.0", key: value}
+        bad.write_text("[analytic]\n"
+                       f"dt = {fields['dt']}\nsnapshots = 241\nnoise_std = {fields['noise_std']}\n"
+                       f"[tone.1]\nperiod = {fields['period']}\nphase = {fields['phase']}\n"
+                       "poly = 0 0 1.0\n", encoding="utf-8")
+        argv = ["synth-analytic", "--config", str(bad), "--out-dir", str(tmp_path / "out")]
+        self.assert_exit_2(argv, bad, key, capsys)
+
+    # a numpy warning would be a second line on stderr of the command
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(field=st.sampled_from(ROOM_FLOAT_KEYS), value=st.floats())
+    def test_any_room_value(self, field, value):
+        section, key = field
+        config = {name: dict(values) for name, values in SMALL_ROOM.items()}
+        config[section][key] = value
+        room = config["room"]
+        # A valid value that asks for a long run is slow, not wrong: keep each
+        # example to a few thousand steps.  A step count that is negative, NaN
+        # or infinite still runs (the config is refused).
+        sim_dt = room["sim_dt"]
+        steps = (room["warmup"] + room["duration"]) / sim_dt if sim_dt else math.nan
+        assume(not (math.isfinite(steps) and steps > 5000))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "room.ini"
+            path.write_text(room_ini(config), encoding="utf-8")
+            (Path(tmp) / "layout.csv").write_text("id,x,y\ns,1.0,0.5\n", encoding="utf-8")
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main(["synth-room", "--config", str(path), "--layout",
+                             str(Path(tmp) / "layout.csv"), "--out-dir", str(Path(tmp) / "out")])
+        assert code in (0, 2)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestPhaseAverageAndGradient:

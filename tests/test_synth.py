@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from thermokmd.spectral import (
     table_to_json,
 )
 from thermokmd.synth import (
+    MAX_BLOCK,
     AirConditioner,
     AnalyticSpec,
     PlaneWaveField,
@@ -26,6 +29,7 @@ from thermokmd.synth import (
     load_analytic_config,
     load_room_config,
     simulate_room,
+    step_room,
     switch_cycle_period,
 )
 from thermokmd.timeseries import SensorLayout, SnapshotMatrix
@@ -214,6 +218,13 @@ class TestSimulateRoom:
         dev = np.abs(record.values - 30.0).max(axis=0)
         assert np.all(np.diff(dev) < 0)
 
+    def test_warmup_off_the_step_grid_refused(self):
+        # snapshots would start at step round(warmup / sim_dt) = 3699 while the
+        # switch times are step * sim_dt - warmup, 0.1 s off that clock
+        with pytest.raises(ArgumentError, match="warmup must be an integer multiple"):
+            relay_room(warmup=1387.225)
+        assert relay_room(warmup=1387.5).warmup == 3700 * 0.375
+
     def test_cfl_violation_refused(self):
         sensors = cell_center_layout(2.0, 1.2, 10, 6)
         with pytest.raises(StabilityError):
@@ -257,6 +268,11 @@ def relay_run():
     spec = relay_room()
     record, events = simulate_room(spec)
     return spec, record, events
+
+
+@pytest.fixture(scope="module")
+def relay_stepped(relay_run):
+    return step_room(relay_run[0])
 
 
 class TestRelayOscillation:
@@ -359,11 +375,11 @@ def random_room(kind, rng):
 
 
 class TestSimulatorBitIdentity:
-    """simulate_room against the reference step loop, byte for byte."""
+    """step_room against the reference step loop, byte for byte."""
 
     @staticmethod
     def assert_identical(spec, got=None):
-        record, events = got or simulate_room(spec)
+        record, events = got or step_room(spec)
         want_record, want_events = _simulate_loop(spec)
         assert record.values.shape == want_record.values.shape
         assert record.values.tobytes() == want_record.values.tobytes()
@@ -375,14 +391,14 @@ class TestSimulatorBitIdentity:
         switched = 0
         for _ in range(8):
             spec = random_room(kind, rng)
-            got = simulate_room(spec)
+            got = step_room(spec)
             self.assert_identical(spec, got)
             switched += bool(got[1])
         assert switched >= 2  # the thermostat path ran, not only the stencil
 
-    def test_relay_room(self, relay_run):
-        spec, record, events = relay_run
-        self.assert_identical(spec, (record, events))
+    def test_relay_room(self, relay_run, relay_stepped):
+        spec, _, _ = relay_run
+        self.assert_identical(spec, relay_stepped)
 
 
 def _simulate_loop(spec):
@@ -460,6 +476,102 @@ def _simulate_loop(spec):
 
     values = np.array(snapshots).T
     return SnapshotMatrix(values, spec.sample_dt, 0.0, spec.sensors.channel_ids), tuple(events)
+
+
+def switch_log(events):
+    return [(e.time, e.ac, e.state) for e in events]
+
+
+def flat_room():
+    """kappa = leak = 0: every cell is on its own and every mu is exactly 1.
+
+    The cooler starts on and ramps its cell down to its off level; the
+    heater does the same upward; then nothing moves.
+    """
+    sensors = SensorLayout(("s1", "s2", "s3"), np.array([[0.3, 0.3], [1.1, 0.7], [1.9, 1.1]]))
+    acs = (AirConditioner("cooler", (0.5, 0.3), "cool", 0.05, 24.0, 23.0),
+           AirConditioner("heater", (1.7, 0.9), "heat", 0.03, 26.0, 27.0))
+    return RoomSimSpec(width=2.0, depth=1.2, nx=10, ny=6, kappa=0.0, leak=0.0, ambient=30.0,
+                       acs=acs, sim_dt=0.3, sample_dt=3.0, duration=120.0, sensors=sensors,
+                       seed=4, init_temperature=25.0, init_noise=0.1)
+
+
+def tug_room(leak):
+    """A heater and a cooler at the two ends of a room that leaks almost nothing.
+
+    Each unit drives its own end past its level and diffusion pulls it back,
+    so the two keep switching.
+    """
+    sensors = SensorLayout(("s1", "s2"), np.array([[0.6, 0.5], [2.4, 0.5]]))
+    acs = (AirConditioner("heater", (0.3, 0.5), "heat", 0.4, 25.1, 25.5),
+           AirConditioner("cooler", (2.7, 0.5), "cool", 0.4, 24.9, 24.5))
+    return RoomSimSpec(width=3.0, depth=1.0, nx=12, ny=4, kappa=0.01, leak=leak,
+                       ambient=25.0, acs=acs, sim_dt=0.25, sample_dt=5.0, duration=600.0,
+                       sensors=sensors, warmup=50.0, seed=11, init_temperature=25.0,
+                       init_noise=0.05)
+
+
+class TestModalMatchesStepping:
+    """simulate_room (closed form between switches) against step_room, to round-off.
+
+    The switch logs are equal as (time, unit, state); samples and the event
+    cell temperatures agree within 1e-9.
+    """
+
+    @staticmethod
+    def assert_matches(spec, got=None, want=None):
+        record, events = got or simulate_room(spec)
+        want_record, want_events = want or step_room(spec)
+        assert switch_log(events) == switch_log(want_events)
+        assert record.values.shape == want_record.values.shape
+        assert np.max(np.abs(record.values - want_record.values)) <= 1e-9
+        for e, w in zip(events, want_events):
+            assert abs(e.cell_temperature - w.cell_temperature) <= 1e-9
+        return events
+
+    @pytest.mark.parametrize("kind", SIM_KINDS)
+    def test_random_rooms(self, kind):
+        rng = np.random.default_rng(SIM_KINDS.index(kind))
+        switched = 0
+        for _ in range(8):
+            switched += bool(self.assert_matches(random_room(kind, rng)))
+        assert switched >= 2
+
+    def test_relay_room(self, relay_run, relay_stepped):
+        spec, record, events = relay_run
+        assert self.assert_matches(spec, (record, events), relay_stepped)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_default_room(self, seed):
+        # one hour of warmup and one of record, 19 200 steps: the shipped 2 h
+        # and 4 h would cost step_room 2 s a seed
+        spec = replace(default_room_spec(), seed=seed, warmup=3600.0, duration=3600.0)
+        events = self.assert_matches(spec)
+        assert len(events) >= 6
+
+    def test_stride_longer_than_a_block(self):
+        # 320 steps between snapshots: blocks end at MAX_BLOCK as well as at snapshots
+        spec = replace(relay_room(warmup=0.0, duration=1920.0), sample_dt=120.0)
+        assert spec.sample_dt / spec.sim_dt > MAX_BLOCK
+        assert self.assert_matches(spec)
+
+    def test_flat_room(self):
+        # every mu is 1, so each block's gain is j * sim_dt
+        events = self.assert_matches(flat_room())
+        assert switch_log(events)[:2] == [(0.0, "cooler", "on"), (0.0, "heater", "on")]
+        assert [e.state for e in events] == ["on", "on", "off", "off"]
+
+    @pytest.mark.parametrize("leak", [1e-12, 0.0])
+    def test_nearly_closed_room(self, leak):
+        # the constant mode's mu is 1 - 2.5e-13 (or 1): its gain must not cancel
+        events = self.assert_matches(tug_room(leak))
+        assert len(events) >= 6
+
+    def test_quiet_room_is_exact(self):
+        # the offset stays out of the modal state, so nothing rounds it
+        spec = quiet_room(cell_center_layout(2.0, 1.2, 10, 6), leak=0.01, ambient=25.0)
+        record, events = simulate_room(spec)
+        assert events == () and np.all(record.values == 25.0)
 
 
 class TestMirrorSymmetry:

@@ -1,4 +1,4 @@
-"""Digest every artifact of fourteen fixed CLI runs, to show a change keeps them byte-identical.
+"""Digest every artifact of fifteen fixed CLI runs, to show a change keeps them byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] [--method M] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -33,7 +33,10 @@ checkout:
     zero-amplitude tone the tool writes into ``--work`` (:data:`BIAS_TONE`),
     then ``spectrum`` on it without ``--remove-mean``: a truth table with a
     bias entry and a zero-energy couple, and a fit that drops zero modes and
-    reports ``mean_removed: false``.
+    reports ``mean_removed: false``;
+15. ``synth-room --config`` on a small room with no leak that the tool writes
+    into ``--work`` (:data:`CLOSED_ROOM`): the constant mode of the closed
+    form has mu = 1 exactly, so its gain is j * sim_dt.
 
 ``--method M`` adds ``--method M`` to every ``spectrum`` and ``pipeline``
 call; without it those calls take the tree's default method.  So one
@@ -104,6 +107,44 @@ mode = cool
 power = 0.15
 on = 20.0
 off = 19.6
+"""
+
+
+#: A heater and a cooler at the two ends of the room on a 14 x 7 grid with
+#: ``leak = 0``: each drives its cell past its level and diffusion pulls it
+#: back, so both keep switching; 2 600 steps.
+CLOSED_ROOM = """\
+[room]
+width = 14.0
+depth = 7.0
+nx = 14
+ny = 7
+kappa = 0.2
+leak = 0.0
+ambient = 25.0
+sim_dt = 0.5
+sample_dt = 10.0
+duration = 1200.0
+warmup = 100.0
+seed = 11
+init_temperature = 25.0
+init_noise = 0.05
+
+[ac.heater]
+x = 1.5
+y = 3.5
+mode = heat
+power = 0.4
+on = 25.1
+off = 25.5
+
+[ac.cooler]
+x = 12.5
+y = 3.5
+mode = cool
+power = 0.4
+on = 24.9
+off = 24.5
 """
 
 
@@ -210,6 +251,7 @@ def _runs(w: Path) -> list[list[str]]:
         ["synth-analytic", "--config", str(w / "bias_tone.ini"), "--out-dir", str(bias)],
         ["spectrum", "--snapshots", str(bias / "snapshots.csv"),
          "--out-dir", str(w / "bias-tone-spectrum")],
+        ["synth-room", "--config", str(w / "closed_room.ini"), "--out-dir", str(w / "closed-room")],
     ]
 
 
@@ -233,6 +275,7 @@ def cmd_run(args) -> int:
     (work / "lattice_layout.csv").write_text(lattice_layout(), encoding="utf-8")
     (work / "lattice_sources.csv").write_text(LATTICE_SOURCES, encoding="utf-8")
     (work / "bias_tone.ini").write_text(BIAS_TONE, encoding="utf-8")
+    (work / "closed_room.ini").write_text(CLOSED_ROOM, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for argv in _runs(work):
         if args.method and argv[0] in ("spectrum", "pipeline"):
@@ -268,7 +311,7 @@ def cmd_diff(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run the fourteen CLI runs and write the digest list")
+    p = sub.add_parser("run", help="run the fifteen CLI runs and write the digest list")
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
