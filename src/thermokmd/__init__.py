@@ -61,7 +61,6 @@ from .synth import (
     default_room_spec,
     generate_analytic,
     simulate_room,
-    step_room,
     switch_cycle_period,
 )
 from .timeseries import (
@@ -97,6 +96,6 @@ __all__ = [
     # synthesis
     "AnalyticSpec", "Tone", "PolynomialField", "PlaneWaveField",
     "RoomSimSpec", "AirConditioner", "SwitchEvent",
-    "generate_analytic", "simulate_room", "step_room", "switch_cycle_period",
+    "generate_analytic", "simulate_room", "switch_cycle_period",
     "default_layout", "default_room_spec", "default_analytic_spec",
 ]

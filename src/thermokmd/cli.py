@@ -79,6 +79,11 @@ def _layout_for(layout_path, data_path, channel_ids, neighbors):
         raise ParseError(f"{data_path} with {layout_path}: {exc}") from None
 
 
+def _check_top(top) -> None:
+    if top < 1:
+        raise ParseError(f"--top must be >= 1, got {top}")
+
+
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_synth_analytic(args) -> int:
@@ -124,6 +129,7 @@ def cmd_synth_room(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    _check_top(args.top)
     snapshots = timeseries.load_snapshots(args.snapshots, dt_override=args.dt_override)
     if args.remove_mean:
         snapshots = timeseries.remove_mean(snapshots)
@@ -144,6 +150,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_phase_average(args) -> int:
     snapshots = timeseries.load_snapshots(args.snapshots, dt_override=args.dt_override)
+    _select_period(None, snapshots.dt, snapshots.n_snapshots, args.period_samples)
     if not args.keep_mean:
         snapshots = timeseries.remove_mean(snapshots)
     result = phaseavg.phase_average(snapshots, args.period_samples)
@@ -156,9 +163,7 @@ def cmd_gradient(args) -> int:
     ids, sums, harmonics = phaseavg.load_result_csv(args.mode_file)
     layout = _layout_for(args.layout, args.mode_file, ids, args.neighbors)
     mode = harmonics if args.use == "harmonic" else sums
-    field = gradientmod.gradient_field(
-        mode, layout, source=gradientmod.SOURCE_PHASE_AVERAGE, neighbors=args.neighbors
-    )
+    field = gradientmod.gradient_field(mode, layout, neighbors=args.neighbors)
     out = Path(args.out_dir)
     _write_gradient(out, field)
     print(f"gradient at {int(field.valid.sum())}/{layout.n_sensors} sensors -> {out}")
@@ -166,10 +171,14 @@ def cmd_gradient(args) -> int:
 
 
 def _select_period(dominant, dt, n_snapshots, explicit):
+    """(period in samples, rule): ``explicit`` if given, else the dominant mode's.
+
+    An explicit period out of range is a ParseError (exit 2), an automatic one a PeriodError.
+    """
     max_p = (n_snapshots - 1) // 2
     if explicit is not None:
         if not 2 <= explicit <= max_p:
-            raise PeriodError(f"--period-samples must be in [2, {max_p}], got {explicit}")
+            raise ParseError(f"--period-samples must be in [2, {max_p}], got {explicit}")
         return explicit, "explicit"
     if dominant is None or dominant.period_seconds is None:
         raise PeriodError(
@@ -185,8 +194,11 @@ def _select_period(dominant, dt, n_snapshots, explicit):
 
 
 def cmd_pipeline(args) -> int:
+    _check_top(args.top)
     snapshots = timeseries.load_snapshots(args.snapshots, dt_override=args.dt_override)
     layout = _layout_for(args.layout, args.snapshots, snapshots.channel_ids, args.neighbors)
+    if args.period_samples is not None:  # refused before the fit, as a bad argument
+        _select_period(None, snapshots.dt, snapshots.n_snapshots, args.period_samples)
     out = Path(args.out_dir)
 
     mean_free = timeseries.remove_mean(snapshots)
@@ -205,9 +217,7 @@ def cmd_pipeline(args) -> int:
         mode = dominant.rep.mode
     else:
         mode = result.sum_real
-    field = gradientmod.gradient_field(
-        mode, layout, source=args.gradient_source, neighbors=args.neighbors
-    )
+    field = gradientmod.gradient_field(mode, layout, neighbors=args.neighbors)
     written += _write_gradient(out, field)
 
     scores = None

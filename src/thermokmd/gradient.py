@@ -48,16 +48,13 @@ class GradientField:
 
     ``vectors`` is (M, d), complex when the differentiated mode was complex;
     rows where ``valid`` is False hold NaN.  ``methods`` records the stencil
-    used at each sensor.  ``source`` names what the mode vector was
-    (phase_average or dmd_mode) when the caller provides it.
+    used at each sensor.
     """
 
     vectors: np.ndarray
     valid: np.ndarray
     methods: tuple[str, ...]
     layout: SensorLayout
-    source: str | None = None
-    neighbor_count: int | None = None
 
     def __post_init__(self):
         vec = np.asarray(self.vectors)
@@ -66,11 +63,6 @@ class GradientField:
         object.__setattr__(self, "valid", val)
         vec.setflags(write=False)
         val.setflags(write=False)
-        if self.source is not None and self.source not in (
-            SOURCE_PHASE_AVERAGE,
-            SOURCE_DMD_MODE,
-        ):
-            raise ArgumentError(f"unknown gradient source {self.source!r}")
         if np.any(~np.isfinite(vec[val])):
             raise GeometryError("gradient produced non-finite values at valid sensors")
 
@@ -160,7 +152,6 @@ def median_spacing(layout: SensorLayout) -> float:
 def gradient_field(
     mode: np.ndarray,
     layout: SensorLayout,
-    source: str | None = None,
     neighbors: int = DEFAULT_NEIGHBORS,
     condition_limit: float = CONDITION_LIMIT,
 ) -> GradientField:
@@ -187,23 +178,14 @@ def gradient_field(
 
     if layout.grid is not None:
         vectors, valid, methods = _grid_gradient(mode, layout)
-        used_neighbors = None
     else:
         vectors, valid, methods = _scattered_gradient(
             mode, layout, neighbors, condition_limit
         )
-        used_neighbors = min(neighbors, layout.n_sensors - 1)
     if not np.any(valid):
         raise GeometryError("gradient stencil is degenerate at every sensor")
     vectors[~valid] = np.nan
-    return GradientField(
-        vectors=vectors,
-        valid=valid,
-        methods=tuple(methods),
-        layout=layout,
-        source=source,
-        neighbor_count=used_neighbors,
-    )
+    return GradientField(vectors=vectors, valid=valid, methods=tuple(methods), layout=layout)
 
 
 def _grid_gradient(mode, layout):

@@ -14,8 +14,7 @@ Two generators with known answers:
   oscillation whose period can be measured independently from the switch
   log.  The discrete system is an explicit step; :func:`simulate_room`
   advances it in closed form in the cosine basis that diagonalises it,
-  from one relay switch or snapshot to the next, and :func:`step_room`
-  takes the same steps one at a time as its reference.  Both refuse to run
+  from one relay switch or snapshot to the next, and refuses to run
   outside the step's CFL bound.
 """
 
@@ -223,6 +222,11 @@ class SwitchEvent:
     cell_temperature: float
 
 
+#: the most explicit steps (warmup and record) a room may ask for, so that a
+#: run is refused rather than never ending
+MAX_STEPS = 10**7
+
+
 @dataclass(frozen=True)
 class RoomSimSpec:
     """Room, actuator, and sampling description for :func:`simulate_room`.
@@ -232,7 +236,8 @@ class RoomSimSpec:
     steps, as ``sample_dt`` is) are integrated and discarded before sampling
     starts, so the record captures the established limit cycle rather than
     the initial transient.  The seed only perturbs the initial field (by
-    ``init_noise`` degrees RMS).  Every float field must be finite.
+    ``init_noise`` degrees RMS).  Every float field must be finite, and the
+    run may take at most :data:`MAX_STEPS` steps.
     """
 
     width: float
@@ -273,6 +278,9 @@ class RoomSimSpec:
         # snapshots start at step round(warmup / sim_dt) while switch times are
         # step * sim_dt - warmup, so the two clocks agree only on a whole step
         _whole_steps("warmup", self.warmup, self.sim_dt)
+        total = _schedule(self)[2]
+        if total > MAX_STEPS:
+            raise ArgumentError(f"the run is {total:.3g} steps of sim_dt, over {MAX_STEPS:.0e}")
         if self.init_noise < 0:
             raise ArgumentError("init_noise must be >= 0")
         try:  # a float power overflows with an exception, not to inf
@@ -397,18 +405,23 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
     given the spec.  A field that overflows raises no numpy warning: the
     record it gives holds NaN or Inf, which SnapshotMatrix refuses.
 
-    This is the discrete system of :func:`step_room` (the same explicit
-    step, relays and schedule) advanced in closed form between events.  The
+    The discrete system is the explicit step
+    theta <- theta + sim_dt (kappa lap(theta) - leak (theta - ambient) + source),
+    where lap is the 5-point Laplacian with the insulated walls as
+    edge-copied ghost cells and source holds, at its cell, the rate of each
+    unit that is on.  Before each step every relay reads its cell and
+    switches (see :func:`_switch`) at step time step * sim_dt - warmup.
+    This function advances that system in closed form between events.  The
     edge-copied Laplacian is diagonal in the separable DCT-II basis, so with
     theta = init_temperature + Cx^T a Cy one step is a <- mu a + sim_dt f,
     where mu = 1 + sim_dt (kappa (lam_x + lam_y) - leak) and f holds the
-    leak toward ambient (on the constant mode) plus the rate of each unit
-    that is on, at its cell.  While no relay switches, f is constant and j
-    steps give a <- mu^j a + G_j f, G_j = sim_dt (1 + mu + ... + mu^(j-1)).
+    leak toward ambient (on the constant mode) plus the source.  While no
+    relay switches, f is constant and j steps give a <- mu^j a + G_j f,
+    G_j = sim_dt (1 + mu + ... + mu^(j-1)).
     Each block runs to the next snapshot at most: it predicts the readings
     of the relays that could reach their level within it, jumps to the first
-    step at which one switches, and decides there as a step would.  The
-    result agrees with :func:`step_room` to round-off, not bit for bit.
+    step at which one switches, and decides there as a step would.  So it
+    agrees with the steps taken one at a time to round-off, not bit for bit.
     """
     nx, ny = spec.nx, spec.ny
     c0 = float(spec.init_temperature)
@@ -489,96 +502,6 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
                 n = int(hit[0]) + 1
         a = power[n] * a + gain[n] * f
         step += n
-
-    values = np.array(snapshots).T
-    record = SnapshotMatrix(values, spec.sample_dt, 0.0, spec.sensors.channel_ids)
-    return record, tuple(events)
-
-
-def step_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent, ...]]:
-    """The reference for :func:`simulate_room`: one explicit step at a time.
-
-    Each explicit step computes, cell by cell and in this order,
-
-        lap   = ((N + S) - 2 theta) * inv_dx2 + ((E + W) - 2 theta) * inv_dy2
-        theta = theta + sim_dt * ((kappa * lap - leak * (theta - ambient)) + source)
-
-    with the insulated walls as edge-copied ghost cells.  That order is part
-    of the contract: the neighbour sums are grouped before ``2 theta`` is
-    taken off (so a mirrored field steps bit-identically), no constants are
-    folded (``kappa * inv_dx2``, ``sim_dt *
-    kappa`` or ``sim_dt * leak`` would round differently), ``source`` is
-    added to every cell, and the rates of units that share a cell are summed
-    before they are added.  Any other grouping can move the field by an ulp,
-    and with it a switch time and every artifact.  The step time is
-    ``step * sim_dt - warmup``, never a running sum.
-    """
-    nx, ny, dx, dy = spec.nx, spec.ny, spec.dx, spec.dy
-    rng = np.random.default_rng(spec.seed)
-    # theta is the interior of a buffer whose rim holds the ghost cells; the
-    # corners are never written, and stay finite for the strip below
-    padded = np.full((nx + 2, ny + 2), float(spec.init_temperature))
-    theta = padded[1:-1, 1:-1]
-    if spec.init_noise > 0:
-        theta += spec.init_noise * rng.standard_normal((nx, ny))
-    # The stencil runs over padded rows 1..nx as one contiguous strip, ghost
-    # columns included: their updates are junk that the next step's ghost
-    # copy overwrites, so interior cells see exactly the 2-D stencil.
-    w = ny + 2
-    n = nx * w
-    flat = padded.reshape(-1)
-    rows = flat[w:w + n]
-
-    cells = [ci * w + cj + 1 for ci, cj in (_cell(spec, ac) for ac in spec.acs)]
-    rates = [-ac.power if ac.mode == "cool" else ac.power for ac in spec.acs]
-    on = [False] * len(spec.acs)
-    sample = _bilinear(spec)
-
-    stride, wsteps, total = _schedule(spec)
-    inv_dx2 = 1.0 / dx**2
-    inv_dy2 = 1.0 / dy**2
-    sim_dt, kappa, leak, ambient = spec.sim_dt, spec.kappa, spec.leak, spec.ambient
-
-    north, south = flat[2 * w:2 * w + n], flat[:n]
-    east, west = flat[w + 1:w + 1 + n], flat[w - 1:w - 1 + n]
-    # the first and last rows, then the first and last columns (nx, ny >= 3)
-    ghosts = [(padded[::nx + 1, 1:-1], theta[::nx - 1]),
-              (padded[1:-1, ::ny + 1], theta[:, ::ny - 1])]
-    a = np.empty(n)
-    b = np.empty(n)
-    t2 = np.empty(n)
-    source = np.zeros(n)
-
-    snapshots: list[np.ndarray] = []
-    events: list[SwitchEvent] = []
-    for step in range(total + 1):
-        if step >= wsteps and (step - wsteps) % stride == 0:
-            snapshots.append(sample(theta))
-        if step == total:
-            break
-        active = _switch(spec.acs, on, [rows[cell] for cell in cells],
-                         step * sim_dt - spec.warmup, events)
-        for u in active:
-            source[cells[u]] += rates[u]
-        for ghost, edge in ghosts:
-            np.copyto(ghost, edge)
-        np.multiply(rows, 2.0, out=t2)
-        np.add(north, south, out=a)
-        a -= t2
-        a *= inv_dx2
-        np.add(east, west, out=b)
-        b -= t2
-        b *= inv_dy2
-        a += b
-        a *= kappa
-        np.subtract(rows, ambient, out=b)
-        b *= leak
-        a -= b
-        a += source
-        a *= sim_dt
-        rows += a
-        for u in active:
-            source[cells[u]] = 0.0
 
     values = np.array(snapshots).T
     record = SnapshotMatrix(values, spec.sample_dt, 0.0, spec.sensors.channel_ids)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from thermokmd.cli import main
 from thermokmd.synth import (
+    MAX_STEPS,
     AnalyticSpec,
     PolynomialField,
     Tone,
@@ -246,6 +247,30 @@ class TestSynthAndSpectrum:
                        "for a scattered layout in d = 2 dimensions\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["spectrum", "pipeline"])
+    def test_top_below_one_exit_2(self, command, two_tone_dir, tmp_path, capsys):
+        argv = [command, "--snapshots", str(two_tone_dir / "snapshots.csv")]
+        if command == "pipeline":
+            argv += ["--layout", str(two_tone_dir / "layout.csv")]
+        out = tmp_path / "out"
+        assert main(argv + ["--top", "0", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --top must be >= 1, got 0\n"
+        assert not out.exists()
+
+    # 241 snapshots: a period of at most (241 - 1) // 2 = 120 samples
+    @pytest.mark.parametrize("period", ["1", "121"])
+    @pytest.mark.parametrize("command", ["phase-average", "pipeline"])
+    def test_period_samples_out_of_range_exit_2(self, command, period, two_tone_dir, tmp_path,
+                                                capsys):
+        argv = [command, "--snapshots", str(two_tone_dir / "snapshots.csv")]
+        if command == "pipeline":
+            argv += ["--layout", str(two_tone_dir / "layout.csv")]
+        out = tmp_path / "out"
+        assert main(argv + ["--period-samples", period, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --period-samples must be in [2, 120], got {period}\n"
+        assert not out.exists()
+
     def test_grid_layout_ignores_neighbors(self, tmp_path):
         layout = tmp_path / "grid.csv"
         rows = [f"G{r}{c},{0.875 + 1.75 * c},{0.7 + 1.4 * r}" for r in range(5) for c in range(8)]
@@ -309,6 +334,8 @@ class TestConfigValues:
         ("sim_dt", "5e-324", "sim_dt"),
         # warmup is not a whole number of 0.375 s steps
         ("warmup", "7200.1", "warmup"),
+        # a whole number of steps, but about 2e24 of them: more than MAX_STEPS
+        ("sim_dt", "1e-20", "sim_dt"),
         # the first [ac.*] section's fields
         ("power", "nan", "AC-1"), ("on", "nan", "AC-1"), ("x", "nan", "AC-1"),
     ])
@@ -343,11 +370,11 @@ class TestConfigValues:
         config[section][key] = value
         room = config["room"]
         # A valid value that asks for a long run is slow, not wrong: keep each
-        # example to a few thousand steps.  A step count that is negative, NaN
-        # or infinite still runs (the config is refused).
+        # example to a few thousand steps.  A step count above MAX_STEPS, or one
+        # that is negative, NaN or infinite, still runs (the config is refused).
         sim_dt = room["sim_dt"]
         steps = (room["warmup"] + room["duration"]) / sim_dt if sim_dt else math.nan
-        assume(not (math.isfinite(steps) and steps > 5000))
+        assume(not 5000 < steps <= MAX_STEPS)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "room.ini"
             path.write_text(room_ini(config), encoding="utf-8")

@@ -204,6 +204,28 @@ class TestHankelDmd:
         assert table.fit["amplitudes"] == "projected_initial_condition"
         json.dumps(table.fit)  # JSON values only
 
+    @staticmethod
+    def standing_wave(phase):
+        """128 channels of one standing wave, (1 + x_i) sin(2 pi k / 16 + phase), mean removed."""
+        k = np.arange(241)
+        shape = 1.0 + np.linspace(0.0, 1.0, 128)
+        wave = np.outer(shape, np.sin(2 * np.pi * k / 16 + phase))
+        return timeseries.remove_mean(make_record(wave))
+
+    def test_standing_wave_with_two_delays(self):
+        for phase in (0.0, 0.3):
+            dominant = hankel_dmd(self.standing_wave(phase), delays=2).dominant()
+            assert abs(dominant.period_seconds - 960.0) <= 1e-4 * 960.0, phase
+
+    @pytest.mark.xfail(strict=True, reason="one standing wave is rank 1 per tone, so q = 1 "
+                                           "(the rule's delay count for 128 channels) "
+                                           "cannot give its conjugate pair")
+    def test_standing_wave_with_the_delay_rule(self):
+        for phase in (0.0, 0.3):
+            dominant = hankel_dmd(self.standing_wave(phase)).dominant()
+            assert dominant is not None and dominant.period_seconds is not None, phase
+            assert abs(dominant.period_seconds - 960.0) <= 1e-4 * 960.0, phase
+
     def test_decompose_picks_the_method(self):
         s = single_tone_record(40, 1e-3)
         assert table_to_json(decompose(s)) == table_to_json(hankel_dmd(s))

@@ -29,7 +29,6 @@ from thermokmd.synth import (
     load_analytic_config,
     load_room_config,
     simulate_room,
-    step_room,
     switch_cycle_period,
 )
 from thermokmd.timeseries import SensorLayout, SnapshotMatrix
@@ -271,8 +270,8 @@ def relay_run():
 
 
 @pytest.fixture(scope="module")
-def relay_stepped(relay_run):
-    return step_room(relay_run[0])
+def relay_loop(relay_run):
+    return _simulate_loop(relay_run[0])
 
 
 class TestRelayOscillation:
@@ -351,8 +350,7 @@ def random_room(kind, rng):
         ))
     if kind == "shared_cell":
         first = acs[0]
-        # a strong twin, so that the order in which the two rates are added
-        # shows in the last bit of the field
+        # a strong twin on the same cell, so that the two rates add there
         acs.append(AirConditioner("twin", first.position, first.mode,
                                   float(rng.uniform(2.0, 8.0)),
                                   first.on_threshold, first.off_threshold))
@@ -374,35 +372,11 @@ def random_room(kind, rng):
     )
 
 
-class TestSimulatorBitIdentity:
-    """step_room against the reference step loop, byte for byte."""
-
-    @staticmethod
-    def assert_identical(spec, got=None):
-        record, events = got or step_room(spec)
-        want_record, want_events = _simulate_loop(spec)
-        assert record.values.shape == want_record.values.shape
-        assert record.values.tobytes() == want_record.values.tobytes()
-        assert events == want_events
-
-    @pytest.mark.parametrize("kind", SIM_KINDS)
-    def test_random_rooms(self, kind):
-        rng = np.random.default_rng(SIM_KINDS.index(kind))
-        switched = 0
-        for _ in range(8):
-            spec = random_room(kind, rng)
-            got = step_room(spec)
-            self.assert_identical(spec, got)
-            switched += bool(got[1])
-        assert switched >= 2  # the thermostat path ran, not only the stencil
-
-    def test_relay_room(self, relay_run, relay_stepped):
-        spec, _, _ = relay_run
-        self.assert_identical(spec, relay_stepped)
-
-
 def _simulate_loop(spec):
-    """The reference step: np.pad ghost cells and fresh arrays every step."""
+    """The discrete system one explicit step at a time: the reference for simulate_room.
+
+    np.pad ghost cells and fresh arrays every step.
+    """
     nx, ny, dx, dy = spec.nx, spec.ny, spec.dx, spec.dy
     rng = np.random.default_rng(spec.seed)
     theta = np.full((nx, ny), float(spec.init_temperature))
@@ -512,7 +486,7 @@ def tug_room(leak):
 
 
 class TestModalMatchesStepping:
-    """simulate_room (closed form between switches) against step_room, to round-off.
+    """simulate_room (closed form between switches) against _simulate_loop, to round-off.
 
     The switch logs are equal as (time, unit, state); samples and the event
     cell temperatures agree within 1e-9.
@@ -521,7 +495,7 @@ class TestModalMatchesStepping:
     @staticmethod
     def assert_matches(spec, got=None, want=None):
         record, events = got or simulate_room(spec)
-        want_record, want_events = want or step_room(spec)
+        want_record, want_events = want or _simulate_loop(spec)
         assert switch_log(events) == switch_log(want_events)
         assert record.values.shape == want_record.values.shape
         assert np.max(np.abs(record.values - want_record.values)) <= 1e-9
@@ -537,14 +511,14 @@ class TestModalMatchesStepping:
             switched += bool(self.assert_matches(random_room(kind, rng)))
         assert switched >= 2
 
-    def test_relay_room(self, relay_run, relay_stepped):
+    def test_relay_room(self, relay_run, relay_loop):
         spec, record, events = relay_run
-        assert self.assert_matches(spec, (record, events), relay_stepped)
+        assert self.assert_matches(spec, (record, events), relay_loop)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_default_room(self, seed):
         # one hour of warmup and one of record, 19 200 steps: the shipped 2 h
-        # and 4 h would cost step_room 2 s a seed
+        # and 4 h would cost the step loop about 3.4 s a seed
         spec = replace(default_room_spec(), seed=seed, warmup=3600.0, duration=3600.0)
         events = self.assert_matches(spec)
         assert len(events) >= 6

@@ -18,6 +18,10 @@ error, the range of the rank r, and the median seconds per fit.
 * ``sensors-1024``: the same oracle at N = 241 and noise 0.05 on 1024
   sensors drawn uniformly in the 14 m x 7 m room (distinct points, 1 mm
   grid), seeds 0 .. ``--sensor-seeds`` - 1.  Same truth and success rule.
+* ``standing-128``: one standing wave on 128 channels, (1 + x_i) sin(2 pi k / 16
+  + 0.3) with x_i = linspace(0, 1, 128), N = 241 at 60 s, plus noise 0.05,
+  seeds 0 .. ``--sensor-seeds`` - 1.  The truth is 960 s; success as above.
+  A standing wave is rank 1 per tone, so it shows where q = 1 is too few.
 
 The row marked ``*`` is the q that :func:`thermokmd.spectral.hankel_delays`
 picks for that record shape.  Run with one BLAS thread for comparable times
@@ -43,6 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from thermokmd import spectral, synth, timeseries  # noqa: E402
 
 TONE_S = 853.8
+STANDING_S = 960.0
 ANALYTIC_RTOL = 1e-4
 ROOM_ATOL_S = 60.0
 
@@ -71,6 +76,16 @@ def sensor_records(seeds: int, m: int = 1024):
         spec = replace(synth.default_analytic_spec(layout), noise_std=0.05, seed=seed)
         record, _ = synth.generate_analytic(spec)
         yield timeseries.remove_mean(record), TONE_S
+
+
+def standing_records(seeds: int):
+    k = np.arange(241)
+    clean = np.outer(1.0 + np.linspace(0.0, 1.0, 128), np.sin(2 * np.pi * k / 16 + 0.3))
+    ids = tuple(f"W-{i + 1:03d}" for i in range(128))
+    for seed in range(seeds):
+        noise = 0.05 * np.random.default_rng(seed).standard_normal(clean.shape)
+        record = timeseries.SnapshotMatrix(clean + noise, 60.0, 0.0, ids)
+        yield timeseries.remove_mean(record), STANDING_S
 
 
 def sweep(name: str, records, delays, ok) -> None:
@@ -112,6 +127,7 @@ def main(argv=None) -> int:
     sweep("room", room_records(args.room_seeds), args.delays, room_ok)
     sweep("analytic-long", analytic_records(args.analytic_seeds), args.delays, tone_ok)
     sweep("sensors-1024", sensor_records(args.sensor_seeds), args.delays, tone_ok)
+    sweep("standing-128", standing_records(args.sensor_seeds), args.delays, tone_ok)
     return 0
 
 
