@@ -84,6 +84,14 @@ def _check_top(top) -> None:
         raise ParseError(f"--top must be >= 1, got {top}")
 
 
+def _load_snapshots(args) -> timeseries.SnapshotMatrix:
+    """The ``--snapshots`` record; a ``--dt-override`` not finite and positive is refused first."""
+    dt = args.dt_override
+    if dt is not None and not (np.isfinite(dt) and dt > 0):
+        raise ParseError(f"--dt-override must be finite and positive, got {dt}")
+    return timeseries.load_snapshots(args.snapshots, dt_override=dt)
+
+
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_synth_analytic(args) -> int:
@@ -130,7 +138,7 @@ def cmd_synth_room(args) -> int:
 
 def cmd_spectrum(args) -> int:
     _check_top(args.top)
-    snapshots = timeseries.load_snapshots(args.snapshots, dt_override=args.dt_override)
+    snapshots = _load_snapshots(args)
     if args.remove_mean:
         snapshots = timeseries.remove_mean(snapshots)
     table = spectral.decompose(snapshots, args.method)
@@ -149,7 +157,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_phase_average(args) -> int:
-    snapshots = timeseries.load_snapshots(args.snapshots, dt_override=args.dt_override)
+    snapshots = _load_snapshots(args)
     _select_period(None, snapshots.dt, snapshots.n_snapshots, args.period_samples)
     if not args.keep_mean:
         snapshots = timeseries.remove_mean(snapshots)
@@ -195,7 +203,7 @@ def _select_period(dominant, dt, n_snapshots, explicit):
 
 def cmd_pipeline(args) -> int:
     _check_top(args.top)
-    snapshots = timeseries.load_snapshots(args.snapshots, dt_override=args.dt_override)
+    snapshots = _load_snapshots(args)
     layout = _layout_for(args.layout, args.snapshots, snapshots.channel_ids, args.neighbors)
     if args.period_samples is not None:  # refused before the fit, as a bad argument
         _select_period(None, snapshots.dt, snapshots.n_snapshots, args.period_samples)

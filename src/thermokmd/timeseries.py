@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
@@ -246,8 +247,9 @@ def csv_text(rows, lineterminator: str) -> str:
 
     Cells are quoted as the csv module quotes them, so any id reads back as
     one cell.  A float cell is a Python float (from ``tolist()``), written as
-    its shortest ``repr``.  The synthesized dataset files end lines in
-    ``"\r\n"``, the pipeline artifacts in ``"\n"``; write with ``newline=""``.
+    its shortest ``repr`` and never quoted (see :func:`_number_line`).  The
+    synthesized dataset files end lines in ``"\r\n"``, the pipeline artifacts
+    in ``"\n"``; write with ``newline=""``.
     """
     lines = _Lines()
     # csv quotes a cell holding a character of its own terminator, so lines are
@@ -256,6 +258,16 @@ def csv_text(rows, lineterminator: str) -> str:
     if lineterminator == "\r\n":
         return "".join(lines)
     return "".join([line[:-2] + lineterminator for line in lines])
+
+
+def _number_line(first: str, numbers: list[float]) -> str:
+    """``csv_text([[first, *numbers]], "\r\n")`` for a ``first`` cell that needs no quotes.
+
+    A float cell is its shortest ``repr``, never quoted: a repr holds no comma,
+    quote, CR or LF.  So a row of numbers is a plain join, the same bytes
+    without the csv module scanning each cell for characters to quote.
+    """
+    return ",".join([first, *map(repr, numbers)]) + "\r\n"
 
 
 def _csv_rows(path, lines):
@@ -290,14 +302,41 @@ def read_records(path, text_columns, number_columns) -> list[dict]:
     return records
 
 
-def _parse_time(cell: str, row: int) -> tuple[Fraction, float]:
+def _parse_time(path, cell: str, row: int) -> tuple[Fraction, float]:
     try:
         dec = Decimal(cell.strip())
     except InvalidOperation:
-        raise ParseError(f"non-numeric timestamp {cell!r} at data row {row}") from None
+        raise ParseError(f"{path}: non-numeric timestamp {cell!r} at data row {row}") from None
     if not dec.is_finite():
-        raise ParseError(f"non-finite timestamp {cell!r} at data row {row}")
-    return Fraction(dec), float(dec)
+        raise ParseError(f"{path}: non-finite timestamp {cell!r} at data row {row}")
+    t = float(dec)
+    # checked before Fraction(dec), which builds 10**|exponent| as an integer
+    if math.isinf(t) or (t == 0 and dec):
+        raise ParseError(
+            f"{path}: timestamp {cell!r} at data row {row} is out of the range of a double"
+        )
+    return Fraction(dec), t
+
+
+def _cell_value(path, cell: str, row: int, column: int) -> float:
+    """``float(cell.strip())``; ParseError naming the file and cell if it is no number."""
+    text = cell.strip()
+    if not text:
+        raise ParseError(f"{path}: missing value at data row {row}, column {column}")
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(
+            f"{path}: non-numeric value {cell!r} at data row {row}, column {column}"
+        ) from None
+
+
+def _seconds(x: Fraction) -> str:
+    """``x`` seconds for a message: ``:g`` of its float, or of its decimal past a double."""
+    try:
+        return f"{float(x):g}"
+    except OverflowError:  # a spacing between two finite doubles can exceed the largest
+        return f"{Decimal(x.numerator) / Decimal(x.denominator):.6g}"
 
 
 def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
@@ -313,9 +352,14 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
         Non-uniform or non-increasing timestamps; names the first offending
         data row (1-based, header excluded).
     ParseError
-        Missing or non-numeric cell.
+        Missing or non-numeric cell, a NaN or Inf value, or a timestamp or
+        spacing out of the range of a double.
     TooShortError
         Fewer than 3 data rows.
+    DuplicateError
+        A channel id named twice in the header.
+
+    Every message begins with the path.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -335,24 +379,12 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
                 raise ParseError(
                     f"{path}: data row {r} has {len(rec)} cells, expected {len(header)}"
                 )
-            t_frac, t_float = _parse_time(rec[0], r)
+            t_frac, t_float = _parse_time(path, rec[0], r)
             try:
-                # float() ignores the same surrounding whitespace that str.strip() removes
+                # float() ignores surrounding whitespace, as str.strip() does
                 vals = list(map(float, rec[1:]))
-            except ValueError:  # find and name the bad cell
-                for c, cell in enumerate(rec[1:], start=1):
-                    text = cell.strip()
-                    if not text:
-                        raise ParseError(
-                            f"{path}: missing value at data row {r}, column {c + 1}"
-                        ) from None
-                    try:
-                        float(text)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: non-numeric value {cell!r} at data row {r}, column {c + 1}"
-                        ) from None
-                raise
+            except ValueError:  # a bad cell, or one edged by \x1c-\x1f, which only strip() drops
+                vals = [_cell_value(path, cell, r, c) for c, cell in enumerate(rec[1:], start=2)]
             times.append(t_frac)
             t_floats.append(t_float)
             rows.append(vals)
@@ -370,12 +402,20 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
         if abs(delta - step) > tol:
             raise UniformityError(
                 f"{path}: non-uniform timestamp at data row {r + 1}: spacing "
-                f"{float(delta):g} s differs from {float(step):g} s",
+                f"{_seconds(delta)} s differs from {_seconds(step)} s",
                 row=r + 1,
             )
-    dt = float(dt_override) if dt_override is not None else float(step)
+    try:
+        dt = float(step if dt_override is None else dt_override)
+    except OverflowError:
+        raise ParseError(
+            f"{path}: sampling period {_seconds(step)} s is out of the range of a double"
+        ) from None
     values = np.array(rows, dtype=float).T  # (M, N)
-    return SnapshotMatrix(values, dt, t_floats[0], ids)
+    try:
+        return SnapshotMatrix(values, dt, t_floats[0], ids)
+    except ParseError as exc:  # such as duplicate ids or a cell of 1e999; same class
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_snapshots(s: SnapshotMatrix, path) -> None:
@@ -383,6 +423,9 @@ def write_snapshots(s: SnapshotMatrix, path) -> None:
 
     Timestamps are emitted as exact decimal expansions of t0 + k*dt computed
     in rational arithmetic, so the reader recovers dt without float rounding.
+    The header goes through :func:`csv_text`, which quotes ids as needed; a
+    data row is a timestamp and float cells, none of which needs quotes, so it
+    is joined directly (:func:`_number_line`), with the same bytes.
     """
     t0 = Fraction(s.t0)
     dt = Fraction(s.dt)
@@ -395,8 +438,7 @@ def write_snapshots(s: SnapshotMatrix, path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         # row by row, so that the text of a wide record is never held whole
         fh.write(csv_text([["time", *s.channel_ids]], "\r\n"))
-        fh.writelines(csv_text([[t, *s.values[:, k].tolist()]], "\r\n")
-                      for k, t in enumerate(times))
+        fh.writelines(_number_line(t, s.values[:, k].tolist()) for k, t in enumerate(times))
 
 
 _GRID_RE = re.compile(

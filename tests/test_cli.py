@@ -93,6 +93,33 @@ class TestSynthAndSpectrum:
         assert code == 2
         assert "zzz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["spectrum", "phase-average", "pipeline"])
+    @pytest.mark.parametrize("dt", ["0", "-60", "nan", "inf"])
+    def test_bad_dt_override_exit_2(self, command, dt, two_tone_dir, tmp_path, capsys):
+        # the argument is at fault, not the snapshot file
+        argv = {"spectrum": [], "phase-average": ["--period-samples", "14"],
+                "pipeline": ["--layout", str(two_tone_dir / "layout.csv")]}[command]
+        code = main([command, "--snapshots", str(two_tone_dir / "snapshots.csv"), *argv,
+                     "--dt-override", dt, "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --dt-override must be finite and positive, got {float(dt)}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", [
+        "time,a\n1e400,1\n2e400,2\n3e400,3\n",
+        "time,a\n0,1\n0.5e400,2\n120,3\n",
+        "time,a,a\n0,1,1\n60,2,2\n120,3,3\n",
+        "time,a\n0,1\n60,1e999\n120,3\n",
+    ], ids=["uniform-overflow", "non-uniform-overflow", "duplicate-id", "inf-value"])
+    def test_unusable_snapshot_file_exit_2(self, text, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        code = main(["spectrum", "--snapshots", str(bad), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("field", ["width", "poly", "x", "sum_real", "dx"])
     def test_non_numeric_field_exit_2(self, field, two_tone_dir, tmp_path, capsys):
         bad = tmp_path / "bad_input"

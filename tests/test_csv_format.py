@@ -1,5 +1,9 @@
 """The CSV format: every writer and loader pair gives back any channel id."""
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +96,57 @@ class TestCsvText:
         # a CR in an LF file must be quoted as well, or a reader ends the row there
         text = csv_text([[cell, 1.5]], "\n")
         assert text.startswith('"') and text.endswith(",1.5\n")
+
+
+def write_snapshots_csv_text(s, path):
+    """The reference snapshot writer: the header and every data row through ``csv_text``."""
+    t0, dt = Fraction(s.t0), Fraction(s.dt)
+    with localcontext() as ctx:
+        ctx.prec = 1600
+        times = [str(Decimal(t.numerator) / Decimal(t.denominator))
+                 for t in (t0 + k * dt for k in range(s.n_snapshots))]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(csv_text([["time", *s.channel_ids]], "\r\n"))
+        fh.writelines(csv_text([[t, *s.values[:, k].tolist()]], "\r\n")
+                      for k, t in enumerate(times))
+
+
+#: a signed zero, the least subnormal, the two points where repr turns to
+#: exponent form, and the largest doubles
+EDGE_FLOATS = (-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@st.composite
+def snapshot_records(draw):
+    ids = draw(st.just([*QUOTED_IDS, "plain"]) | ids_strategy)
+    n = draw(st.integers(3, 6))
+    cells = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    values = np.array(draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                                    min_size=len(ids), max_size=len(ids))))
+    dt = draw(st.sampled_from([60.0, 0.1]) | st.floats(1e-9, 1e9))
+    t0 = draw(st.sampled_from([0.0, 1.0e12 + 0.3]) | st.floats(-1e15, 1e15))
+    return SnapshotMatrix(values, dt, t0, tuple(ids))
+
+
+class TestSnapshotWriter:
+    """``write_snapshots`` joins number cells itself; the bytes are those of ``csv_text``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=snapshot_records())
+    def test_matches_csv_text(self, s, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("w")
+        write_snapshots(s, tmp / "new.csv")
+        write_snapshots_csv_text(s, tmp / "old.csv")
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+        assert load_snapshots(tmp / "new.csv").values.tobytes() == s.values.tobytes()
+
+    def test_no_channels(self, tmp_path):
+        # a record with no channel has rows of one cell, written without a comma
+        s = SnapshotMatrix(np.empty((0, 3)), 60.0, 0.0, ())
+        write_snapshots(s, tmp_path / "new.csv")
+        write_snapshots_csv_text(s, tmp_path / "old.csv")
+        assert ((tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+                == b"time\r\n0\r\n60\r\n120\r\n")
 
 
 class TestReadRecords:

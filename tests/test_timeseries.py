@@ -1,3 +1,6 @@
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,8 +88,53 @@ class TestLoadSnapshots:
 
     def test_duplicate_channel(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", "time,c,c", ["0,1,1", "1,2,2", "2,3,3"])
-        with pytest.raises(DuplicateError):
+        with pytest.raises(DuplicateError) as err:
             load_snapshots(path)
+        assert str(err.value) == f"{path}: channel ids are not unique"
+
+    @pytest.mark.parametrize("cell", ["nan", "1e999"])
+    def test_non_finite_value_names_file(self, cell, tmp_path):
+        path = write_csv(tmp_path / "a.csv", "time,c", ["0,1", f"1,{cell}", "2,1"])
+        with pytest.raises(ParseError) as err:
+            load_snapshots(path)
+        assert str(err.value) == f"{path}: snapshot values contain NaN or Inf"
+
+    @pytest.mark.parametrize("times, row", [
+        (["1e400", "2e400", "3e400"], 1),
+        (["0", "0.5e400", "120"], 2),
+        (["1e-400", "60", "120"], 1),  # a nonzero time that a double rounds to 0
+        (["0", "60", "-2e-400"], 3),
+    ], ids=["uniform", "non-uniform", "first-rounds-to-0", "third-rounds-to-0"])
+    def test_time_out_of_double_range(self, times, row, tmp_path):
+        path = write_csv(tmp_path / "a.csv", "time,c", [f"{t},1" for t in times])
+        with pytest.raises(ParseError) as err:
+            load_snapshots(path)
+        assert str(err.value) == (f"{path}: timestamp {times[row - 1]!r} at data row {row} "
+                                  "is out of the range of a double")
+
+    def test_spacing_out_of_double_range(self, tmp_path):
+        # each time is a double, but the spacing of row 3 is not
+        big = "1.7976931348623157e308"
+        path = write_csv(tmp_path / "a.csv", "time,c", ["0,1", f"{big},1", f"-{big},1"])
+        with pytest.raises(UniformityError) as err:
+            load_snapshots(path)
+        assert str(err.value) == (f"{path}: non-uniform timestamp at data row 3: spacing "
+                                  "-3.59539e+308 s differs from 1.79769e+308 s")
+
+    def test_period_out_of_double_range(self, tmp_path):
+        # uniform to one part in 10**6 with every time a double, but dt is past the largest
+        big = Fraction(Decimal("1.7976931348623157e308"))
+        step = big * (1 + Fraction(4, 10**7))
+        times = [-big, step - big, step * (2 - Fraction(8, 10**7)) - big]
+        with localcontext() as ctx:
+            ctx.prec = 400
+            rows = [f"{Decimal(t.numerator) / Decimal(t.denominator)},1" for t in times]
+        path = write_csv(tmp_path / "a.csv", "time,c", rows)
+        with pytest.raises(ParseError) as err:
+            load_snapshots(path)
+        assert str(err.value) == (f"{path}: sampling period 1.79769e+308 s "
+                                  "is out of the range of a double")
+        assert load_snapshots(path, dt_override=60).t0 == -float(big)
 
 
 def _row_values_loop(path, rec, r):
@@ -112,6 +160,7 @@ class TestCellParsing:
     @pytest.mark.parametrize("cell", [
         " 1.5 ", "1_0", "nan", "-inf", "\u0661\u0662", "\uff11.\uff15", "\u2003-0.0\u00a0",
         "+.5e-3", "1e400", "Infinity", "", "  ", "\u00a0", "oops", "1 2", "0x10", "1__0",
+        "1.5\x1f", "\x1c2", "\x1e",
     ])
     def test_matches_loop(self, cell, tmp_path):
         path = tmp_path / "a.csv"
@@ -178,6 +227,53 @@ class TestRoundTrip:
         back = load_snapshots(tmp / "s.csv")
         assert np.array_equal(back.values, s.values)
         assert back.dt == s.dt and back.t0 == s.t0 and back.channel_ids == ids
+
+
+#: one cell of a mutated snapshot file: any text, numbers in any notation, and
+#: the cells that overflow, underflow or are not finite
+mutant_cells = (
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+    | st.from_regex(r"[-+]?\d{1,3}(\.\d{0,3})?([eE][-+]?\d{1,4})?", fullmatch=True)
+    | st.sampled_from(["1e400", "-1e400", "1e-400", "nan", "-inf", "1e999", '"', "a,b"])
+)
+
+
+class TestMutatedFile:
+    """A written snapshot file with one cell replaced, or one character deleted or
+    inserted, loads or raises the ParseError family naming the file on one line."""
+
+    RECORD = SnapshotMatrix(np.array([[20.5, -0.0, 1e-5, 3.25], [1e16, 2.0, 5e-324, -7.5]]),
+                            dt=60.0, t0=0.0, channel_ids=("a", "b,c"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_loads_or_parse_error(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fz") / "s.csv"
+        write_snapshots(self.RECORD, path)
+        text = path.read_bytes().decode("utf-8")  # keeps the CRLF line ends
+        kind = data.draw(st.sampled_from(["cell", "delete", "insert"]))
+        if kind == "cell":
+            lines = text.split("\r\n")
+            i = data.draw(st.integers(0, len(lines) - 2))
+            cells = lines[i].split(",")
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(mutant_cells)
+            lines[i] = ",".join(cells)
+            text = "\r\n".join(lines)
+        elif kind == "delete":
+            at = data.draw(st.integers(0, len(text) - 1))
+            text = text[:at] + text[at + 1:]
+        else:
+            at = data.draw(st.integers(0, len(text)))
+            char = data.draw(st.characters(blacklist_categories=("Cs",))
+                             | st.sampled_from(',"\r\n.eE-+0'))
+            text = text[:at] + char + text[at:]
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            load_snapshots(path)
+        except ParseError as exc:
+            message = str(exc)
+            assert message.startswith(f"{path}: ")
+            assert "\n" not in message and "\r" not in message
 
 
 class TestLayout:
