@@ -207,6 +207,8 @@ def cmd_pipeline(args) -> int:
     layout = _layout_for(args.layout, args.snapshots, snapshots.channel_ids, args.neighbors)
     if args.period_samples is not None:  # refused before the fit, as a bad argument
         _select_period(None, snapshots.dt, snapshots.n_snapshots, args.period_samples)
+    # read before the fit, so that a bad sources file writes nothing
+    sources = gradientmod.load_sources_csv(args.flux_sources) if args.flux_sources else None
     out = Path(args.out_dir)
 
     mean_free = timeseries.remove_mean(snapshots)
@@ -229,8 +231,7 @@ def cmd_pipeline(args) -> int:
     written += _write_gradient(out, field)
 
     scores = None
-    if args.flux_sources:
-        sources = gradientmod.load_sources_csv(args.flux_sources)
+    if sources is not None:
         scores = gradientmod.flux_consistency(field, layout, sources)
         rows = [["source_id", "score"], *scores.items()]
         written += _write(out, {"flux_scores.csv": timeseries.csv_text(rows, "\n")})

@@ -146,7 +146,7 @@ def median_spacing(layout: SensorLayout) -> float:
         rows = np.arange(len(dist))
         dist[rows, start + rows] = np.inf  # a sensor is not its own neighbour
         nearest[start:start + len(dist)] = dist.min(axis=1)
-    return float(np.median(nearest))
+    return timeseries.median(nearest)
 
 
 def gradient_field(

@@ -275,7 +275,7 @@ def hankel_dmd(s: SnapshotMatrix, delays: int | None = None) -> ModeTable:
         )
     # Gavish & Donoho (2014) for an unknown noise level; beta is the aspect ratio of X
     beta = min(X.shape) / max(X.shape)
-    threshold = float((0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43) * np.median(sigma))
+    threshold = (0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43) * timeseries.median(sigma)
     r_gd = int(np.count_nonzero(sigma > threshold))
     r_rcond = int(np.count_nonzero(sigma > RANK_RCOND * sigma[0]))
     r = max(1, min(r_gd, r_rcond))

@@ -518,7 +518,7 @@ def switch_cycle_period(
             f"need at least 3 {state!r} events for AC {ac!r} to measure a period, "
             f"got {len(times)}"
         )
-    return float(np.median(np.diff(times)))
+    return timeseries.median(np.diff(times))
 
 
 def write_switch_log(events, path) -> None:
@@ -657,13 +657,15 @@ def _analytic_spec_from_parser(parser, layout: SensorLayout, where: str) -> Anal
 def _load_config(path, kind: str, spec_from_parser):
     """``spec_from_parser(parser, where)`` on an INI file.
 
-    A value that parses but is out of range for the spec, or a room whose
-    explicit step would be unstable, is still a fault of the file, so the
-    spec's ArgumentError or StabilityError becomes a ParseError naming it.
-    A LayoutError (a sensor outside the room) passes through unchanged.
+    A file that is not UTF-8 is a ParseError naming it.  A value that
+    parses but is out of range for the spec, or a room whose explicit step
+    would be unstable, is still a fault of the file, so the spec's
+    ArgumentError or StabilityError becomes a ParseError naming it.  A
+    LayoutError (a sensor outside the room) passes through unchanged.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(Path(path), encoding="utf-8")
+    with timeseries.utf8_errors(path):
+        read = parser.read(Path(path), encoding="utf-8")
     if not read:
         raise ParseError(f"cannot read {kind} config {path}")
     try:

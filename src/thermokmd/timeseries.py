@@ -8,6 +8,8 @@ header, coordinates in meters, and an optional first-line comment
 Timestamps are parsed with exact decimal arithmetic so that the sampling
 period inferred from a file written by :func:`write_snapshots` is bit-exact,
 and uniformity violations are detected independent of float rounding.
+
+:func:`median` is the one median rule of the package.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import csv
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +36,7 @@ from .errors import (
 )
 
 #: relative tolerance for timestamp uniformity, as a fraction of dt
-UNIFORMITY_RTOL = Fraction(1, 10**6)
+UNIFORMITY_RTOL = Decimal("1e-6")
 
 #: absolute tolerance (meters) for matching positions to a declared lattice
 GRID_MATCH_TOL = 1e-9
@@ -270,6 +273,15 @@ def _number_line(first: str, numbers: list[float]) -> str:
     return ",".join([first, *map(repr, numbers)]) + "\r\n"
 
 
+@contextmanager
+def utf8_errors(path):
+    """In the block, a UnicodeDecodeError from reading ``path`` becomes a ParseError naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _csv_rows(path, lines):
     """``csv.reader(lines)``; a line csv cannot parse raises ParseError naming ``path``."""
     try:
@@ -283,10 +295,11 @@ def read_records(path, text_columns, number_columns) -> list[dict]:
 
     The header must name every given column; ``number_columns`` cells are
     parsed as floats.  Blank lines are skipped.  ParseError, naming the file
-    and data row, for a row whose cell count differs from the header's.
+    and data row, for a row whose cell count differs from the header's, and
+    naming the file for one that is not UTF-8.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
         header, *rows = [row for row in _csv_rows(path, fh) if row] or [[]]
     columns = (*text_columns, *number_columns)
     if not set(columns).issubset(header):
@@ -302,7 +315,7 @@ def read_records(path, text_columns, number_columns) -> list[dict]:
     return records
 
 
-def _parse_time(path, cell: str, row: int) -> tuple[Fraction, float]:
+def _parse_time(path, cell: str, row: int) -> Decimal:
     try:
         dec = Decimal(cell.strip())
     except InvalidOperation:
@@ -310,12 +323,13 @@ def _parse_time(path, cell: str, row: int) -> tuple[Fraction, float]:
     if not dec.is_finite():
         raise ParseError(f"{path}: non-finite timestamp {cell!r} at data row {row}")
     t = float(dec)
-    # checked before Fraction(dec), which builds 10**|exponent| as an integer
+    # a time a double can hold has an adjusted exponent in -324 .. 308, which
+    # bounds the precision the exact spacing test in load_snapshots needs
     if math.isinf(t) or (t == 0 and dec):
         raise ParseError(
             f"{path}: timestamp {cell!r} at data row {row} is out of the range of a double"
         )
-    return Fraction(dec), t
+    return dec
 
 
 def _cell_value(path, cell: str, row: int, column: int) -> float:
@@ -331,12 +345,12 @@ def _cell_value(path, cell: str, row: int, column: int) -> float:
         ) from None
 
 
-def _seconds(x: Fraction) -> str:
-    """``x`` seconds for a message: ``:g`` of its float, or of its decimal past a double."""
-    try:
-        return f"{float(x):g}"
-    except OverflowError:  # a spacing between two finite doubles can exceed the largest
-        return f"{Decimal(x.numerator) / Decimal(x.denominator):.6g}"
+def _seconds(x: Decimal) -> str:
+    """``x`` seconds for a message: ``:g`` of its float, or ``.6g`` of the decimal past a double."""
+    f = float(x)
+    if math.isinf(f):  # a spacing between two finite doubles can exceed the largest
+        return f"{+x:.6g}"  # rounded to the context's precision first, then to 6 digits
+    return f"{f + 0.0:g}"  # an exact zero spacing reads "0", never "-0"
 
 
 def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
@@ -344,7 +358,9 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
 
     The sampling period is inferred from the first two timestamps unless
     ``dt_override`` is given; all consecutive spacings must agree with the
-    inferred spacing to within one part in 10^6.
+    inferred spacing to within one part in 10^6.  The timestamps are compared
+    as the decimals the file writes, in exact decimal arithmetic, and ``dt``
+    and ``t0`` are their correctly rounded doubles.
 
     Raises
     ------
@@ -352,8 +368,8 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
         Non-uniform or non-increasing timestamps; names the first offending
         data row (1-based, header excluded).
     ParseError
-        Missing or non-numeric cell, a NaN or Inf value, or a timestamp or
-        spacing out of the range of a double.
+        Missing or non-numeric cell, a NaN or Inf value, a timestamp or
+        spacing out of the range of a double, or a file that is not UTF-8.
     TooShortError
         Fewer than 3 data rows.
     DuplicateError
@@ -362,7 +378,7 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
     Every message begins with the path.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
         reader = _csv_rows(path, fh)
         try:
             header = next(reader)
@@ -371,49 +387,53 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
         if len(header) < 2 or header[0].strip() != "time":
             raise ParseError(f"{path}: header must be 'time,<id1>,...', got {header!r}")
         ids = tuple(h.strip() for h in header[1:])
-        times: list[Fraction] = []
-        t_floats: list[float] = []
+        times: list[Decimal] = []
+        longest = 0  # characters in the longest time cell, at least its digit count
         rows: list[list[float]] = []
         for r, rec in enumerate(reader, start=1):
             if len(rec) != len(header):
                 raise ParseError(
                     f"{path}: data row {r} has {len(rec)} cells, expected {len(header)}"
                 )
-            t_frac, t_float = _parse_time(path, rec[0], r)
+            times.append(_parse_time(path, rec[0], r))
+            longest = max(longest, len(rec[0]))
             try:
                 # float() ignores surrounding whitespace, as str.strip() does
                 vals = list(map(float, rec[1:]))
             except ValueError:  # a bad cell, or one edged by \x1c-\x1f, which only strip() drops
                 vals = [_cell_value(path, cell, r, c) for c, cell in enumerate(rec[1:], start=2)]
-            times.append(t_frac)
-            t_floats.append(t_float)
             rows.append(vals)
     if len(rows) < 3:
         raise TooShortError(f"{path}: need at least 3 data rows, got {len(rows)}")
 
-    step = times[1] - times[0]
+    # Exact decimal arithmetic.  A nonzero time is below 10**309 in magnitude
+    # with an exponent of at least -323 - longest (see _parse_time), so each
+    # difference and tolerance below needs at most 632 + longest digits.  A
+    # zero time (such as 0e-99999) may have any exponent, but then rounding
+    # drops only zeros.  Inexact is trapped: no rounded value passes unseen.
+    exact = Context(prec=640 + longest, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    step = exact.subtract(times[1], times[0])
     if step <= 0:
         raise UniformityError(
             f"{path}: timestamps must be strictly increasing (row 2)", row=2
         )
-    tol = step * UNIFORMITY_RTOL
+    tol = exact.multiply(step, UNIFORMITY_RTOL)
     for r in range(2, len(times)):
-        delta = times[r] - times[r - 1]
-        if abs(delta - step) > tol:
+        delta = exact.subtract(times[r], times[r - 1])
+        if exact.abs(exact.subtract(delta, step)) > tol:
             raise UniformityError(
                 f"{path}: non-uniform timestamp at data row {r + 1}: spacing "
                 f"{_seconds(delta)} s differs from {_seconds(step)} s",
                 row=r + 1,
             )
-    try:
-        dt = float(step if dt_override is None else dt_override)
-    except OverflowError:
+    dt = float(step if dt_override is None else dt_override)
+    if dt_override is None and math.isinf(dt):
         raise ParseError(
             f"{path}: sampling period {_seconds(step)} s is out of the range of a double"
-        ) from None
+        )
     values = np.array(rows, dtype=float).T  # (M, N)
     try:
-        return SnapshotMatrix(values, dt, t_floats[0], ids)
+        return SnapshotMatrix(values, dt, float(times[0]), ids)
     except ParseError as exc:  # such as duplicate ids or a cell of 1e999; same class
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -453,7 +473,7 @@ def load_layout(path) -> SensorLayout:
     optional leading comment line declares a rectangular grid.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
         first = fh.readline()
         grid = None
         m = _GRID_RE.match(first.strip())
@@ -521,3 +541,21 @@ def mean_offset(s: SnapshotMatrix) -> tuple[int, float] | None:
         return None
     worst = int(np.argmax(means / scale))
     return worst, float(means[worst])
+
+
+def median(x) -> float:
+    """``float(np.median(x))`` of a non-empty 1-D float array, to the bit.
+
+    It makes the same selection as ``np.median``: a partition at the middle
+    element or elements and at the last, the mean of the middle ones, and the
+    last element itself when that is NaN.  ``np.median`` tests for the NaN
+    through ``numpy.ma``, which it imports on first use; this helper imports
+    nothing, so that no run pays for loading ``numpy.ma``.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    kth = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
+    part = np.partition(x, [*kth, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(part[kth[0]:kth[-1] + 1].mean())

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from importlib.resources import files
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import thermokmd
 from thermokmd.cli import main
 from thermokmd.synth import (
     MAX_STEPS,
@@ -145,6 +149,28 @@ class TestSynthAndSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(bad) in err and field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("reader", ["snapshots", "layout", "sources", "mode-file", "config"])
+    def test_not_utf8_exit_2(self, reader, two_tone_dir, tmp_path, capsys):
+        bad = tmp_path / "bad_input"
+        data = ["--layout", str(two_tone_dir / "layout.csv")]
+        text, argv = {
+            "snapshots": (b"time,\xe9\n0,1\n60,2\n120,3\n",
+                          ["spectrum", "--snapshots", str(bad)]),
+            "layout": (b"id,x,y\n\xe9,0,0\n", ["synth-analytic", "--layout", str(bad)]),
+            "sources": (b"id,x,y,mode\nAC-\xe9,1.0,2.9,cool\n",
+                        ["pipeline", "--snapshots", str(two_tone_dir / "snapshots.csv"), *data,
+                         "--flux-sources", str(bad)]),
+            "mode-file": (b"channel_id,sum_real,harmonic_re,harmonic_im\nTH-\xe9,1.0,0.0,0.0\n",
+                          ["gradient", "--mode-file", str(bad), *data]),
+            "config": (b"[room]\nseed = \xe9", ["synth-room", "--config", str(bad)]),
+        }[reader]
+        bad.write_bytes(text)
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text (") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field", ["nx", "mode", "snapshots", "sim_dt"])
     def test_out_of_range_config_exit_2(self, field, tmp_path, capsys):
@@ -623,6 +649,22 @@ class TestPipeline:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "rank 0" in err[0]
+
+    def test_numpy_ma_never_loaded(self, tmp_path):
+        # np.median, np.percentile and np.ma import numpy.ma, which no step here needs;
+        # its import took about a quarter of the default room's pipeline time
+        code = ("import sys\n"
+                "from thermokmd.cli import main\n"
+                "assert main(['synth-analytic', '--out-dir', 'a']) == 0\n"
+                "assert main(['pipeline', '--snapshots', 'a/snapshots.csv', "
+                "'--layout', 'a/layout.csv', '--out-dir', 'p']) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(thermokmd.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert run.stdout.splitlines()[-1] == "False"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,14 @@
-from decimal import Decimal, localcontext
+import math
+import time
+import warnings
+from decimal import Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from thermokmd.errors import (
     DuplicateError,
@@ -19,6 +23,7 @@ from thermokmd.timeseries import (
     SnapshotMatrix,
     load_layout,
     load_snapshots,
+    median,
     remove_mean,
     write_layout,
     write_snapshots,
@@ -135,6 +140,171 @@ class TestLoadSnapshots:
         assert str(err.value) == (f"{path}: sampling period 1.79769e+308 s "
                                   "is out of the range of a double")
         assert load_snapshots(path, dt_override=60).t0 == -float(big)
+
+
+def _seconds_fraction(x):
+    try:
+        return f"{float(x):g}"
+    except OverflowError:
+        return f"{Decimal(x.numerator) / Decimal(x.denominator):.6g}"
+
+
+def _load_times_fraction(path, cells):
+    """The reference timestamp check, in exact Fraction arithmetic.
+
+    What ``load_snapshots`` returns or raises for a one-channel file with these
+    time cells and every value 1.
+    """
+    times = []
+    for row, cell in enumerate(cells, start=1):
+        try:
+            dec = Decimal(cell.strip())
+        except InvalidOperation:
+            raise ParseError(f"{path}: non-numeric timestamp {cell!r} at data row {row}") from None
+        if not dec.is_finite():
+            raise ParseError(f"{path}: non-finite timestamp {cell!r} at data row {row}")
+        t = float(dec)
+        if math.isinf(t) or (t == 0 and dec):
+            raise ParseError(
+                f"{path}: timestamp {cell!r} at data row {row} is out of the range of a double"
+            )
+        times.append(Fraction(dec))
+    if len(times) < 3:
+        raise TooShortError(f"{path}: need at least 3 data rows, got {len(times)}")
+    step = times[1] - times[0]
+    if step <= 0:
+        raise UniformityError(f"{path}: timestamps must be strictly increasing (row 2)", row=2)
+    tol = step * Fraction(1, 10**6)
+    for r in range(2, len(times)):
+        delta = times[r] - times[r - 1]
+        if abs(delta - step) > tol:
+            raise UniformityError(
+                f"{path}: non-uniform timestamp at data row {r + 1}: spacing "
+                f"{_seconds_fraction(delta)} s differs from {_seconds_fraction(step)} s",
+                row=r + 1,
+            )
+    try:
+        dt = float(step)
+    except OverflowError:
+        raise ParseError(f"{path}: sampling period {_seconds_fraction(step)} s "
+                         "is out of the range of a double") from None
+    try:
+        return SnapshotMatrix(np.ones((1, len(times))), dt, float(Decimal(cells[0].strip())),
+                              ("c",))
+    except ParseError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _decimal_text(x: Fraction) -> str:
+    """The exact decimal expansion of a Fraction whose denominator is 2**a * 5**b."""
+    with localcontext() as ctx:
+        ctx.prec = 4000
+        ctx.traps[Inexact] = True
+        return str(Decimal(x.numerator) / Decimal(x.denominator))
+
+
+#: sampling periods, as exact Fractions: the doubles whose exact expansions
+#: are long (0.1, 1e-7, 1e300), the extremes, and any positive double
+periods = st.builds(
+    Fraction,
+    st.sampled_from([0.1, 1e-7, 1e300, 60.0, 5e-324, 1.7976931348623157e308])
+    | st.floats(min_value=5e-324, allow_infinity=False))
+
+
+@st.composite
+def time_columns(draw):
+    """Time cells of 3 to 5 rows: a grid t0 + k*dt written as write_snapshots
+    writes it, with one spacing moved to exactly dt * (1 +- 10**-6), or one
+    decimal or binary ulp past that, or with a second time not above the first;
+    or cells that are out of range, not numbers, signed zeros and the like."""
+    n = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        cells = [
+            "0", "-0", "60", "120", "-60", " 60 ", "60.000000", "1e400", "-1e400", "1e-400",
+            "0e-999999999999999999", "0E+999999999999999999", "1e-999999999999999999",
+            "nan", "inf", "abc", "", "1.7976931348623157e308", "-1.7976931348623157e308",
+            "2.4703282292062328e-324", "2.4703282292062327e-324", "5e-324",
+        ]
+        return draw(st.lists(st.sampled_from(cells) | st.from_regex(
+            r"-?\d{1,4}(\.\d{0,4})?([eE][-+]?\d{1,3})?", fullmatch=True),
+            min_size=n, max_size=n))
+    t0 = Fraction(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    dt = draw(periods)
+    times = [t0 + k * dt for k in range(n)]
+    r = draw(st.integers(2, n - 1))
+    edit = draw(st.sampled_from(["none", "boundary", "decimal-ulp", "binary-ulp", "no-step"]))
+    if edit == "no-step":
+        times[1] = times[0] - draw(st.sampled_from([0, 1, -1])) * abs(dt)
+    elif edit != "none":
+        edge = times[r - 1] + dt * (1 + draw(st.sampled_from([-1, 1])) * Fraction(1, 10**6))
+        times[r] = edge
+        if edit == "decimal-ulp":
+            exponent = Decimal(_decimal_text(edge)).as_tuple().exponent
+            times[r] += draw(st.sampled_from([-1, 1])) * Fraction(10) ** exponent
+        elif edit == "binary-ulp" and abs(edge) <= Fraction(1.7976931348623157e308):
+            near = math.nextafter(float(edge), draw(st.sampled_from([-1, 1])) * math.inf)
+            if math.isfinite(near):
+                times[r] = Fraction(near)
+    return [_decimal_text(t) for t in times]
+
+
+class TestTimestampArithmetic:
+    """``load_snapshots`` decides on timestamps as the exact Fraction oracle does."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cells=time_columns())
+    @example(cells=["-60", "0", "-0"])  # an exact zero spacing of -0 - 0
+    # a spacing past a double with 31 digits: 28-digit rounding makes 6 digits a tie
+    @example(cells=["-1.7e308", "-1.6e308", "1.400005000000000000000000000001e308"])
+    def test_matches_fraction_oracle(self, cells, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ts") / "t.csv"
+        path.write_text("time,c\n" + "".join(f"{c},1\n" for c in cells), encoding="utf-8")
+        try:
+            want = _load_times_fraction(path, cells)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                load_snapshots(path)
+            assert type(err.value) is type(exc) and str(err.value) == str(exc)
+            assert getattr(err.value, "row", None) == getattr(exc, "row", None)
+            return
+        got = load_snapshots(path)
+        assert np.float64(got.dt).tobytes() == np.float64(want.dt).tobytes()
+        assert np.float64(got.t0).tobytes() == np.float64(want.t0).tobytes()
+
+    @pytest.mark.parametrize("cells", [
+        ["0", "60." + "0" * 99997 + "1", "120"],  # 100 000 digits
+        ["0", "60", "120." + "0" * 99996 + "1", "180"],
+        ["0", "60", "120." + "0" * 99 + "1" + "0" * 99896 + "1"],
+        ["1e-999999999999999999", "60", "120"],
+        ["0e-999999999999999999", "60", "120"],
+        ["0", "60", "1" + "0" * 99999],
+    ], ids=["long-step", "long-uniform", "long-non-uniform", "tiny-exponent",
+            "zero-tiny-exponent", "long-overflow"])
+    def test_pathological_cells_are_quick(self, cells, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("time,c\n" + "".join(f"{c},1\n" for c in cells), encoding="utf-8")
+        start = time.perf_counter()
+        try:
+            load_snapshots(path)
+        except ParseError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        assert time.perf_counter() - start < 1.0
+
+
+class TestMedian:
+    """``median`` is ``np.median`` to the bit, without loading ``numpy.ma``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=hnp.arrays(np.float64, st.integers(1, 64), elements=st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1.7976931348623157e308,
+         -1.7976931348623157e308, math.inf, -math.inf, math.nan, -math.nan])
+        | st.floats(width=64)))
+    def test_matches_np_median(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf, as in np.median
+            want = np.median(x)
+            got = median(x)
+        assert np.float64(got).tobytes() == want.tobytes()
 
 
 def _row_values_loop(path, rec, r):
