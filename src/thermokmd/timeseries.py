@@ -20,8 +20,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, localcontext
-from fractions import Fraction
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +344,25 @@ def _cell_value(path, cell: str, row: int, column: int) -> float:
         ) from None
 
 
+def _plain_lines(lines, n_cells: int, cells: list[str]):
+    """The data lines of a snapshot file, appending the time cell of each to ``cells``.
+
+    For ``np.loadtxt``: each line must be one that csv splits at its commas
+    alone, into ``n_cells`` cells.  ValueError for a line with a quote, a
+    blank line or another cell count, a line that ends in CR alone, one
+    with a cell over csv's field size limit, or fewer than 3 lines.
+    """
+    limit = csv.field_size_limit()
+    for line in lines:
+        if ('"' in line or line.count(",") != n_cells - 1 or line.endswith("\r")
+                or len(line) > limit and max(map(len, line.split(","))) > limit):
+            raise ValueError(line)
+        cells.append(line[:line.index(",")])
+        yield line
+    if len(cells) < 3:
+        raise ValueError("fewer than 3 data rows")
+
+
 def _seconds(x: Decimal) -> str:
     """``x`` seconds for a message: ``:g`` of its float, or ``.6g`` of the decimal past a double."""
     f = float(x)
@@ -378,6 +396,7 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
     Every message begins with the path.
     """
     path = Path(path)
+    cells: list[str] = []  # the time cells, as text
     with utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
         reader = _csv_rows(path, fh)
         try:
@@ -387,24 +406,42 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
         if len(header) < 2 or header[0].strip() != "time":
             raise ParseError(f"{path}: header must be 'time,<id1>,...', got {header!r}")
         ids = tuple(h.strip() for h in header[1:])
-        times: list[Decimal] = []
-        longest = 0  # characters in the longest time cell, at least its digit count
-        rows: list[list[float]] = []
-        for r, rec in enumerate(reader, start=1):
-            if len(rec) != len(header):
-                raise ParseError(
-                    f"{path}: data row {r} has {len(rec)} cells, expected {len(header)}"
-                )
-            times.append(_parse_time(path, rec[0], r))
-            longest = max(longest, len(rec[0]))
-            try:
-                # float() ignores surrounding whitespace, as str.strip() does
-                vals = list(map(float, rec[1:]))
-            except ValueError:  # a bad cell, or one edged by \x1c-\x1f, which only strip() drops
-                vals = [_cell_value(path, cell, r, c) for c, cell in enumerate(rec[1:], start=2)]
-            rows.append(vals)
-    if len(rows) < 3:
-        raise TooShortError(f"{path}: need at least 3 data rows, got {len(rows)}")
+        try:
+            # numpy's C parser reads a value cell as str.strip() and float() do,
+            # to the same bits, and makes no Python object per cell.  It refuses
+            # some cells that float() reads (1_0, non-ASCII digits), and
+            # _plain_lines refuses every line that csv might split otherwise:
+            # such a file, like any file with an error, takes the row loop below.
+            values = np.loadtxt(_plain_lines(fh, len(header), cells), delimiter=",",
+                                comments=None, dtype=float, ndmin=2,
+                                usecols=range(1, len(header))).T  # (M, N)
+        except ValueError:  # a UnicodeDecodeError too: the row loop reports it in order
+            values = None
+    if values is not None and values.shape[1] == len(cells):
+        times = [_parse_time(path, cell, r) for r, cell in enumerate(cells, start=1)]
+    else:
+        # the row loop: csv and float() cell by cell, raising the first error in the file
+        cells, times, rows = [], [], []
+        with utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
+            reader = _csv_rows(path, fh)
+            next(reader)
+            for r, rec in enumerate(reader, start=1):
+                if len(rec) != len(header):
+                    raise ParseError(
+                        f"{path}: data row {r} has {len(rec)} cells, expected {len(header)}"
+                    )
+                times.append(_parse_time(path, rec[0], r))
+                cells.append(rec[0])
+                try:
+                    # float() ignores surrounding whitespace, as str.strip() does
+                    vals = list(map(float, rec[1:]))
+                except ValueError:  # a bad cell, or one edged by \x1c-\x1f, which only strip() drops
+                    vals = [_cell_value(path, cell, r, c) for c, cell in enumerate(rec[1:], start=2)]
+                rows.append(vals)
+        if len(rows) < 3:
+            raise TooShortError(f"{path}: need at least 3 data rows, got {len(rows)}")
+        values = np.array(rows, dtype=float).T  # (M, N)
+    longest = max(map(len, cells))  # characters in the longest time cell, at least its digits
 
     # Exact decimal arithmetic.  A nonzero time is below 10**309 in magnitude
     # with an exponent of at least -323 - longest (see _parse_time), so each
@@ -431,7 +468,6 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
         raise ParseError(
             f"{path}: sampling period {_seconds(step)} s is out of the range of a double"
         )
-    values = np.array(rows, dtype=float).T  # (M, N)
     try:
         return SnapshotMatrix(values, dt, float(times[0]), ids)
     except ParseError as exc:  # such as duplicate ids or a cell of 1e999; same class
@@ -442,19 +478,23 @@ def write_snapshots(s: SnapshotMatrix, path) -> None:
     """Write a snapshot CSV that :func:`load_snapshots` reads back bit-exactly.
 
     Timestamps are emitted as exact decimal expansions of t0 + k*dt computed
-    in rational arithmetic, so the reader recovers dt without float rounding.
-    The header goes through :func:`csv_text`, which quotes ids as needed; a
-    data row is a timestamp and float cells, none of which needs quotes, so it
-    is joined directly (:func:`_number_line`), with the same bytes.
+    in exact decimal arithmetic, so the reader recovers dt without float
+    rounding.  Each is written as ``str(Decimal(n) / Decimal(d))`` prints the
+    fraction n/d it equals: an integer's digits (``0`` for -0), any other
+    value to its last nonzero digit, in E notation below 10**-6.  The header
+    goes through :func:`csv_text`, which quotes ids as needed; a data row is a
+    timestamp and float cells, none of which needs quotes, so it is joined
+    directly (:func:`_number_line`), with the same bytes.
     """
-    t0 = Fraction(s.t0)
-    dt = Fraction(s.dt)
-    # binary floats are dyadic rationals, so every t0 + k*dt has a finite
-    # decimal expansion; a double's expansion can need ~1400 digits
-    with localcontext() as ctx:
-        ctx.prec = 1600
-        times = [str(Decimal(t.numerator) / Decimal(t.denominator))
-                 for t in (t0 + k * dt for k in range(s.n_snapshots))]
+    # Decimal(float) is exact, and a double's expansion needs at most ~1400
+    # digits, so at this precision every t0 + k*dt is exact too
+    exact = Context(prec=1600, traps=[Inexact])
+    t, dt = Decimal(s.t0), Decimal(s.dt)
+    times = []
+    for _ in range(s.n_snapshots):
+        whole = t.to_integral_value()
+        times.append(str(int(whole)) if t == whole else str(exact.normalize(t)))
+        t = exact.add(t, dt)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         # row by row, so that the text of a wide record is never held whole
         fh.write(csv_text([["time", *s.channel_ids]], "\r\n"))
@@ -478,10 +518,12 @@ def load_layout(path) -> SensorLayout:
         grid = None
         m = _GRID_RE.match(first.strip())
         if m:
+            rows = parse_number(m.group(1), f"{path}: grid header rows", int)  # int() refuses
+            cols = parse_number(m.group(2), f"{path}: grid header cols", int)  # > 4300 digits
             dx = parse_number(m.group(3), f"{path}: grid header dx")
             dy = parse_number(m.group(4), f"{path}: grid header dy")
             try:
-                grid = GridSpec(int(m.group(1)), int(m.group(2)), dx, dy)
+                grid = GridSpec(rows, cols, dx, dy)
             except GeometryError as exc:
                 # an unusable header is a fault of the file, like a malformed one
                 raise ParseError(f"{path}: {exc}") from None

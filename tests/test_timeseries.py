@@ -1,8 +1,11 @@
+import csv
 import math
+import re
 import time
 import warnings
-from decimal import Decimal, Inexact, InvalidOperation, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from thermokmd.errors import (
     UniformityError,
 )
 from thermokmd.timeseries import (
+    UNIFORMITY_RTOL,
     GridSpec,
     SensorLayout,
     SnapshotMatrix,
@@ -28,6 +32,7 @@ from thermokmd.timeseries import (
     write_layout,
     write_snapshots,
 )
+from thermokmd.timeseries import _cell_value, _csv_rows, _parse_time, _seconds, utf8_errors
 
 
 def write_csv(path, header, rows):
@@ -352,6 +357,42 @@ class TestCellParsing:
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _times_fraction(t0, dt, n):
+    """The reference time cells: each t0 + k*dt as an exact Fraction, printed as a decimal
+    quotient (the whole of ``write_snapshots``'s timestamp rule before it used Decimal sums)."""
+    with localcontext() as ctx:
+        ctx.prec = 1600
+        return [str(Decimal(t.numerator) / Decimal(t.denominator))
+                for t in (Fraction(t0) + k * Fraction(dt) for k in range(n))]
+
+
+#: timestamps and periods: signed zeros, subnormals, the extremes, the doubles
+#: with long exact expansions, and any double
+edge_doubles = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1e-7,
+                                1e300, 1.7976931348623157e308, -1.7976931348623157e308, 0.5])
+
+
+class TestWrittenTimes:
+    """``write_snapshots`` prints each timestamp as the exact Fraction writer did, byte for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(t0=edge_doubles | st.floats(allow_nan=False, allow_infinity=False),
+           dt=st.sampled_from([0.1, 1e-7, 1e300, 5e-324, 1.7976931348623157e308, 2.5])
+           | st.floats(min_value=5e-324, allow_infinity=False),
+           n=st.integers(3, 6))
+    @example(t0=-0.0, dt=0.1, n=3)
+    @example(t0=5.0, dt=2.5, n=4)  # 10, which normalize() would print 1E+1
+    @example(t0=0.5, dt=0.5, n=3)  # 1 from two halves, not 1.0
+    @example(t0=-60.0, dt=60.0, n=3)  # an exact zero from a sum
+    @example(t0=1.7976931348623157e308, dt=5e-324, n=3)  # 1383 digits
+    @example(t0=0.0, dt=1e-7, n=3)  # E notation below 1e-6
+    def test_matches_fraction_writer(self, t0, dt, n, tmp_path_factory):
+        path = tmp_path_factory.mktemp("wt") / "s.csv"
+        write_snapshots(SnapshotMatrix(np.ones((1, n)), dt, t0, ("c",)), path)
+        want = "time,c\r\n" + "".join(f"{t},1.0\r\n" for t in _times_fraction(t0, dt, n))
+        assert path.read_bytes() == want.encode()
+
+
 class TestRoundTrip:
     def test_simple(self, tmp_path):
         s = SnapshotMatrix(
@@ -408,6 +449,28 @@ mutant_cells = (
 )
 
 
+def mutate_text(data, text):
+    """``text`` with one cell replaced, or one character deleted or inserted.
+
+    A cell is what lies between commas, spaces, '=' and line ends, so each
+    value of a ``# grid`` line is a cell too.
+    """
+    kind = data.draw(st.sampled_from(["cell", "delete", "insert"]))
+    if kind == "cell":
+        lines = re.split(r"(\r?\n)", text)  # the line ends stay, at the odd indices
+        i = 2 * data.draw(st.integers(0, len(lines) // 2 - 1))
+        cells = re.split(r"([,= ])", lines[i])
+        cells[2 * data.draw(st.integers(0, len(cells) // 2))] = data.draw(mutant_cells)
+        lines[i] = "".join(cells)
+        return "".join(lines)
+    if kind == "delete":
+        at = data.draw(st.integers(0, len(text) - 1))
+        return text[:at] + text[at + 1:]
+    at = data.draw(st.integers(0, len(text)))
+    char = data.draw(st.characters(blacklist_categories=("Cs",)) | st.sampled_from(',"\r\n.eE-+0'))
+    return text[:at] + char + text[at:]
+
+
 class TestMutatedFile:
     """A written snapshot file with one cell replaced, or one character deleted or
     inserted, loads or raises the ParseError family naming the file on one line."""
@@ -421,29 +484,171 @@ class TestMutatedFile:
         path = tmp_path_factory.mktemp("fz") / "s.csv"
         write_snapshots(self.RECORD, path)
         text = path.read_bytes().decode("utf-8")  # keeps the CRLF line ends
-        kind = data.draw(st.sampled_from(["cell", "delete", "insert"]))
-        if kind == "cell":
-            lines = text.split("\r\n")
-            i = data.draw(st.integers(0, len(lines) - 2))
-            cells = lines[i].split(",")
-            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(mutant_cells)
-            lines[i] = ",".join(cells)
-            text = "\r\n".join(lines)
-        elif kind == "delete":
-            at = data.draw(st.integers(0, len(text) - 1))
-            text = text[:at] + text[at + 1:]
-        else:
-            at = data.draw(st.integers(0, len(text)))
-            char = data.draw(st.characters(blacklist_categories=("Cs",))
-                             | st.sampled_from(',"\r\n.eE-+0'))
-            text = text[:at] + char + text[at:]
-        path.write_text(text, encoding="utf-8", newline="")
+        path.write_text(mutate_text(data, text), encoding="utf-8", newline="")
         try:
             load_snapshots(path)
         except ParseError as exc:
             message = str(exc)
             assert message.startswith(f"{path}: ")
             assert "\n" not in message and "\r" not in message
+
+
+class TestMutatedLayout:
+    """A written layout file with a ``# grid`` line, mutated as in TestMutatedFile, loads
+    or raises the ParseError family naming the file on one line."""
+
+    LAYOUT = SensorLayout(("a", "b,c", "d", "e", "f", "g"),
+                          np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0],
+                                    [0.0, 0.25], [0.5, 0.25], [1.0, 0.25]]),
+                          GridSpec(2, 3, 0.5, 0.25))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    @example(data=("rows=2", "rows=" + "1" * 5000))  # past int()'s digit limit
+    def test_loads_or_parse_error(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("lz") / "l.csv"
+        write_layout(self.LAYOUT, path)
+        text = path.read_bytes().decode("utf-8")
+        text = text.replace(*data) if isinstance(data, tuple) else mutate_text(data, text)
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            assert isinstance(load_layout(path), SensorLayout)
+        except ParseError as exc:
+            message = str(exc)
+            assert message.startswith(f"{path}: ")
+            assert "\n" not in message and "\r" not in message
+
+
+def _load_snapshots_rows(path):
+    """The reference reader: csv and float() cell by cell, then the exact timestamp check.
+
+    The whole of ``load_snapshots`` before it parsed value cells with
+    ``np.loadtxt``; its row loop is now only the error path.
+    """
+    path = Path(path)
+    with utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
+        reader = _csv_rows(path, fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TooShortError(f"{path}: empty file") from None
+        if len(header) < 2 or header[0].strip() != "time":
+            raise ParseError(f"{path}: header must be 'time,<id1>,...', got {header!r}")
+        ids = tuple(h.strip() for h in header[1:])
+        times = []
+        longest = 0
+        rows = []
+        for r, rec in enumerate(reader, start=1):
+            if len(rec) != len(header):
+                raise ParseError(
+                    f"{path}: data row {r} has {len(rec)} cells, expected {len(header)}"
+                )
+            times.append(_parse_time(path, rec[0], r))
+            longest = max(longest, len(rec[0]))
+            try:
+                vals = list(map(float, rec[1:]))
+            except ValueError:
+                vals = [_cell_value(path, cell, r, c) for c, cell in enumerate(rec[1:], start=2)]
+            rows.append(vals)
+    if len(rows) < 3:
+        raise TooShortError(f"{path}: need at least 3 data rows, got {len(rows)}")
+    exact = Context(prec=640 + longest, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    step = exact.subtract(times[1], times[0])
+    if step <= 0:
+        raise UniformityError(f"{path}: timestamps must be strictly increasing (row 2)", row=2)
+    tol = exact.multiply(step, UNIFORMITY_RTOL)
+    for r in range(2, len(times)):
+        delta = exact.subtract(times[r], times[r - 1])
+        if exact.abs(exact.subtract(delta, step)) > tol:
+            raise UniformityError(
+                f"{path}: non-uniform timestamp at data row {r + 1}: spacing "
+                f"{_seconds(delta)} s differs from {_seconds(step)} s",
+                row=r + 1,
+            )
+    dt = float(step)
+    if math.isinf(dt):
+        raise ParseError(
+            f"{path}: sampling period {_seconds(step)} s is out of the range of a double"
+        )
+    values = np.array(rows, dtype=float).T
+    try:
+        return SnapshotMatrix(values, dt, float(times[0]), ids)
+    except ParseError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+#: bytes on which csv, float() and numpy's parser might part: line ends, quotes,
+#: NUL, the separators \x1c-\x1f that str.strip() drops and float() does not,
+#: non-ASCII digits and spaces, and bytes that are not UTF-8
+ODD_BYTES = [b"\n", b"\r", b"\r\n", b'"', b",", b" ", b"\t", b"\x00", b"\x1c", b"\x1d", b"\x1e",
+             b"\x1f", b"_", b"e", b"-", b".", b"0", "\u0661".encode(), "\uff15".encode(),
+             "\u00a0".encode(), "\u2003".encode(), b"\xff", b"\xc3"]
+
+FIELD_LIMIT = csv.field_size_limit()
+
+#: one value cell: numbers in any notation, cells only float() or only
+#: str.strip() and float() read, and cells at and past csv's field size limit
+odd_cells = (
+    st.from_regex(r"[-+]?\d{1,3}(\.\d{0,3})?([eE][-+]?\d{1,3})?", fullmatch=True)
+    | st.sampled_from(["1_0", "1__0", "\u0661\u0662", "\uff11.\uff15", " 1.5 ", "1.5\x1f",
+                       "\x1c2", "\u2003-0.0\u00a0", "+.5e-3", "-0", "nan", "1e999", "",
+                       "0" * FIELD_LIMIT, "0" * (FIELD_LIMIT + 1)])
+)
+
+
+class TestByteMutations:
+    """A written snapshot file mutated byte by byte reads as the row-loop reference reads it:
+    the same values, clock and ids to the bit, or the same error class and message."""
+
+    RECORD = SnapshotMatrix(np.array([[20.5, -0.0, 1e-5, 3.25], [1e16, 2.0, 5e-324, -7.5]]),
+                            dt=0.1, t0=1e9, channel_ids=("a", "b,c"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    # pinned files, as one replacement in the written file
+    @example(data=(b"", b""))  # the file as written: the numpy parser's path
+    @example(data=(b"\r\n", b"\r"))  # every line ended by CR alone
+    @example(data=(b"\r\n", b"\r\n\r\n"))  # a blank line after every line
+    @example(data=(b"\r\n1000000000,", b'\r\n"1000000000",'))  # a quoted time cell
+    def test_matches_row_loop(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bm") / "s.csv"
+        write_snapshots(self.RECORD, path)
+        raw = path.read_bytes()
+        if isinstance(data, tuple):
+            raw = raw.replace(*data)
+        for _ in range(0 if isinstance(data, tuple) else data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(
+                ["insert", "delete", "replace", "blank-line", "cr-only", "cell"]))
+            lines = raw.split(b"\r\n")
+            if kind == "blank-line":
+                lines.insert(data.draw(st.integers(1, len(lines) - 1)), b"")
+            elif kind == "cr-only":
+                i = data.draw(st.integers(0, len(lines) - 2))
+                lines[i:i + 2] = [lines[i] + b"\r" + lines[i + 1]]
+            elif kind == "cell":
+                i = data.draw(st.integers(1, len(lines) - 2))
+                cells = lines[i].split(b",")
+                cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(odd_cells).encode()
+                lines[i] = b",".join(cells)
+            raw = b"\r\n".join(lines)
+            if kind in ("insert", "delete", "replace"):
+                at = data.draw(st.integers(0, len(raw) - (kind != "insert")))
+                new = b"" if kind == "delete" else data.draw(st.sampled_from(ODD_BYTES))
+                raw = raw[:at] + new + raw[at + (kind != "insert"):]
+        path.write_bytes(raw)
+        try:
+            want = _load_snapshots_rows(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                load_snapshots(path)
+            assert type(err.value) is type(exc) and str(err.value) == str(exc)
+            assert getattr(err.value, "row", None) == getattr(exc, "row", None)
+            return
+        got = load_snapshots(path)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.values.shape == want.values.shape and got.channel_ids == want.channel_ids
+        assert np.float64(got.dt).tobytes() == np.float64(want.dt).tobytes()
+        assert np.float64(got.t0).tobytes() == np.float64(want.t0).tobytes()
 
 
 class TestLayout:
