@@ -1,10 +1,11 @@
 """Batch command-line interface.
 
-Subcommands wire the pipeline end to end: synthesize a dataset, compute the
-mode table, phase-average at a selected period, differentiate over the
-sensor layout, and export CSV/SVG artifacts plus a run-metadata JSON.  All
-outputs are byte-deterministic for identical inputs and configuration (no
-timestamps are written).
+Subcommands synthesize a dataset, compute the mode table, phase-average at
+a period, differentiate over the sensor layout, or run all of it through
+:func:`thermokmd.pipeline.run` and write its CSV/SVG artifacts plus a
+run-metadata JSON.  ``pipeline`` writes only after every artifact is built,
+so a failed run writes nothing.  All outputs are byte-deterministic
+for identical inputs and configuration (no timestamps are written).
 
 Exit codes: 0 success, 1 numerical failure, 2 I/O or configuration error.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import sys
 from pathlib import Path
 
@@ -21,46 +21,17 @@ import numpy as np
 
 from . import __version__
 from . import gradient as gradientmod
-from . import phaseavg, spectral, synth, timeseries
-from .errors import (ArgumentError, GeometryError, LayoutError, ParseError, PeriodError,
-                     ToolkitError)
+from . import phaseavg, pipeline, spectral, synth, timeseries
+from .errors import ArgumentError, GeometryError, LayoutError, ParseError, ToolkitError
 
 _IO_ERRORS = (ParseError, FileNotFoundError, IsADirectoryError, PermissionError,
               configparser.Error)
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
-
-
-def _write(out: Path, files: dict[str, str]) -> list[str]:
-    """Write each named text into ``out``; return the names written."""
+def _write(out: Path, files: dict[str, str]) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out / name).write_text(text, encoding="utf-8", newline="")
-    return list(files)
-
-
-# -- stage writers, shared by the single-stage subcommands and the pipeline -------
-
-def _write_modes(out: Path, table, ranked) -> list[str]:
-    return _write(out, {"modes.json": spectral.table_to_json(table),
-                        "modes.csv": spectral.table_to_csv(ranked)})
-
-
-def _write_phase_average(out: Path, result) -> list[str]:
-    return _write(out, {"phase_average.csv": phaseavg.result_to_csv(result),
-                        "phase_average.json": phaseavg.result_to_json(result)})
-
-
-def _write_gradient(out: Path, field) -> list[str]:
-    files = {"gradient.csv": gradientmod.field_to_csv(field),
-             "gradient.svg": gradientmod.field_to_svg(field)}
-    if np.iscomplexobj(field.vectors):
-        files["rms_gradient.csv"] = gradientmod.rms_to_csv(field)
-    return _write(out, files)
 
 
 def _layout_for(layout_path, data_path, channel_ids, neighbors):
@@ -143,7 +114,7 @@ def cmd_spectrum(args) -> int:
         snapshots = timeseries.remove_mean(snapshots)
     table = spectral.decompose(snapshots, args.method)
     ranked = spectral.rank_modes(table, args.top)
-    _write_modes(Path(args.out_dir), table, ranked)
+    _write(Path(args.out_dir), pipeline.modes_files(table, ranked))
     if not ranked.entries:
         print("warning: ranking is empty (only bias content found)", file=sys.stderr)
     for entry in ranked.entries:
@@ -158,11 +129,11 @@ def cmd_spectrum(args) -> int:
 
 def cmd_phase_average(args) -> int:
     snapshots = _load_snapshots(args)
-    _select_period(None, snapshots.dt, snapshots.n_snapshots, args.period_samples)
+    phaseavg.select_period(None, snapshots.dt, snapshots.n_snapshots, args.period_samples)
     if not args.keep_mean:
         snapshots = timeseries.remove_mean(snapshots)
     result = phaseavg.phase_average(snapshots, args.period_samples)
-    _write_phase_average(Path(args.out_dir), result)
+    _write(Path(args.out_dir), pipeline.phase_average_files(result))
     print(f"phase average at P={result.period_samples} samples over Q={result.cycles_used} cycles")
     return 0
 
@@ -173,109 +144,27 @@ def cmd_gradient(args) -> int:
     mode = harmonics if args.use == "harmonic" else sums
     field = gradientmod.gradient_field(mode, layout, neighbors=args.neighbors)
     out = Path(args.out_dir)
-    _write_gradient(out, field)
+    _write(out, pipeline.gradient_files(field))
     print(f"gradient at {int(field.valid.sum())}/{layout.n_sensors} sensors -> {out}")
     return 0
-
-
-def _select_period(dominant, dt, n_snapshots, explicit):
-    """(period in samples, rule): ``explicit`` if given, else the dominant mode's.
-
-    An explicit period out of range is a ParseError (exit 2), an automatic one a PeriodError.
-    """
-    max_p = (n_snapshots - 1) // 2
-    if explicit is not None:
-        if not 2 <= explicit <= max_p:
-            raise ParseError(f"--period-samples must be in [2, {max_p}], got {explicit}")
-        return explicit, "explicit"
-    if dominant is None or dominant.period_seconds is None:
-        raise PeriodError(
-            "cannot select a period automatically: no ranked oscillatory mode"
-        )
-    p = int(round(dominant.period_seconds / dt))  # ties round to even
-    if not 2 <= p <= max_p:
-        raise PeriodError(
-            f"dominant period {dominant.period_seconds:.1f} s rounds to {p} samples, "
-            f"outside [2, {max_p}]"
-        )
-    return p, "auto"
 
 
 def cmd_pipeline(args) -> int:
     _check_top(args.top)
     snapshots = _load_snapshots(args)
     layout = _layout_for(args.layout, args.snapshots, snapshots.channel_ids, args.neighbors)
-    if args.period_samples is not None:  # refused before the fit, as a bad argument
-        _select_period(None, snapshots.dt, snapshots.n_snapshots, args.period_samples)
-    # read before the fit, so that a bad sources file writes nothing
     sources = gradientmod.load_sources_csv(args.flux_sources) if args.flux_sources else None
-    out = Path(args.out_dir)
-
-    mean_free = timeseries.remove_mean(snapshots)
-    table = spectral.decompose(mean_free, args.method)
-    dominant = table.dominant()
-    written = _write_modes(out, table, spectral.rank_modes(table, args.top))
-
-    period_samples, rule = _select_period(dominant, snapshots.dt, snapshots.n_snapshots,
-                                          args.period_samples)
-    result = phaseavg.phase_average(mean_free, period_samples)
-    written += _write_phase_average(out, result)
-
-    if args.gradient_source == gradientmod.SOURCE_DMD_MODE:
-        if dominant is None:
-            raise PeriodError("no ranked oscillatory mode to use as the gradient source")
-        mode = dominant.rep.mode
-    else:
-        mode = result.sum_real
-    field = gradientmod.gradient_field(mode, layout, neighbors=args.neighbors)
-    written += _write_gradient(out, field)
-
-    scores = None
-    if sources is not None:
-        scores = gradientmod.flux_consistency(field, layout, sources)
-        rows = [["source_id", "score"], *scores.items()]
-        written += _write(out, {"flux_scores.csv": timeseries.csv_text(rows, "\n")})
-
-    metadata = {
-        "tool_version": __version__,
-        "inputs": {
-            "snapshots": {"path": str(args.snapshots), "sha256": _sha256(args.snapshots)},
-            "layout": {"path": str(args.layout), "sha256": _sha256(args.layout)},
-        },
-        "parameters": {
-            "method": args.method,
-            "mean_removed": True,
-            "top": args.top,
-            "period_samples": period_samples,
-            "period_selection": rule,
-            "gradient_source": args.gradient_source,
-            "neighbors": args.neighbors,
-            "rank_rcond": spectral.RANK_RCOND,
-            "bias_threshold_rad": spectral.BIAS_THRESHOLD_RAD,
-            "conjugate_match_rtol": spectral.CONJUGATE_MATCH_RTOL,
-            "zero_mode_rtol": spectral.ZERO_MODE_RTOL,
-            "gradient_condition_limit": gradientmod.CONDITION_LIMIT,
-            "dt_seconds": snapshots.dt,
-        },
-        "dominant_mode": None if dominant is None else {
-            "couple": list(dominant.label),
-            "abs_lam": dominant.abs_lam,
-            "period_seconds": dominant.period_seconds,
-            "energy": dominant.energy,
-        },
-        "decomposition": table.fit,
-        "companion_residual": table.residual if args.method == "companion" else None,
-        "flux_scores": scores,
-        "outputs": sorted(written),
-    }
-    _write(out, {"run_metadata.json": timeseries.json_text(metadata)})
-
-    period_min = "-" if dominant is None or dominant.period_seconds is None \
-        else f"{dominant.period_seconds / 60.0:.4g}"
-    print(f"dominant period {period_min} min, phase average at P={period_samples} samples")
-    if scores:
-        for name, val in scores.items():
-            print(f"flux consistency at {name}: {val:+.3f}")
+    files, metadata = pipeline.run(
+        snapshots, layout, sources, inputs={"snapshots": args.snapshots, "layout": args.layout},
+        method=args.method, top=args.top, period_samples=args.period_samples,
+        gradient_source=args.gradient_source, neighbors=args.neighbors)
+    _write(Path(args.out_dir), files)
+    period = (metadata["dominant_mode"] or {}).get("period_seconds")
+    period_min = "-" if period is None else f"{period / 60.0:.4g}"
+    print(f"dominant period {period_min} min, "
+          f"phase average at P={metadata['parameters']['period_samples']} samples")
+    for name, val in (metadata["flux_scores"] or {}).items():
+        print(f"flux consistency at {name}: {val:+.3f}")
     return 0
 
 

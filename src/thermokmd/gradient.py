@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import timeseries
-from .errors import ArgumentError, GeometryError, ParseError
+from .errors import ArgumentError, DuplicateError, GeometryError, ParseError
 from .timeseries import SensorLayout
 
 GRID_CENTRAL = "grid_central"
@@ -81,15 +81,20 @@ class FluxSource:
 
 
 def load_sources_csv(path) -> tuple[FluxSource, ...]:
-    """Actuators from a CSV with columns ``id,x,y,mode`` (mode ``cool`` or ``heat``)."""
-    sources = []
-    for rec in timeseries.read_records(path, ("id", "mode"), ("x", "y")):
+    """Actuators at finite positions with unique ids, from a CSV ``id,x,y,mode`` (cool or heat)."""
+    sources: dict[str, FluxSource] = {}
+    for r, rec in enumerate(timeseries.read_records(path, ("id", "mode"), ("x", "y")), start=1):
         mode = rec["mode"].strip()
         if mode not in ("cool", "heat"):
             raise ParseError(f"{path}: source mode must be cool or heat, got {mode!r}")
-        kind = "cooling" if mode == "cool" else "heating"
-        sources.append(FluxSource(rec["id"].strip(), (rec["x"], rec["y"]), kind))
-    return tuple(sources)
+        position = (rec["x"], rec["y"])
+        if not np.all(np.isfinite(position)):
+            raise ParseError(f"{path}: non-finite source position at data row {r}")
+        name = rec["id"].strip()
+        if name in sources:
+            raise DuplicateError(f"{path}: duplicate source id {name!r}")
+        sources[name] = FluxSource(name, position, "cooling" if mode == "cool" else "heating")
+    return tuple(sources.values())
 
 
 #: sensors whose distance rows one array pass computes; temporaries are

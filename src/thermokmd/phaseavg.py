@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import timeseries
-from .errors import BiasWarning, PeriodError
+from .errors import BiasWarning, ParseError, PeriodError
 from .timeseries import SnapshotMatrix
 
 
@@ -61,14 +61,14 @@ def phase_average(s: SnapshotMatrix, period_samples: int) -> PhaseAverageResult:
     The caller is responsible for removing the per-channel mean first; a
     BiasWarning is attached (and emitted) when the input still carries one.
 
-    Raises PeriodError unless 2 <= period_samples <= (N-1)//2.
+    Raises PeriodError unless period_samples passes :func:`select_period`.
     """
-    P = int(period_samples)
     N = s.n_snapshots
-    if P != period_samples or P < 2 or P > (N - 1) // 2:
-        raise PeriodError(
-            f"period_samples must be an integer in [2, {(N - 1) // 2}], got {period_samples}"
-        )
+    try:
+        P, _ = select_period(None, s.dt, N, period_samples)
+    except ParseError:
+        raise PeriodError(f"period_samples must be an integer in [2, {(N - 1) // 2}], "
+                          f"got {period_samples}") from None
     notes = ()
     offset = timeseries.mean_offset(s)
     if offset is not None:
@@ -91,6 +91,26 @@ def phase_average(s: SnapshotMatrix, period_samples: int) -> PhaseAverageResult:
         channel_ids=s.channel_ids,
         warnings=notes,
     )
+
+
+def select_period(dominant, dt, n_snapshots, explicit=None) -> tuple[int, str]:
+    """(period in samples, rule): ``explicit`` if given, else the dominant mode's, rounded.
+
+    Either must be a whole number in [2, (N-1)//2].  An explicit period out of
+    range is a ParseError (exit 2), an automatic one a PeriodError.
+    """
+    max_p = (n_snapshots - 1) // 2
+    if explicit is not None:
+        if not (explicit == int(explicit) and 2 <= explicit <= max_p):
+            raise ParseError(f"--period-samples must be in [2, {max_p}], got {explicit}")
+        return int(explicit), "explicit"
+    if dominant is None or dominant.period_seconds is None:
+        raise PeriodError("cannot select a period automatically: no ranked oscillatory mode")
+    p = int(round(dominant.period_seconds / dt))  # ties round to even
+    if not 2 <= p <= max_p:
+        raise PeriodError(f"dominant period {dominant.period_seconds:.1f} s rounds to {p} "
+                          f"samples, outside [2, {max_p}]")
+    return p, "auto"
 
 
 def harmonic_amplitude(s: SnapshotMatrix, period_samples: int) -> np.ndarray:

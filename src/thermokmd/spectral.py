@@ -30,9 +30,7 @@ give damped spurious modes large cancelling amplitudes.
 
 from __future__ import annotations
 
-import os
-import sys
-import warnings
+import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,6 +38,8 @@ import numpy as np
 from . import timeseries
 from .errors import ArgumentError, DegenerateDataError, NumericalError
 from .timeseries import SnapshotMatrix
+
+_LOG = logging.getLogger(__name__)
 
 #: |arg lam| below which an eigenvalue counts as a non-oscillatory bias/trend
 BIAS_THRESHOLD_RAD = 1e-6
@@ -334,8 +334,8 @@ def mode_table(lams: np.ndarray, modes: np.ndarray, dt: float, n_snapshots: int,
 
     Conjugate members are grouped into couples and the entries sorted by
     energy over ``n_snapshots`` samples.  Every column is kept: a zero mode
-    is the caller's to drop.  ``notes`` come first in the table's notes,
-    followed by one note per unpaired complex eigenvalue.  ``fit`` is the
+    is the caller's to drop.  ``notes`` come first in the table's notes, followed
+    by one note per unpaired complex eigenvalue, each also logged.  ``fit`` is the
     method's fit facts (see :class:`ModeTable`).
     """
     pairs = [RitzPair(complex(lams[j]), modes[:, j], j) for j in range(len(lams))]
@@ -367,11 +367,11 @@ def _group_and_rank(
             entries.append(_make_entry(p, best, dt, n_snapshots))
         else:
             notes.append(f"unpaired complex eigenvalue lam={p.lam:.6g}")
-            warnings.warn(notes[-1], stacklevel=_caller_stacklevel())
+            _LOG.warning(notes[-1])
             entries.append(_make_entry(p, None, dt, n_snapshots, unpaired=True))
     for q in unmatched_lower.values():
         notes.append(f"unpaired complex eigenvalue lam={q.lam:.6g}")
-        warnings.warn(notes[-1], stacklevel=_caller_stacklevel())
+        _LOG.warning(notes[-1])
         # report through the conjugate so the listed member has Im >= 0
         flipped = RitzPair(q.lam.conjugate(), q.mode.conjugate(), q.index)
         entries.append(_make_entry(flipped, None, dt, n_snapshots, unpaired=True))
@@ -393,20 +393,6 @@ def _group_and_rank(
         next_index += width
         labeled.append(replace(e, label=label))
     return tuple(labeled)
-
-
-_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
-
-
-def _caller_stacklevel() -> int:
-    """The ``stacklevel`` that makes a warning raised by the calling function
-    name the first frame outside this package, however many package frames
-    (stages, wrappers, the CLI) lie between."""
-    frame, level = sys._getframe(1), 1
-    while (frame.f_back is not None
-           and os.path.abspath(frame.f_code.co_filename).startswith(_PACKAGE_DIR)):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 def _make_entry(

@@ -16,7 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import thermokmd
+from thermokmd import pipeline
 from thermokmd.cli import main
+from thermokmd.gradient import load_sources_csv
 from thermokmd.synth import (
     MAX_STEPS,
     AnalyticSpec,
@@ -244,6 +246,23 @@ class TestSynthAndSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(bad) in err and "data row 1" in err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("AC-1,nan,3.0,cool\n", "non-finite source position at data row 1"),
+        ("AC-1,1.0,2.9,cool\nAC-2,4.0,-inf,heat\n", "non-finite source position at data row 2"),
+        ("AC-1,1.0,2.9,cool\nAC-1,4.0,2.5,cool\n", "duplicate source id 'AC-1'"),
+    ], ids=["nan-x", "inf-y", "duplicate-id"])
+    def test_unusable_sources_exit_2(self, rows, message, two_tone_dir, tmp_path, capsys):
+        # refused before the fit: a source at nan has no sensor in range, and a
+        # repeated id would keep only one of the two scores
+        bad = tmp_path / "sources.csv"
+        bad.write_text("id,x,y,mode\n" + rows, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--snapshots", str(two_tone_dir / "snapshots.csv"),
+                     "--layout", str(two_tone_dir / "layout.csv"), "--flux-sources", str(bad),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["snapshots", "layout", "sources"])
     def test_oversized_cell_exit_2(self, kind, two_tone_dir, tmp_path, capsys):
@@ -591,6 +610,57 @@ class TestPipeline:
         for name in names:
             if name.endswith((".csv", ".json")):
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @staticmethod
+    def trend_dir(tmp_path):
+        """A 4-channel linear trend with no oscillation on a scattered layout."""
+        rows = [f"{60 * k},{20 + 0.01 * k},{21 + 0.02 * k},{22 - 0.015 * k},{19 + 0.005 * k}"
+                for k in range(40)]
+        (tmp_path / "snapshots.csv").write_text("time,a,b,c,d\n" + "\n".join(rows) + "\n",
+                                                encoding="utf-8")
+        (tmp_path / "layout.csv").write_text("id,x,y\na,0,0\nb,3,0.5\nc,1,2\nd,2.5,3\n",
+                                             encoding="utf-8")
+        return tmp_path
+
+    @pytest.mark.parametrize("earlier_run", [False, True], ids=["fresh", "earlier-run"])
+    @pytest.mark.parametrize("extra", [[], ["--period-samples", "5", "--gradient-source",
+                                            "dmd_mode"]], ids=["auto", "explicit-dmd"])
+    def test_failed_run_leaves_out_dir_as_found(self, extra, earlier_run, two_tone_dir,
+                                                tmp_path, capsys):
+        # the trend fails after the fit: no period (auto) or no mode to differentiate
+        data, out = self.trend_dir(tmp_path), tmp_path / "out"
+        if earlier_run:
+            assert main(["pipeline", "--snapshots", str(two_tone_dir / "snapshots.csv"),
+                         "--layout", str(two_tone_dir / "layout.csv"),
+                         "--gradient-source", "dmd_mode", "--out-dir", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if earlier_run else None
+        capsys.readouterr()
+        assert main(["pipeline", "--snapshots", str(data / "snapshots.csv"),
+                     "--layout", str(data / "layout.csv"), "--neighbors", "3", *extra,
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("cannot select a period automatically" in err) == (not extra)
+        if earlier_run:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        else:
+            assert not out.exists()
+
+    def test_library_run_returns_the_written_texts(self, two_tone_dir, tmp_path):
+        snapshots, layout = two_tone_dir / "snapshots.csv", two_tone_dir / "layout.csv"
+        sources = tmp_path / "sources.csv"
+        sources.write_text("id,x,y,mode\nAC-1,4.0,2.5,cool\nAC-2,10.0,4.0,heat\n",
+                           encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--snapshots", str(snapshots), "--layout", str(layout),
+                     "--flux-sources", str(sources), "--out-dir", str(out)]) == 0
+        record = thermokmd.load_snapshots(snapshots)
+        files, metadata = pipeline.run(
+            record, thermokmd.load_layout(layout).reordered_to(record.channel_ids),
+            load_sources_csv(sources), inputs={"snapshots": snapshots, "layout": layout})
+        assert {p.name: p.read_bytes().decode("utf-8") for p in out.iterdir()} == files
+        assert json.loads(files["run_metadata.json"]) == metadata
+        assert sorted(metadata["flux_scores"]) == ["AC-1", "AC-2"]
 
     @pytest.mark.parametrize("method", ["hankel", "companion"])
     def test_method_recorded(self, method, two_tone_dir, tmp_path):

@@ -1,6 +1,6 @@
 import json
+import logging
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -460,19 +460,26 @@ class TestInvariants:
         assert j1 == j2
 
 
+def logged_unpaired(caplog) -> list[str]:
+    """The unpaired-eigenvalue warnings logged since ``caplog`` was last cleared."""
+    return [r.getMessage() for r in caplog.records
+            if r.name == "thermokmd.spectral" and r.levelno == logging.WARNING
+            and r.getMessage().startswith("unpaired")]
+
+
 class TestUnpaired:
-    def test_lone_complex_eigenvalue_reported(self):
-        with pytest.warns(UserWarning, match="unpaired"):
-            table = mode_table(np.array([0.5 + 0.5j]), np.array([[1.0 + 0j]]), 1.0, 5,
-                               residual=0.0, mean_removed=True)
+    def test_lone_complex_eigenvalue_reported(self, caplog):
+        table = mode_table(np.array([0.5 + 0.5j]), np.array([[1.0 + 0j]]), 1.0, 5,
+                           residual=0.0, mean_removed=True)
+        assert logged_unpaired(caplog) == ["unpaired complex eigenvalue lam=0.5+0.5j"]
         assert len(table.entries) == 1
         assert table.entries[0].unpaired
         assert table.entries[0].rep.lam.imag > 0
         assert table.notes == ("unpaired complex eigenvalue lam=0.5+0.5j",)
 
-    def test_warning_points_at_the_stage_caller(self, monkeypatch):
-        # with a negative match tolerance no conjugates pair, so every entry
-        # point warns once per complex eigenvalue
+    def test_each_entry_point_logs_each_note_once(self, monkeypatch, caplog):
+        # with a negative match tolerance no conjugates pair, so every complex
+        # eigenvalue of every entry point is unpaired
         monkeypatch.setattr(spectral, "CONJUGATE_MATCH_RTOL", -1.0)
         lone = (np.array([0.5 - 0.5j]), np.array([[1.0 + 0j]]), 1.0, 5)
         record = single_tone_record(20, 1e-3)
@@ -480,16 +487,14 @@ class TestUnpaired:
             "mode_table": lambda: mode_table(*lone, residual=0.0, mean_removed=True),
             "companion_kmd": lambda: companion_kmd(record),
             "hankel_dmd": lambda: hankel_dmd(record),
-            "generate_analytic": lambda: generate_analytic(default_analytic_spec()),
+            "generate_analytic": lambda: generate_analytic(default_analytic_spec())[1],
         }
         for name, call in calls.items():
-            with warnings.catch_warnings(record=True) as got:
-                warnings.simplefilter("always")
-                call()
-            unpaired = [w for w in got if "unpaired" in str(w.message)]
-            assert unpaired, name
-            for w in unpaired:
-                assert (w.filename, w.lineno) == (__file__, call.__code__.co_firstlineno), name
+            caplog.clear()
+            table = call()
+            notes = [n for n in table.notes if n.startswith("unpaired")]
+            assert notes, name
+            assert logged_unpaired(caplog) == notes, name
 
 
 # -- the assembly before mode_table, kept as oracles --------------------------------
@@ -591,16 +596,17 @@ class TestModeTableMatchesPerColumn:
         for n in (None, 1, spec.n_snapshots):
             assert np.array_equal(reconstruct(truth, n), _reconstruct_two_lists(truth, n))
 
-    def test_hand_built_unpaired(self):
+    def test_hand_built_unpaired(self, caplog):
         lams = np.array([0.9 * np.exp(0.3j), 0.5 - 0.5j, 1.0, 0.9 * np.exp(-0.3j), 0.2 + 0.7j])
         modes = np.array([[1.0 + 2j, 0.5j, 3.0, 1.0 - 2j, -1.0], [0.5, 2.0, -1.0, 0.5, 1j]])
         notes = ["dropped zero mode at lam=0"]
-        with pytest.warns(UserWarning, match="unpaired"):
-            table = mode_table(lams, modes, 60.0, 9, residual=0.25, mean_removed=False,
-                               channel_ids=("a", "b"), notes=notes)
-        with pytest.warns(UserWarning, match="unpaired"):
-            pairs = [RitzPair(complex(lam), modes[:, j], j) for j, lam in enumerate(lams)]
-            entries = _group_and_rank(pairs, 60.0, 9, notes)
+        table = mode_table(lams, modes, 60.0, 9, residual=0.25, mean_removed=False,
+                           channel_ids=("a", "b"), notes=notes)
+        assert len(logged_unpaired(caplog)) == 2
+        caplog.clear()
+        pairs = [RitzPair(complex(lam), modes[:, j], j) for j, lam in enumerate(lams)]
+        entries = _group_and_rank(pairs, 60.0, 9, notes)
+        assert len(logged_unpaired(caplog)) == 2
         oracle = ModeTable(entries=entries, dt=60.0, n_snapshots=9, residual=0.25,
                            mean_removed=False, channel_ids=("a", "b"), notes=tuple(notes))
         assert table_to_json(table) == table_to_json(oracle)
@@ -721,7 +727,7 @@ class TestJsonBytes:
             self.assert_same(table)
             self.assert_same(rank_modes(table, 3))
 
-    def hand_built(self):
+    def hand_built(self, caplog):
         v = np.array([1.5 - 0.25j, -3e-310 + 1e22j, 0.1 + 0.2j])
         lams, modes = zip(
             (1.0 + 0j, v),                   # bias
@@ -731,21 +737,22 @@ class TestJsonBytes:
             (0.9 * np.exp(0.3j), v * 1j),    # couple
             (0.9 * np.exp(-0.3j), v * -1j),
         )
-        with pytest.warns(UserWarning, match="unpaired"):
-            return mode_table(np.array(lams), np.column_stack(modes), 60.0, 7, residual=1e-15,
-                              mean_removed=True, channel_ids=("a", "b", "c"),
-                              notes=("dropped zero mode at lam=0",))
+        table = mode_table(np.array(lams), np.column_stack(modes), 60.0, 7, residual=1e-15,
+                           mean_removed=True, channel_ids=("a", "b", "c"),
+                           notes=("dropped zero mode at lam=0",))
+        assert logged_unpaired(caplog) == ["unpaired complex eigenvalue lam=0.5+0.5j"]
+        return table
 
-    def test_hand_built_entries(self):
-        table = self.hand_built()
+    def test_hand_built_entries(self, caplog):
+        table = self.hand_built(caplog)
         # a real lam is a bias entry (lam > 0) or a Nyquist one (lam < 0)
         kinds = [(e.bias, e.nyquist, e.unpaired, e.is_couple) for e in table.entries]
         assert sorted(kinds) == sorted([(True, False, False, False)] * 2 + [
             (False, True, False, False), (False, False, True, False), (False, False, False, True)])
         self.assert_same(table)
 
-    def test_non_finite_and_negative_zero(self):
-        table = self.hand_built()
+    def test_non_finite_and_negative_zero(self, caplog):
+        table = self.hand_built(caplog)
         specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0])
         mode = np.empty(specials.size, dtype=complex)
         mode.real, mode.imag = specials, specials[::-1]
@@ -775,10 +782,10 @@ class TestJsonBytes:
             self.assert_same(table)
         self.assert_same(rank_modes(companion_kmd(make_record(np.tile([[25.0]], (2, 5)))), 3))
 
-    def test_escaped_strings(self):
+    def test_escaped_strings(self, caplog):
         # a string holding the placeholder text must not be taken for an entry's slot
         ids = ('q"uote', "back\\slash", "Åsa", '"mode": []', "tab\t")
         notes = ('x\\"mode": []', "\u00e9t\u00e9 \u2603")
-        table = replace(self.hand_built(), channel_ids=ids, notes=notes)
+        table = replace(self.hand_built(caplog), channel_ids=ids, notes=notes)
         text = self.assert_same(table)
         assert "\\u00c5sa" in text and json.loads(text)["channel_ids"] == list(ids)
