@@ -24,8 +24,7 @@ from . import gradient as gradientmod
 from . import phaseavg, pipeline, spectral, synth, timeseries
 from .errors import ArgumentError, GeometryError, LayoutError, ParseError, ToolkitError
 
-_IO_ERRORS = (ParseError, FileNotFoundError, IsADirectoryError, PermissionError,
-              configparser.Error)
+_IO_ERRORS = (ParseError, OSError, configparser.Error)
 
 
 def _write(out: Path, files: dict[str, str]) -> None:
@@ -67,10 +66,7 @@ def _load_snapshots(args) -> timeseries.SnapshotMatrix:
 
 def cmd_synth_analytic(args) -> int:
     layout = timeseries.load_layout(args.layout) if args.layout else synth.default_layout()
-    if args.config:
-        spec = synth.load_analytic_config(args.config, layout)
-    else:
-        spec = synth.default_analytic_spec(layout)
+    spec = synth.load_analytic_config(args.config or synth.ANALYTIC_CONFIG, layout)
     snapshots, truth = synth.generate_analytic(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -85,10 +81,7 @@ def cmd_synth_analytic(args) -> int:
 def cmd_synth_room(args) -> int:
     sensors = timeseries.load_layout(args.layout) if args.layout else synth.default_layout()
     try:
-        if args.config:
-            spec = synth.load_room_config(args.config, sensors)
-        else:
-            spec = synth.default_room_spec(sensors)
+        spec = synth.load_room_config(args.config or synth.ROOM_CONFIG, sensors)
     except LayoutError as exc:
         # the layout does not fit the room: a fault of the input files
         files = " with ".join(str(p) for p in (args.layout, args.config) if p)
@@ -200,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="compute and rank the mode table")
     p.add_argument("--snapshots", required=True)
     p.add_argument("--dt-override", type=float, default=None)
-    p.add_argument("--top", type=int, default=8)
+    p.add_argument("--top", type=int, default=pipeline.DEFAULT_TOP)
     p.add_argument("--remove-mean", action="store_true",
                    help="subtract per-channel means before the decomposition")
     _add_method(p)
@@ -228,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshots", required=True)
     p.add_argument("--layout", required=True)
     p.add_argument("--dt-override", type=float, default=None)
-    p.add_argument("--top", type=int, default=8)
+    p.add_argument("--top", type=int, default=pipeline.DEFAULT_TOP)
     p.add_argument("--period-samples", type=int, default=None,
                    help="explicit period; default: dominant mode period rounded "
                         "to the nearest sample (ties to even)")

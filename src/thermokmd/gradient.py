@@ -41,6 +41,12 @@ DEFAULT_NEIGHBORS = 6
 #: are flagged invalid (collinear in 2-D)
 CONDITION_LIMIT = 1e8
 
+#: flux scores use the valid sensors within this many median spacings of a source
+FLUX_RADIUS = 2.0
+
+#: width of the gradient SVG in pixels; its height follows the layout's aspect
+SVG_WIDTH_PX = 720
+
 
 @dataclass(frozen=True)
 class GradientField:
@@ -81,19 +87,17 @@ class FluxSource:
 
 
 def load_sources_csv(path) -> tuple[FluxSource, ...]:
-    """Actuators at finite positions with unique ids, from a CSV ``id,x,y,mode`` (cool or heat)."""
+    """Actuators with unique ids, from a CSV ``id,x,y,mode`` (cool or heat)."""
     sources: dict[str, FluxSource] = {}
-    for r, rec in enumerate(timeseries.read_records(path, ("id", "mode"), ("x", "y")), start=1):
+    for rec in timeseries.read_records(path, ("id", "mode"), ("x", "y")):
         mode = rec["mode"].strip()
         if mode not in ("cool", "heat"):
             raise ParseError(f"{path}: source mode must be cool or heat, got {mode!r}")
-        position = (rec["x"], rec["y"])
-        if not np.all(np.isfinite(position)):
-            raise ParseError(f"{path}: non-finite source position at data row {r}")
         name = rec["id"].strip()
         if name in sources:
             raise DuplicateError(f"{path}: duplicate source id {name!r}")
-        sources[name] = FluxSource(name, position, "cooling" if mode == "cool" else "heating")
+        sources[name] = FluxSource(name, (rec["x"], rec["y"]),
+                                   "cooling" if mode == "cool" else "heating")
     return tuple(sources.values())
 
 
@@ -158,7 +162,6 @@ def gradient_field(
     mode: np.ndarray,
     layout: SensorLayout,
     neighbors: int = DEFAULT_NEIGHBORS,
-    condition_limit: float = CONDITION_LIMIT,
 ) -> GradientField:
     """Differentiate a mode vector over the sensor layout.
 
@@ -184,9 +187,7 @@ def gradient_field(
     if layout.grid is not None:
         vectors, valid, methods = _grid_gradient(mode, layout)
     else:
-        vectors, valid, methods = _scattered_gradient(
-            mode, layout, neighbors, condition_limit
-        )
+        vectors, valid, methods = _scattered_gradient(mode, layout, neighbors)
     if not np.any(valid):
         raise GeometryError("gradient stencil is degenerate at every sensor")
     vectors[~valid] = np.nan
@@ -213,7 +214,7 @@ def _grid_gradient(mode, layout):
     return vectors, np.ones(m, dtype=bool), methods
 
 
-def _scattered_gradient(mode, layout, neighbors, condition_limit):
+def _scattered_gradient(mode, layout, neighbors):
     pos = layout.positions
     m, d = pos.shape
     k = min(neighbors, m - 1)
@@ -228,7 +229,7 @@ def _scattered_gradient(mode, layout, neighbors, condition_limit):
         sv = np.linalg.svd(a, compute_uv=False)
         # the ratio is taken only where the smallest singular value is positive
         valid = apart.all(axis=1) & ~(sv[:, -1] <= 0)
-        valid[valid] = ~(sv[valid, 0] / sv[valid, -1] > condition_limit)
+        valid[valid] = ~(sv[valid, 0] / sv[valid, -1] > CONDITION_LIMIT)
         b = (mode[order] - mode[:, None]) * w
         for i in np.flatnonzero(valid):
             vectors[i] = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
@@ -239,7 +240,7 @@ def _scattered_gradient(mode, layout, neighbors, condition_limit):
 def rms_gradient(
     complex_mode: np.ndarray,
     layout: SensorLayout,
-    **kwargs,
+    neighbors: int = DEFAULT_NEIGHBORS,
 ) -> np.ndarray:
     """Component-wise RMS of the oscillating gradient: sqrt(2) * |grad|.
 
@@ -247,7 +248,7 @@ def rms_gradient(
     derivative over one period is sqrt(2) times the modulus of the complex
     gradient component.  Rows of invalid sensors are NaN.
     """
-    field = gradient_field(np.asarray(complex_mode, dtype=complex), layout, **kwargs)
+    field = gradient_field(np.asarray(complex_mode, dtype=complex), layout, neighbors)
     return _rms(field.vectors)
 
 
@@ -255,15 +256,10 @@ def _rms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0) * np.abs(vectors)
 
 
-def flux_consistency(
-    field: GradientField,
-    layout: SensorLayout,
-    sources,
-    radius_factor: float = 2.0,
-) -> dict[str, float]:
+def flux_consistency(field: GradientField, sources) -> dict[str, float]:
     """Directional consistency of the gradient field around each source.
 
-    For every source, takes the valid sensors within ``radius_factor`` times
+    For every source, takes the valid sensors within :data:`FLUX_RADIUS` times
     the median sensor spacing (excluding a sensor coincident with the
     source, which has no direction) and averages the cosine between the
     real gradient vector and the source-to-sensor direction; the mean is
@@ -272,6 +268,7 @@ def flux_consistency(
 
     Raises GeometryError when a source has no valid sensor in range.
     """
+    layout = field.layout
     spacing = median_spacing(layout)
     pos = layout.positions
     grads = np.real(field.vectors)
@@ -283,10 +280,10 @@ def flux_consistency(
                 f"source {src.name!r} position has dimension {origin.shape}, layout d={layout.d}"
             )
         dist = np.sqrt(((pos - origin) ** 2).sum(axis=1))
-        near = field.valid & (dist <= radius_factor * spacing) & (dist > 1e-12)
+        near = field.valid & (dist <= FLUX_RADIUS * spacing) & (dist > 1e-12)
         if not np.any(near):
             raise GeometryError(
-                f"no valid sensor within {radius_factor} median spacings of source {src.name!r}"
+                f"no valid sensor within {FLUX_RADIUS} median spacings of source {src.name!r}"
             )
         unit = (pos[near] - origin) / dist[near][:, None]
         g = grads[near]
@@ -330,7 +327,7 @@ def rms_to_csv(field: GradientField) -> str:
     return _sensor_csv(field, ("rms_g{}",), _rms(field.vectors))
 
 
-def field_to_svg(field: GradientField, width_px: int = 720) -> str:
+def field_to_svg(field: GradientField) -> str:
     """Quiver plot of the real gradient vectors.
 
     Arrows are scaled so the longest is 0.8 times the median sensor spacing;
@@ -353,7 +350,7 @@ def field_to_svg(field: GradientField, width_px: int = 720) -> str:
     pad = max(spacing, 0.05 * max(x1 - x0, y1 - y0, 1.0))
     span_x = (x1 - x0) + 2 * pad
     span_y = (y1 - y0) + 2 * pad
-    px_per_m = width_px / span_x
+    px_per_m = SVG_WIDTH_PX / span_x
     height_px = span_y * px_per_m + 40  # room for the legend line
 
     def to_px(x, y):
@@ -361,8 +358,8 @@ def field_to_svg(field: GradientField, width_px: int = 720) -> str:
         return (x - x0 + pad) * px_per_m, (y1 - y + pad) * px_per_m
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px:.0f}" '
-        f'height="{height_px:.0f}" viewBox="0 0 {width_px:.0f} {height_px:.0f}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH_PX:.0f}" '
+        f'height="{height_px:.0f}" viewBox="0 0 {SVG_WIDTH_PX:.0f} {height_px:.0f}">',
         '<rect x="0" y="0" width="100%" height="100%" fill="white"/>',
     ]
     bx0, by0 = to_px(x0, y1)

@@ -13,6 +13,9 @@ import numpy as np
 from . import __version__, gradient, phaseavg, spectral, timeseries
 from .errors import PeriodError
 
+#: how many ranked modes modes.csv lists unless ``--top`` says otherwise
+DEFAULT_TOP = 8
+
 
 def modes_files(table, ranked) -> dict[str, str]:
     return {"modes.json": spectral.table_to_json(table),
@@ -32,8 +35,8 @@ def gradient_files(field) -> dict[str, str]:
     return files
 
 
-def run(snapshots, layout, sources=None, *, inputs=None, method=spectral.METHODS[0], top=8,
-        period_samples=None, gradient_source=gradient.SOURCE_PHASE_AVERAGE,
+def run(snapshots, layout, sources=None, *, inputs=None, method=spectral.METHODS[0],
+        top=DEFAULT_TOP, period_samples=None, gradient_source=gradient.SOURCE_PHASE_AVERAGE,
         neighbors=gradient.DEFAULT_NEIGHBORS) -> tuple[dict[str, str], dict]:
     """(artifact texts by file name, run metadata) of one pipeline run.
 
@@ -60,7 +63,7 @@ def run(snapshots, layout, sources=None, *, inputs=None, method=spectral.METHODS
 
     scores = None
     if sources is not None:
-        scores = gradient.flux_consistency(field, layout, sources)
+        scores = gradient.flux_consistency(field, sources)
         rows = [["source_id", "score"], *scores.items()]
         files["flux_scores.csv"] = timeseries.csv_text(rows, "\n")
 
@@ -91,7 +94,6 @@ def run(snapshots, layout, sources=None, *, inputs=None, method=spectral.METHODS
             "energy": dominant.energy,
         },
         "decomposition": table.fit,
-        "companion_residual": table.residual if method == "companion" else None,
         "flux_scores": scores,
         "outputs": sorted(files),
     }

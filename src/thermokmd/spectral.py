@@ -165,16 +165,16 @@ def energy_norm(p: RitzPair, n_snapshots: int) -> float:
     return float(np.sqrt(np.cumsum(np.vecdot(terms, terms))[-1]))
 
 
-def period_of(lam: complex, dt: float, bias_threshold: float = BIAS_THRESHOLD_RAD) -> float | None:
+def period_of(lam: complex, dt: float) -> float | None:
     """Oscillation period in seconds of a discrete-time eigenvalue.
 
-    Returns None when |arg(lam)| is below the bias threshold (no
+    Returns None when |arg(lam)| is below :data:`BIAS_THRESHOLD_RAD` (no
     oscillation within the record's resolution).
     """
     if not dt > 0:
         raise ArgumentError(f"dt must be positive, got {dt}")
     angle = abs(np.angle(lam))
-    if angle < bias_threshold:
+    if angle < BIAS_THRESHOLD_RAD:
         return None
     return float(2.0 * np.pi * dt / angle)
 
@@ -307,7 +307,7 @@ def hankel_dmd(s: SnapshotMatrix, delays: int | None = None) -> ModeTable:
     )
 
 
-def decompose(s: SnapshotMatrix, method: str = "hankel") -> ModeTable:
+def decompose(s: SnapshotMatrix, method: str = METHODS[0]) -> ModeTable:
     """The ranked mode table of ``s`` by one of :data:`METHODS`."""
     if method == "hankel":
         return hankel_dmd(s)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -294,7 +293,7 @@ class RoomSimSpec:
                 f"explicit step unstable: kappa*dt*(1/dx^2+1/dy^2) = {cfl:.4g} > 0.25"
             )
         if self.sensors.d < 2:
-            raise ArgumentError("room sensors need 2-D coordinates")
+            raise LayoutError("room sensors need 2-D coordinates")
         for cid, p in zip(self.sensors.channel_ids, self.sensors.positions):
             if not (0.0 <= p[0] <= self.width and 0.0 <= p[1] <= self.depth):
                 raise LayoutError(
@@ -508,14 +507,12 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
     return record, tuple(events)
 
 
-def switch_cycle_period(
-    events, ac: str, state: str = "on", after: float = 0.0
-) -> float:
-    """Median interval between consecutive ``state`` edges of one AC."""
-    times = [e.time for e in events if e.ac == ac and e.state == state and e.time >= after]
+def switch_cycle_period(events, ac: str) -> float:
+    """Median interval between consecutive switch-on events of one AC."""
+    times = [e.time for e in events if e.ac == ac and e.state == "on"]
     if len(times) < 3:
         raise ArgumentError(
-            f"need at least 3 {state!r} events for AC {ac!r} to measure a period, "
+            f"need at least 3 'on' events for AC {ac!r} to measure a period, "
             f"got {len(times)}"
         )
     return timeseries.median(np.diff(times))
@@ -565,32 +562,32 @@ def default_layout() -> SensorLayout:
     return SensorLayout(tuple(ids), np.array(pts))
 
 
-def _default_config_text(name: str) -> str:
-    return resources.files("thermokmd.configs").joinpath(name).read_text(encoding="utf-8")
+#: the shipped specs, read by the same loaders as any other config file
+ROOM_CONFIG = Path(__file__).parent / "configs" / "room_default.ini"
+ANALYTIC_CONFIG = Path(__file__).parent / "configs" / "analytic_twotone.ini"
 
 
 def default_room_spec(sensors: SensorLayout | None = None) -> RoomSimSpec:
     """The shipped room description: one active cooler, three idle units."""
-    parser = configparser.ConfigParser()
-    parser.read_string(_default_config_text("room_default.ini"))
-    return _room_spec_from_parser(parser, sensors or default_layout(), "room_default.ini")
+    return load_room_config(ROOM_CONFIG, sensors or default_layout())
 
 
 def default_analytic_spec(layout: SensorLayout | None = None) -> AnalyticSpec:
     """The shipped two-tone analytic description."""
-    parser = configparser.ConfigParser()
-    parser.read_string(_default_config_text("analytic_twotone.ini"))
-    return _analytic_spec_from_parser(parser, layout or default_layout(), "analytic_twotone.ini")
+    return load_analytic_config(ANALYTIC_CONFIG, layout or default_layout())
 
 
 # -- config file parsing ---------------------------------------------------------
 
-def _number(section, key: str, where: str, kind=float, fallback=None):
-    """A numeric INI field, or ``fallback`` when it is absent and optional."""
-    text = section.get(key)
-    if text is None and fallback is not None:
-        return fallback
-    return timeseries.parse_number(text, f"{where} [{section.name}] {key}", kind)
+def _number(section, key: str, where: str, kind=float):
+    """A numeric INI field; ParseError naming the field when it is absent or not a number."""
+    return timeseries.parse_number(section.get(key), f"{where} [{section.name}] {key}", kind)
+
+
+def _optional(section, where: str, **kinds) -> dict:
+    """The optional numeric fields ``section`` holds; an absent one keeps the spec's default."""
+    return {key: _number(section, key, where, kind)
+            for key, kind in kinds.items() if key in section}
 
 
 def _parse_field(section, where: str, d: int):
@@ -637,7 +634,7 @@ def _analytic_spec_from_parser(parser, layout: SensorLayout, where: str) -> Anal
             Tone(
                 period=_number(sec, "period", where),
                 amplitude=_parse_field(sec, f"{where} [{name}]", layout.d),
-                phase=_number(sec, "phase", where, fallback=0.0),
+                **_optional(sec, where, phase=float),
             )
         )
     bias = None
@@ -649,8 +646,7 @@ def _analytic_spec_from_parser(parser, layout: SensorLayout, where: str) -> Anal
         n_snapshots=_number(top, "snapshots", where, int),
         tones=tuple(tones),
         bias=bias,
-        noise_std=_number(top, "noise_std", where, fallback=0.0),
-        seed=_number(top, "seed", where, int, fallback=0),
+        **_optional(top, where, noise_std=float, seed=int),
     )
 
 
@@ -661,7 +657,8 @@ def _load_config(path, kind: str, spec_from_parser):
     parses but is out of range for the spec, or a room whose explicit step
     would be unstable, is still a fault of the file, so the spec's
     ArgumentError or StabilityError becomes a ParseError naming it.  A
-    LayoutError (a sensor outside the room) passes through unchanged.
+    LayoutError (a sensor outside the room, or a layout that is not 2-D)
+    passes through unchanged.
     """
     parser = configparser.ConfigParser()
     with timeseries.utf8_errors(path):
@@ -714,10 +711,8 @@ def _room_spec_from_parser(parser, sensors: SensorLayout, where: str) -> RoomSim
         sample_dt=_number(room, "sample_dt", where),
         duration=_number(room, "duration", where),
         sensors=sensors,
-        warmup=_number(room, "warmup", where, fallback=0.0),
-        seed=_number(room, "seed", where, int, fallback=0),
-        init_temperature=_number(room, "init_temperature", where, fallback=25.0),
-        init_noise=_number(room, "init_noise", where, fallback=0.0),
+        **_optional(room, where, warmup=float, seed=int, init_temperature=float,
+                    init_noise=float),
     )
 
 

@@ -293,9 +293,10 @@ def read_records(path, text_columns, number_columns) -> list[dict]:
     """Data rows of a CSV file with a header row, as dicts keyed by column name.
 
     The header must name every given column; ``number_columns`` cells are
-    parsed as floats.  Blank lines are skipped.  ParseError, naming the file
-    and data row, for a row whose cell count differs from the header's, and
-    naming the file for one that is not UTF-8.
+    parsed as floats and must be finite.  Blank lines are skipped.
+    ParseError, naming the file and data row, for a row whose cell count
+    differs from the header's or that holds a non-finite number, and naming
+    the file for one that is not UTF-8.
     """
     path = Path(path)
     with utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
@@ -310,6 +311,8 @@ def read_records(path, text_columns, number_columns) -> list[dict]:
         rec = dict(zip(header, row))
         for k in number_columns:
             rec[k] = parse_number(rec[k], f"{path} data row {r} {k}")
+            if not math.isfinite(rec[k]):
+                raise ParseError(f"{path}: non-finite {k} at data row {r}")
         records.append(rec)
     return records
 

@@ -248,8 +248,8 @@ class TestSynthAndSpectrum:
         assert str(bad) in err and "data row 1" in err
 
     @pytest.mark.parametrize("rows, message", [
-        ("AC-1,nan,3.0,cool\n", "non-finite source position at data row 1"),
-        ("AC-1,1.0,2.9,cool\nAC-2,4.0,-inf,heat\n", "non-finite source position at data row 2"),
+        ("AC-1,nan,3.0,cool\n", "non-finite x at data row 1"),
+        ("AC-1,1.0,2.9,cool\nAC-2,4.0,-inf,heat\n", "non-finite y at data row 2"),
         ("AC-1,1.0,2.9,cool\nAC-1,4.0,2.5,cool\n", "duplicate source id 'AC-1'"),
     ], ids=["nan-x", "inf-y", "duplicate-id"])
     def test_unusable_sources_exit_2(self, rows, message, two_tone_dir, tmp_path, capsys):
@@ -263,6 +263,43 @@ class TestSynthAndSpectrum:
                      "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("column, cell, use", [("sum_real", "nan", "sum_real"),
+                                                  ("harmonic_im", "-inf", "harmonic")])
+    def test_non_finite_mode_file_exit_2(self, column, cell, use, two_tone_dir, tmp_path,
+                                         capsys):
+        # refused with the file named, before a non-finite gradient or a numpy warning
+        avg = tmp_path / "avg"
+        assert main(["phase-average", "--snapshots", str(two_tone_dir / "snapshots.csv"),
+                     "--period-samples", "14", "--out-dir", str(avg)]) == 0
+        capsys.readouterr()
+        header, first, *rest = (avg / "phase_average.csv").read_text().splitlines()
+        cells = first.split(",")  # no channel id of this record needs quotes
+        cells[header.split(",").index(column)] = cell
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, ",".join(cells), *rest]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["gradient", "--mode-file", str(bad), "--use", use,
+                     "--layout", str(two_tone_dir / "layout.csv"), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: non-finite {column} at data row 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["afile", "afile/sub"])
+    @pytest.mark.parametrize("command", ["pipeline", "spectrum", "synth-room"])
+    def test_out_dir_under_a_file_exit_2(self, command, below, two_tone_dir, tmp_path, capsys):
+        # mkdir raises FileExistsError on a file and NotADirectoryError below one
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n", encoding="utf-8")
+        data = ["--snapshots", str(two_tone_dir / "snapshots.csv")]
+        argv = {"pipeline": ["pipeline", *data, "--layout", str(two_tone_dir / "layout.csv")],
+                "spectrum": ["spectrum", *data],
+                "synth-room": ["synth-room"]}[command]
+        out = afile / "sub" if below else afile
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(afile) in err
+        assert afile.read_text(encoding="utf-8") == "kept\n"
 
     @pytest.mark.parametrize("kind", ["snapshots", "layout", "sources"])
     def test_oversized_cell_exit_2(self, kind, two_tone_dir, tmp_path, capsys):
@@ -675,17 +712,16 @@ class TestPipeline:
         decomposition = meta["decomposition"]
         modes = json.loads((out / "modes.json").read_text())
         assert decomposition["residual"] == modes["residual"]
+        assert "companion_residual" not in meta
         assert meta["dominant_mode"]["period_seconds"] == pytest.approx(853.8, rel=1e-4)
         notes = json.loads((spec / "modes.json").read_text())["notes"]
         assert (spec / "modes.json").read_bytes() == (out / "modes.json").read_bytes()
         if method == "hankel":
-            assert meta["companion_residual"] is None
             assert decomposition["amplitudes"] == "projected_initial_condition"
             assert decomposition["rank_limit"] in ("gavish_donoho", "rank_rcond")
             assert notes[0] == (f"hankel dmd: q={decomposition['delays']} delays, rank "
                                 f"r={decomposition['rank']} ({decomposition['rank_limit']})")
         else:
-            assert meta["companion_residual"] == decomposition["residual"]
             assert not any(n.startswith("hankel") for n in notes)
 
     def test_default_method_is_hankel(self, two_tone_dir, tmp_path):

@@ -161,12 +161,14 @@ class TestReadRecords:
         ("a,c\n1,2\n", "expected columns a,b"),
         ("a,b\n1,2\n3\n", "data row 2 has 1 cells, expected 2"),
         ("a,b\n1,2,3\n", "data row 1 has 3 cells, expected 2"),
+        ("a,b\nx,1\ny,nan\n", "non-finite b at data row 2"),
+        ("a,b\nx,-1e400\n", "non-finite b at data row 1"),
     ])
     def test_rejects(self, text, message, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=message) as err:
-            read_records(path, ("a", "b"), ())
+            read_records(path, ("a",), ("b",))
         assert str(err.value).startswith(f"{path}: ")
 
     def test_rejects_non_number(self, tmp_path):

@@ -4,6 +4,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
+from thermokmd import gradient
 from thermokmd.errors import ArgumentError, GeometryError
 from thermokmd.gradient import (
     CONDITION_LIMIT,
@@ -219,13 +220,13 @@ class TestFluxConsistency:
         ), src
 
     def test_cooling_source_scores_one(self):
-        layout, field, src = self.radial_field(+1.0)
-        scores = flux_consistency(field, layout, [FluxSource("AC", tuple(src), "cooling")])
+        _, field, src = self.radial_field(+1.0)
+        scores = flux_consistency(field, [FluxSource("AC", tuple(src), "cooling")])
         assert scores["AC"] == pytest.approx(1.0, abs=1e-12)
 
     def test_heating_source_sign_flip(self):
-        layout, field, src = self.radial_field(-1.0)
-        scores = flux_consistency(field, layout, [FluxSource("AC", tuple(src), "heating")])
+        _, field, src = self.radial_field(-1.0)
+        scores = flux_consistency(field, [FluxSource("AC", tuple(src), "heating")])
         assert scores["AC"] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_field_scores_zero(self):
@@ -236,13 +237,14 @@ class TestFluxConsistency:
             methods=(SCATTERED_LSQ,) * layout.n_sensors,
             layout=layout,
         )
-        scores = flux_consistency(field, layout, [FluxSource("AC", (5.25, 2.9), "cooling")])
+        scores = flux_consistency(field, [FluxSource("AC", (5.25, 2.9), "cooling")])
         assert scores["AC"] == 0.0
 
     def test_remote_source_rejected(self):
-        layout, field, _ = self.radial_field(+1.0)
-        with pytest.raises(GeometryError):
-            flux_consistency(field, layout, [FluxSource("far", (100.0, 100.0), "cooling")])
+        _, field, _ = self.radial_field(+1.0)
+        with pytest.raises(GeometryError, match="^no valid sensor within 2.0 median spacings "
+                                                "of source 'far'$"):
+            flux_consistency(field, [FluxSource("far", (100.0, 100.0), "cooling")])
 
 
 class TestExports:
@@ -446,7 +448,7 @@ class TestArrayPassesMatchLoop:
         layout = ORACLE_LAYOUTS[name]()
         mode = oracle_mode(layout, complex_mode)
         for neighbors in (DEFAULT_NEIGHBORS, 3, 9):
-            got = _scattered_gradient(mode, layout, neighbors, CONDITION_LIMIT)
+            got = _scattered_gradient(mode, layout, neighbors)
             want = _scattered_gradient_loop(mode, layout, neighbors, CONDITION_LIMIT)
             assert got[0].dtype == want[0].dtype
             assert np.array_equal(got[0], want[0])
@@ -466,7 +468,7 @@ class TestArrayPassesMatchLoop:
     def test_neighbors_at_least_m_minus_1(self, neighbors, complex_mode):
         layout = scattered_layout(8, 2, 14)
         mode = oracle_mode(layout, complex_mode)
-        got = _scattered_gradient(mode, layout, neighbors, CONDITION_LIMIT)
+        got = _scattered_gradient(mode, layout, neighbors)
         want = _scattered_gradient_loop(mode, layout, neighbors, CONDITION_LIMIT)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[2] == want[2] == [SCATTERED_LSQ] * 8
@@ -475,7 +477,7 @@ class TestArrayPassesMatchLoop:
     def test_too_few_neighbours_every_sensor_invalid(self, d, neighbors):
         layout = scattered_layout(20, d, 15)
         mode = oracle_mode(layout, False)
-        got = _scattered_gradient(mode, layout, neighbors, CONDITION_LIMIT)
+        got = _scattered_gradient(mode, layout, neighbors)
         want = _scattered_gradient_loop(mode, layout, neighbors, CONDITION_LIMIT)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[2] == want[2] == [INVALID] * 20
@@ -498,11 +500,12 @@ class TestArrayPassesMatchLoop:
     @pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("name", ["scattered-d2", "scattered-d3", "lattice", "collinear",
                                       "default-room"])
-    def test_svg(self, name, complex_mode):
+    def test_svg(self, name, complex_mode, monkeypatch):
         layout = ORACLE_LAYOUTS[name]()
         field = gradient_field(oracle_mode(layout, complex_mode), layout)
         assert field_to_svg(field) == _field_to_svg_loop(field)
-        assert field_to_svg(field, width_px=333) == _field_to_svg_loop(field, width_px=333)
+        monkeypatch.setattr(gradient, "SVG_WIDTH_PX", 333)
+        assert field_to_svg(field) == _field_to_svg_loop(field, width_px=333)
 
     def test_svg_arrows_without_heads(self):
         # zero vectors draw a line without a head; an all-zero field has no scale

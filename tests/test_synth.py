@@ -1,9 +1,9 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from thermokmd.errors import ArgumentError, ParseError, StabilityError
+from thermokmd.errors import ArgumentError, LayoutError, ParseError, StabilityError
 from thermokmd.spectral import (
     ModeTable,
     RitzPair,
@@ -658,6 +658,29 @@ plane_wave = 1.0 -0.5 0.3 0.7
         assert spec.tones[0].phase == 0.25
         assert isinstance(spec.tones[0].amplitude, PlaneWaveField)
         assert spec.tones[0].amplitude.amplitude == 1.0 - 0.5j
+
+    def test_absent_optional_keys_keep_the_spec_defaults(self, tmp_path):
+        room = tmp_path / "room.ini"
+        room.write_text("[room]\nwidth = 2.0\ndepth = 1.0\nnx = 8\nny = 4\nkappa = 0.001\n"
+                        "leak = 0.0005\nambient = 28.0\nsim_dt = 0.5\nsample_dt = 10.0\n"
+                        "duration = 100.0\n")
+        spec = load_room_config(room, SensorLayout(("s",), np.array([[1.0, 0.5]])))
+        defaults = {f.name: f.default for f in fields(RoomSimSpec)}
+        for key in ("warmup", "seed", "init_temperature", "init_noise"):
+            assert getattr(spec, key) == defaults[key]
+        analytic = tmp_path / "analytic.ini"
+        analytic.write_text("[analytic]\ndt = 30.0\nsnapshots = 101\n\n"
+                            "[tone.main]\nperiod = 600.0\nplane_wave = 1.0 0.0 0.3 0.7\n")
+        spec = load_analytic_config(analytic, small_layout())
+        defaults = {f.name: f.default for f in fields(AnalyticSpec)}
+        assert (spec.noise_std, spec.seed) == (defaults["noise_std"], defaults["seed"])
+        assert spec.tones[0].phase == next(f.default for f in fields(Tone) if f.name == "phase")
+
+    def test_default_room_needs_2d_sensors(self):
+        # a fault of the layout, not of the shipped file
+        line = SensorLayout(("a", "b", "c"), np.array([[1.0], [2.0], [3.0]]))
+        with pytest.raises(LayoutError, match="^room sensors need 2-D coordinates$"):
+            default_room_spec(line)
 
     def test_bad_config_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -20,6 +20,9 @@ from thermokmd.errors import (
     TooShortError,
     UniformityError,
 )
+from thermokmd.gradient import load_sources_csv
+from thermokmd.phaseavg import PhaseAverageResult, load_result_csv, result_to_csv
+from thermokmd.synth import AirConditioner, write_sources_csv
 from thermokmd.timeseries import (
     UNIFORMITY_RTOL,
     GridSpec,
@@ -517,6 +520,66 @@ class TestMutatedLayout:
             message = str(exc)
             assert message.startswith(f"{path}: ")
             assert "\n" not in message and "\r" not in message
+
+
+def _assert_one_line_naming(exc, path):
+    """A ParseError-family message names the file first (``<path>:`` or, from
+    parse_number, ``<path> data row ...``) and fits on one line."""
+    message = str(exc)
+    assert message.startswith(str(path))
+    assert "\n" not in message and "\r" not in message
+
+
+class TestMutatedSources:
+    """A written flux-sources file, mutated as in TestMutatedFile, loads to finite
+    positions or raises the ParseError family naming the file on one line."""
+
+    ACS = (AirConditioner("AC-1", (1.75, 2.9), "cool", 3.0, 35.0, 30.0),
+           AirConditioner("b,c", (12.25, -0.0), "heat", 1.5, 18.0, 21.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    @example(data=("2.9", "nan"))
+    @example(data=("12.25", "1e400"))
+    def test_loads_or_parse_error(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("sz") / "sources.csv"
+        write_sources_csv(self.ACS, path)
+        text = path.read_bytes().decode("utf-8")
+        text = text.replace(*data) if isinstance(data, tuple) else mutate_text(data, text)
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            sources = load_sources_csv(path)
+        except ParseError as exc:
+            _assert_one_line_naming(exc, path)
+        else:
+            assert all(np.isfinite(src.position).all() for src in sources)
+
+
+class TestMutatedResult:
+    """A written phase_average.csv, mutated as in TestMutatedFile, loads to finite
+    values or raises the ParseError family naming the file on one line."""
+
+    RESULT = PhaseAverageResult(
+        period_samples=14, cycles_used=17, sum_real=np.array([20.5, -1e-5, 3.25]),
+        harmonic=np.array([1.5 + 2j, -0.0 + 0j, 1e16 - 5e-324j]), dt=60.0,
+        channel_ids=("a", "b,c", "d"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    @example(data=("20.5", "nan"))
+    @example(data=("1e+16", "-inf"))
+    def test_loads_or_parse_error(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("rz") / "phase_average.csv"
+        text = result_to_csv(self.RESULT)
+        text = text.replace(*data) if isinstance(data, tuple) else mutate_text(data, text)
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            ids, sums, harmonics = load_result_csv(path)
+        except ParseError as exc:
+            _assert_one_line_naming(exc, path)
+        else:
+            assert len(ids) == len(sums) == len(harmonics)
+            assert np.isfinite(sums).all() and np.isfinite(harmonics).all()
 
 
 def _load_snapshots_rows(path):
