@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 numerical failure, 2 I/O or configuration error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from . import gradient as gradientmod
 from . import phaseavg, pipeline, spectral, synth, timeseries
 from .errors import ArgumentError, GeometryError, LayoutError, ParseError, ToolkitError
 
-_IO_ERRORS = (ParseError, OSError, configparser.Error)
+_IO_ERRORS = (ParseError, OSError)
 
 
 def _write(out: Path, files: dict[str, str]) -> None:
@@ -67,9 +66,9 @@ def _load_snapshots(args) -> timeseries.SnapshotMatrix:
 def cmd_synth_analytic(args) -> int:
     layout = timeseries.load_layout(args.layout) if args.layout else synth.default_layout()
     spec = synth.load_analytic_config(args.config or synth.ANALYTIC_CONFIG, layout)
-    snapshots, truth = synth.generate_analytic(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    snapshots, truth = synth.generate_analytic(spec)
     timeseries.write_snapshots(snapshots, out / "snapshots.csv")
     timeseries.write_layout(layout, out / "layout.csv")
     _write(out, {"truth_modes.json": spectral.table_to_json(truth),
@@ -86,9 +85,9 @@ def cmd_synth_room(args) -> int:
         # the layout does not fit the room: a fault of the input files
         files = " with ".join(str(p) for p in (args.layout, args.config) if p)
         raise ParseError(f"{files}: {exc}") from None
-    snapshots, events = synth.simulate_room(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    snapshots, events = synth.simulate_room(spec)
     timeseries.write_snapshots(snapshots, out / "snapshots.csv")
     timeseries.write_layout(spec.sensors, out / "layout.csv")
     synth.write_switch_log(events, out / "switch_log.csv")

@@ -135,6 +135,7 @@ class AnalyticSpec:
         object.__setattr__(self, "tones", tuple(self.tones))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_analytic(spec: AnalyticSpec) -> tuple[SnapshotMatrix, spectral.ModeTable]:
     """Sample the tone sum at the sensors and return data plus exact truth.
 
@@ -144,6 +145,7 @@ def generate_analytic(spec: AnalyticSpec) -> tuple[SnapshotMatrix, spectral.Mode
     The truth table holds lam_m = exp(i 2 pi dt / T_m) with the phased
     amplitudes A_m exp(i psi_m) as modes, plus a bias entry when a bias
     field is present; its energies use the same norm as the estimator.
+    An overflow gives NaN or Inf values, which SnapshotMatrix refuses, and no numpy warning.
     """
     pts = spec.layout.positions
     m = spec.layout.n_sensors
@@ -349,33 +351,6 @@ def _bilinear(spec: RoomSimSpec):
     return sample
 
 
-def _switch(acs, on: list[bool], readings, t: float, events: list) -> list[int]:
-    """Apply every relay to its cell reading at step time ``t``; the indices of the units on.
-
-    A switch is logged only from the first snapshot on (``t >= 0``).
-    """
-    active = []
-    for u, (ac, tc) in enumerate(zip(acs, readings)):
-        tc = float(tc)
-        if ac.mode == "cool":
-            should_switch_on = not on[u] and tc >= ac.on_threshold
-            should_switch_off = on[u] and tc <= ac.off_threshold
-        else:
-            should_switch_on = not on[u] and tc <= ac.on_threshold
-            should_switch_off = on[u] and tc >= ac.off_threshold
-        if should_switch_on:
-            on[u] = True
-            if t >= 0:
-                events.append(SwitchEvent(t, ac.name, "on", tc))
-        elif should_switch_off:
-            on[u] = False
-            if t >= 0:
-                events.append(SwitchEvent(t, ac.name, "off", tc))
-        if on[u]:
-            active.append(u)
-    return active
-
-
 def _cosine_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal DCT-II rows, and the eigenvalues of the edge-copied 1-D Laplacian.
 
@@ -409,7 +384,7 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
     where lap is the 5-point Laplacian with the insulated walls as
     edge-copied ghost cells and source holds, at its cell, the rate of each
     unit that is on.  Before each step every relay reads its cell and
-    switches (see :func:`_switch`) at step time step * sim_dt - warmup.
+    switches as :class:`AirConditioner` says (logged from the first snapshot on).
     This function advances that system in closed form between events.  The
     edge-copied Laplacian is diagonal in the separable DCT-II basis, so with
     theta = init_temperature + Cx^T a Cy one step is a <- mu a + sim_dt f,
@@ -460,34 +435,43 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
 
     forced = {}  # units on -> f, each reading's response G_j f, and its running max and min
 
-    def forcing(active: list[int]):
+    def forcing(active):
         f = drift + rates[active] @ rows[active]
         response = gain @ (rows * f).T
         return (f, response, np.maximum.accumulate(response), np.minimum.accumulate(response),
                 np.abs(response).max(axis=0, initial=0.0))
 
-    on = [False] * len(spec.acs)
+    def reached(reading, level, rising):
+        """Where a relay reading has reached its level, from below where ``rising``."""
+        return np.where(rising, reading >= level, reading <= level)
+
+    on = np.zeros(len(spec.acs), dtype=bool)
+    level, rising = on_level, cool  # every unit starts off, waiting for its on level
     snapshots: list[np.ndarray] = []
     events: list[SwitchEvent] = []
-    step = 0
+    step, next_sample = 0, wsteps
     while True:
-        if step >= wsteps and (step - wsteps) % stride == 0:
+        if step == next_sample:
             snapshots.append(sample(c0 + cx.T @ a.reshape(nx, ny) @ cy))
+            next_sample += stride
         if step == total:
             break
         base = c0 + rows @ a
-        active = _switch(spec.acs, on, base, step * spec.sim_dt - spec.warmup, events)
-        if tuple(active) not in forced:
-            forced[tuple(active)] = forcing(active)
-        f, response, peak, trough, size = forced[tuple(active)]
-        after = wsteps if step < wsteps else step + stride - (step - wsteps) % stride
-        n = min(steps, after - step, total - step)
+        flip = reached(base, level, rising)
+        on ^= flip
+        level, rising = np.where(on, off_level, on_level), cool != on
+        t = step * spec.sim_dt - spec.warmup
+        if t >= 0:
+            events += (SwitchEvent(t, spec.acs[u].name, "on" if on[u] else "off", float(base[u]))
+                       for u in np.flatnonzero(flip))
+        key = on.tobytes()
+        if key not in forced:
+            forced[key] = forcing(on)
+        f, response, peak, trough, size = forced[key]
+        n = min(steps, next_sample - step, total - step)
         # A relay can switch within the block only if its reading can reach its
         # level: the free response moves by at most |rows| @ (|a| |1 - mu^j|)
         # (plus a margin far above round-off), and the forced one is tabled.
-        state = np.array(on, dtype=bool)
-        level = np.where(state, off_level, on_level)
-        rising = cool != state
         scale = np.abs(a)
         reach = magnitude @ (scale * np.where(mu >= 0.0, 1.0 - power[n], swing))
         reach += 1e-9 * (np.abs(base) + magnitude @ scale + size)
@@ -495,8 +479,7 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
                                         ~(base + trough[n] - reach > level)))
         if maybe.size:
             reading = c0 + (power[1:n + 1] @ (rows[maybe] * a).T + response[1:n + 1, maybe])
-            hit = np.flatnonzero(np.where(rising[maybe], reading >= level[maybe],
-                                          reading <= level[maybe]).any(axis=1))
+            hit = np.flatnonzero(reached(reading, level[maybe], rising[maybe]).any(axis=1))
             if hit.size:
                 n = int(hit[0]) + 1
         a = power[n] * a + gain[n] * f
@@ -650,21 +633,37 @@ def _analytic_spec_from_parser(parser, layout: SensorLayout, where: str) -> Anal
     )
 
 
-def _load_config(path, kind: str, spec_from_parser):
-    """``spec_from_parser(parser, where)`` on an INI file.
+def _ini_fault(exc: configparser.Error) -> str:
+    """What configparser refused, on one line, with the line number it gives."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: text before the first [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        return f"line {exc.errors[0][0]}: neither a [section] header nor 'key = value'"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: key {exc.option!r} appears twice in [{exc.section}]"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: section [{exc.section}] appears twice"
+    return "not an INI file"
 
-    A file that is not UTF-8 is a ParseError naming it.  A value that
+
+def _load_config(path, kind: str, spec_from_parser):
+    """``spec_from_parser(parser, where)`` on an INI file, read without ``%`` interpolation.
+
+    A file that is not UTF-8 or not INI is a ParseError naming it.  A value that
     parses but is out of range for the spec, or a room whose explicit step
     would be unstable, is still a fault of the file, so the spec's
     ArgumentError or StabilityError becomes a ParseError naming it.  A
     LayoutError (a sensor outside the room, or a layout that is not 2-D)
     passes through unchanged.
     """
-    parser = configparser.ConfigParser()
-    with timeseries.utf8_errors(path):
-        read = parser.read(Path(path), encoding="utf-8")
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with timeseries.utf8_errors(path):
+            read = parser.read(Path(path), encoding="utf-8")
+    except configparser.Error as exc:
+        raise ParseError(f"{path}: {_ini_fault(exc)}") from None
     if not read:
-        raise ParseError(f"cannot read {kind} config {path}")
+        raise ParseError(f"{path}: cannot read {kind} config")
     try:
         return spec_from_parser(parser, str(path))
     except LayoutError:

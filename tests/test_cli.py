@@ -12,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import thermokmd
-from thermokmd import pipeline
+from thermokmd import pipeline, synth
 from thermokmd.cli import main
 from thermokmd.gradient import load_sources_csv
 from thermokmd.synth import (
@@ -125,6 +125,18 @@ class TestSynthAndSpectrum:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["snapshots", "layout"])
+    def test_empty_pipeline_input_exit_2(self, kind, two_tone_dir, tmp_path, capsys):
+        files = {"snapshots": two_tone_dir / "snapshots.csv", "layout": two_tone_dir / "layout.csv"}
+        bad = files[kind] = tmp_path / f"{kind}.csv"
+        bad.write_text({"snapshots": "", "layout": "id,x,y\n"}[kind], encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--snapshots", str(files["snapshots"]),
+                     "--layout", str(files["layout"]), "--out-dir", str(out)]) == 2
+        message = {"snapshots": "empty file", "layout": "layout file has no sensors"}[kind]
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", ["width", "poly", "x", "sum_real", "dx"])
     def test_non_numeric_field_exit_2(self, field, two_tone_dir, tmp_path, capsys):
@@ -285,15 +297,22 @@ class TestSynthAndSpectrum:
         assert not out.exists()
 
     @pytest.mark.parametrize("below", [False, True], ids=["afile", "afile/sub"])
-    @pytest.mark.parametrize("command", ["pipeline", "spectrum", "synth-room"])
-    def test_out_dir_under_a_file_exit_2(self, command, below, two_tone_dir, tmp_path, capsys):
-        # mkdir raises FileExistsError on a file and NotADirectoryError below one
+    @pytest.mark.parametrize("command", ["pipeline", "spectrum", "synth-room", "synth-analytic"])
+    def test_out_dir_under_a_file_exit_2(self, command, below, two_tone_dir, tmp_path, capsys,
+                                         monkeypatch):
+        # mkdir raises FileExistsError on a file and NotADirectoryError below one,
+        # and a generator is not run before it
+        def generator(spec):
+            pytest.fail("the generator ran before the output directory was made")
+
+        monkeypatch.setattr(synth, "simulate_room", generator)
+        monkeypatch.setattr(synth, "generate_analytic", generator)
         afile = tmp_path / "afile"
         afile.write_text("kept\n", encoding="utf-8")
         data = ["--snapshots", str(two_tone_dir / "snapshots.csv")]
         argv = {"pipeline": ["pipeline", *data, "--layout", str(two_tone_dir / "layout.csv")],
                 "spectrum": ["spectrum", *data],
-                "synth-room": ["synth-room"]}[command]
+                "synth-room": ["synth-room"], "synth-analytic": ["synth-analytic"]}[command]
         out = afile / "sub" if below else afile
         assert main(argv + ["--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
@@ -424,6 +443,32 @@ def room_ini(config) -> str:
                    for section, values in config.items())
 
 
+#: A 241-snapshot analytic spec with one plane-wave tone, for values drawn at
+#: random; ``re im kx ky`` are the four numbers of its ``plane_wave`` line.
+SMALL_ANALYTIC = {"dt": 60.0, "noise_std": 0.05, "period": 853.8, "phase": 0.3,
+                  "re": 1.0, "im": -0.5, "kx": 0.3, "ky": 0.7}
+
+
+def analytic_ini(values) -> str:
+    """The spec ``values`` give; a ``poly`` entry takes the plane wave's place."""
+    wave = "plane_wave = " + " ".join(repr(values[k]) for k in ("re", "im", "kx", "ky"))
+    return (f"[analytic]\ndt = {values['dt']!r}\nsnapshots = 241\n"
+            f"noise_std = {values['noise_std']!r}\n[tone.1]\nperiod = {values['period']!r}\n"
+            f"phase = {values['phase']!r}\n"
+            + (f"poly = {values['poly']}\n" if "poly" in values else wave + "\n"))
+
+
+def exits_0_or_one_error_line(argv) -> None:
+    """``main(argv)`` exits 0, or 2 with one ``error:`` line on stderr."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestConfigValues:
     """A config value out of range is a fault of the file: exit 2, one ``error:`` line."""
 
@@ -488,14 +533,40 @@ class TestConfigValues:
             path = Path(tmp) / "room.ini"
             path.write_text(room_ini(config), encoding="utf-8")
             (Path(tmp) / "layout.csv").write_text("id,x,y\ns,1.0,0.5\n", encoding="utf-8")
-            err = io.StringIO()
-            with redirect_stderr(err), redirect_stdout(io.StringIO()):
-                code = main(["synth-room", "--config", str(path), "--layout",
-                             str(Path(tmp) / "layout.csv"), "--out-dir", str(Path(tmp) / "out")])
-        assert code in (0, 2)
-        if code == 2:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: ")
+            exits_0_or_one_error_line(["synth-room", "--config", str(path), "--layout",
+                                       str(Path(tmp) / "layout.csv"),
+                                       "--out-dir", str(Path(tmp) / "out")])
+
+    @settings(max_examples=80, deadline=None)
+    @given(key=st.sampled_from(list(SMALL_ANALYTIC)), value=st.floats())
+    @example(key="poly", value="400 0 1.0")  # x**400 overflows
+    @example(key="poly", value="0 0 1e308 1e308")  # 2 Re[A lam^k] overflows
+    def test_any_analytic_value(self, key, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "analytic.ini"
+            path.write_text(analytic_ini({**SMALL_ANALYTIC, key: value}), encoding="utf-8")
+            exits_0_or_one_error_line(["synth-analytic", "--config", str(path),
+                                       "--out-dir", str(Path(tmp) / "out")])
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("synth-room", "[room]\nwidth = 14.0\ndepth\n",
+         "line 3: neither a [section] header nor 'key = value'"),
+        ("synth-room", "width = 14.0\n[room]\n", "line 1: text before the first [section] header"),
+        ("synth-room", "[room]\nwidth = 14.0\nwidth = 7.0\n",
+         "line 3: key 'width' appears twice in [room]"),
+        ("synth-analytic", "[analytic]\ndt = 60.0\n[analytic]\n",
+         "line 3: section [analytic] appears twice"),
+        ("synth-room", None, "cannot read room config"),
+        ("synth-analytic", None, "cannot read analytic config"),
+    ], ids=["no-equals", "no-section", "repeated-key", "repeated-section", "missing-room",
+            "missing-analytic"])
+    def test_malformed_config_exit_2(self, command, text, message, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestPhaseAverageAndGradient:

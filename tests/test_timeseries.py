@@ -16,13 +16,24 @@ from hypothesis.extra import numpy as hnp
 from thermokmd.errors import (
     DuplicateError,
     GeometryError,
+    LayoutError,
     ParseError,
     TooShortError,
     UniformityError,
 )
 from thermokmd.gradient import load_sources_csv
 from thermokmd.phaseavg import PhaseAverageResult, load_result_csv, result_to_csv
-from thermokmd.synth import AirConditioner, write_sources_csv
+from thermokmd.synth import (
+    ANALYTIC_CONFIG,
+    ROOM_CONFIG,
+    AirConditioner,
+    AnalyticSpec,
+    RoomSimSpec,
+    default_layout,
+    load_analytic_config,
+    load_room_config,
+    write_sources_csv,
+)
 from thermokmd.timeseries import (
     UNIFORMITY_RTOL,
     GridSpec,
@@ -580,6 +591,49 @@ class TestMutatedResult:
         else:
             assert len(ids) == len(sums) == len(harmonics)
             assert np.isfinite(sums).all() and np.isfinite(harmonics).all()
+
+
+class TestMutatedConfigs:
+    """A shipped INI spec, mutated as in TestMutatedFile, loads to a spec or raises the
+    ParseError family naming the file on one line.  Only the loaders run, no simulation.
+
+    A room that shrinks away from the default sensors raises a LayoutError, which
+    ``synth-room`` reports with both files named, so a one-line one passes too.
+    """
+
+    @staticmethod
+    def mutant(data, shipped, tmp_path_factory):
+        path = tmp_path_factory.mktemp("iz") / shipped.name
+        text = shipped.read_text(encoding="utf-8")
+        text = text.replace(*data) if isinstance(data, tuple) else mutate_text(data, text)
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    @example(data=("depth = 7.0", "depth 7.0"))  # a line that is not 'key = value'
+    @example(data=("ambient = 29.0", "ambient = 29%"))  # no % interpolation
+    @example(data=("width = 14.0", "width = 1.4"))  # the default sensors fall outside
+    def test_room(self, data, tmp_path_factory):
+        path = self.mutant(data, ROOM_CONFIG, tmp_path_factory)
+        try:
+            assert isinstance(load_room_config(path, default_layout()), RoomSimSpec)
+        except LayoutError as exc:
+            assert "\n" not in str(exc) and "\r" not in str(exc)
+        except ParseError as exc:
+            _assert_one_line_naming(exc, path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    @example(data=("[tone.2]", "[tone.1]"))  # a repeated section
+    @example(data=("seed = 7", "seed = 7\nseed = 8"))  # a repeated key
+    @example(data=("# Two", "Two"))  # text before the first section header
+    def test_analytic(self, data, tmp_path_factory):
+        path = self.mutant(data, ANALYTIC_CONFIG, tmp_path_factory)
+        try:
+            assert isinstance(load_analytic_config(path, default_layout()), AnalyticSpec)
+        except ParseError as exc:
+            _assert_one_line_naming(exc, path)
 
 
 def _load_snapshots_rows(path):
