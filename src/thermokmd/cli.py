@@ -61,14 +61,23 @@ def _load_snapshots(args) -> timeseries.SnapshotMatrix:
     return timeseries.load_snapshots(args.snapshots, dt_override=dt)
 
 
+def _generate(generator, spec, config):
+    """``generator(spec)``; a record it gives that SnapshotMatrix refuses is ``config``'s fault."""
+    try:
+        return generator(spec)
+    except ParseError as exc:
+        raise ParseError(f"{config}: {exc}") from None
+
+
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_synth_analytic(args) -> int:
     layout = timeseries.load_layout(args.layout) if args.layout else synth.default_layout()
-    spec = synth.load_analytic_config(args.config or synth.ANALYTIC_CONFIG, layout)
+    config = args.config or synth.ANALYTIC_CONFIG
+    spec = synth.load_analytic_config(config, layout)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    snapshots, truth = synth.generate_analytic(spec)
+    snapshots, truth = _generate(synth.generate_analytic, spec, config)
     timeseries.write_snapshots(snapshots, out / "snapshots.csv")
     timeseries.write_layout(layout, out / "layout.csv")
     _write(out, {"truth_modes.json": spectral.table_to_json(truth),
@@ -79,15 +88,16 @@ def cmd_synth_analytic(args) -> int:
 
 def cmd_synth_room(args) -> int:
     sensors = timeseries.load_layout(args.layout) if args.layout else synth.default_layout()
+    config = args.config or synth.ROOM_CONFIG
     try:
-        spec = synth.load_room_config(args.config or synth.ROOM_CONFIG, sensors)
+        spec = synth.load_room_config(config, sensors)
     except LayoutError as exc:
         # the layout does not fit the room: a fault of the input files
         files = " with ".join(str(p) for p in (args.layout, args.config) if p)
         raise ParseError(f"{files}: {exc}") from None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    snapshots, events = synth.simulate_room(spec)
+    snapshots, events = _generate(synth.simulate_room, spec, config)
     timeseries.write_snapshots(snapshots, out / "snapshots.csv")
     timeseries.write_layout(spec.sensors, out / "layout.csv")
     synth.write_switch_log(events, out / "switch_log.csv")
@@ -168,8 +178,15 @@ def _add_method(p) -> None:
                         "or the companion-matrix method")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses an argument with one ``error:`` line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thermokmd",
         description="Mode decomposition, phase averaging, and gradient estimation "
                     "for multichannel sensor fields",

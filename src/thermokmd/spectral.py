@@ -169,14 +169,20 @@ def period_of(lam: complex, dt: float) -> float | None:
     """Oscillation period in seconds of a discrete-time eigenvalue.
 
     Returns None when |arg(lam)| is below :data:`BIAS_THRESHOLD_RAD` (no
-    oscillation within the record's resolution).
+    oscillation within the record's resolution).  Raises NumericalError when
+    the period is past the range of a double (a dt above about 1e301 s).
     """
     if not dt > 0:
         raise ArgumentError(f"dt must be positive, got {dt}")
     angle = abs(np.angle(lam))
     if angle < BIAS_THRESHOLD_RAD:
         return None
-    return float(2.0 * np.pi * dt / angle)
+    with np.errstate(over="ignore"):
+        period = float(2.0 * np.pi * dt / angle)
+    if not np.isfinite(period):
+        raise NumericalError(f"the period 2 pi dt / |arg(lam)| = 2 pi * {dt!r} s / {angle:.6g} "
+                             "is out of the range of a double")
+    return period
 
 
 def companion_kmd(s: SnapshotMatrix) -> ModeTable:

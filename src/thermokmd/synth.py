@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,6 +125,9 @@ class AnalyticSpec:
             raise ArgumentError(f"need at least 3 snapshots, got {self.n_snapshots}")
         if not self.dt > 0:
             raise ArgumentError(f"dt must be positive, got {self.dt}")
+        if not math.isfinite((self.n_snapshots - 1) * self.dt):  # the record's last time
+            raise ArgumentError(f"(snapshots - 1) * dt = {self.n_snapshots - 1} * {self.dt!r} s "
+                                "is out of the range of a double")
         if self.noise_std < 0:
             raise ArgumentError(f"noise_std must be >= 0, got {self.noise_std}")
         for tone in self.tones:
@@ -604,35 +608,6 @@ def _parse_field(section, where: str, d: int):
     return PlaneWaveField(complex(nums[0], nums[1]), tuple(nums[2:]))
 
 
-def _analytic_spec_from_parser(parser, layout: SensorLayout, where: str) -> AnalyticSpec:
-    if "analytic" not in parser:
-        raise ParseError(f"{where}: missing [analytic] section")
-    top = parser["analytic"]
-    tones = []
-    for name in parser.sections():
-        if not name.startswith("tone."):
-            continue
-        sec = parser[name]
-        tones.append(
-            Tone(
-                period=_number(sec, "period", where),
-                amplitude=_parse_field(sec, f"{where} [{name}]", layout.d),
-                **_optional(sec, where, phase=float),
-            )
-        )
-    bias = None
-    if "bias" in parser:
-        bias = _parse_field(parser["bias"], f"{where} [bias]", layout.d)
-    return AnalyticSpec(
-        layout=layout,
-        dt=_number(top, "dt", where),
-        n_snapshots=_number(top, "snapshots", where, int),
-        tones=tuple(tones),
-        bias=bias,
-        **_optional(top, where, noise_std=float, seed=int),
-    )
-
-
 def _ini_fault(exc: configparser.Error) -> str:
     """What configparser refused, on one line, with the line number it gives."""
     if isinstance(exc, configparser.MissingSectionHeaderError):
@@ -646,15 +621,16 @@ def _ini_fault(exc: configparser.Error) -> str:
     return "not an INI file"
 
 
-def _load_config(path, kind: str, spec_from_parser):
-    """``spec_from_parser(parser, where)`` on an INI file, read without ``%`` interpolation.
+@contextmanager
+def _config(path, kind: str):
+    """The INI file at ``path``, read without ``%`` interpolation, for a spec built under it.
 
-    A file that is not UTF-8 or not INI is a ParseError naming it.  A value that
-    parses but is out of range for the spec, or a room whose explicit step
-    would be unstable, is still a fault of the file, so the spec's
-    ArgumentError or StabilityError becomes a ParseError naming it.  A
-    LayoutError (a sensor outside the room, or a layout that is not 2-D)
-    passes through unchanged.
+    A file that is not UTF-8, not INI or without a ``[kind]`` section is a
+    ParseError naming it.  A value that parses but is out of range for the
+    spec, or a room whose explicit step would be unstable, is still a fault
+    of the file, so the spec's ArgumentError or StabilityError becomes a
+    ParseError naming it.  A LayoutError (a sensor outside the room, or a
+    layout that is not 2-D) passes through unchanged.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -664,8 +640,10 @@ def _load_config(path, kind: str, spec_from_parser):
         raise ParseError(f"{path}: {_ini_fault(exc)}") from None
     if not read:
         raise ParseError(f"{path}: cannot read {kind} config")
+    if kind not in parser:
+        raise ParseError(f"{path}: missing [{kind}] section")
     try:
-        return spec_from_parser(parser, str(path))
+        yield parser
     except LayoutError:
         raise  # a fault of the layout and the file together; the caller names both
     except (ArgumentError, StabilityError) as exc:
@@ -673,49 +651,66 @@ def _load_config(path, kind: str, spec_from_parser):
 
 
 def load_analytic_config(path, layout: SensorLayout) -> AnalyticSpec:
-    return _load_config(
-        path, "analytic", lambda parser, where: _analytic_spec_from_parser(parser, layout, where)
-    )
-
-
-def _room_spec_from_parser(parser, sensors: SensorLayout, where: str) -> RoomSimSpec:
-    if "room" not in parser:
-        raise ParseError(f"{where}: missing [room] section")
-    room = parser["room"]
-    acs = []
-    for name in parser.sections():
-        if not name.startswith("ac."):
-            continue
-        sec = parser[name]
-        acs.append(
-            AirConditioner(
-                name=name[3:],
-                position=(_number(sec, "x", where), _number(sec, "y", where)),
-                mode=sec.get("mode"),
-                power=_number(sec, "power", where),
-                on_threshold=_number(sec, "on", where),
-                off_threshold=_number(sec, "off", where),
+    where = str(path)
+    with _config(path, "analytic") as parser:
+        top = parser["analytic"]
+        tones = []
+        for name in parser.sections():
+            if not name.startswith("tone."):
+                continue
+            sec = parser[name]
+            tones.append(
+                Tone(
+                    period=_number(sec, "period", where),
+                    amplitude=_parse_field(sec, f"{where} [{name}]", layout.d),
+                    **_optional(sec, where, phase=float),
+                )
             )
+        bias = None
+        if "bias" in parser:
+            bias = _parse_field(parser["bias"], f"{where} [bias]", layout.d)
+        return AnalyticSpec(
+            layout=layout,
+            dt=_number(top, "dt", where),
+            n_snapshots=_number(top, "snapshots", where, int),
+            tones=tuple(tones),
+            bias=bias,
+            **_optional(top, where, noise_std=float, seed=int),
         )
-    return RoomSimSpec(
-        width=_number(room, "width", where),
-        depth=_number(room, "depth", where),
-        nx=_number(room, "nx", where, int),
-        ny=_number(room, "ny", where, int),
-        kappa=_number(room, "kappa", where),
-        leak=_number(room, "leak", where),
-        ambient=_number(room, "ambient", where),
-        acs=tuple(acs),
-        sim_dt=_number(room, "sim_dt", where),
-        sample_dt=_number(room, "sample_dt", where),
-        duration=_number(room, "duration", where),
-        sensors=sensors,
-        **_optional(room, where, warmup=float, seed=int, init_temperature=float,
-                    init_noise=float),
-    )
 
 
 def load_room_config(path, sensors: SensorLayout) -> RoomSimSpec:
-    return _load_config(
-        path, "room", lambda parser, where: _room_spec_from_parser(parser, sensors, where)
-    )
+    where = str(path)
+    with _config(path, "room") as parser:
+        room = parser["room"]
+        acs = []
+        for name in parser.sections():
+            if not name.startswith("ac."):
+                continue
+            sec = parser[name]
+            acs.append(
+                AirConditioner(
+                    name=name[3:],
+                    position=(_number(sec, "x", where), _number(sec, "y", where)),
+                    mode=sec.get("mode"),
+                    power=_number(sec, "power", where),
+                    on_threshold=_number(sec, "on", where),
+                    off_threshold=_number(sec, "off", where),
+                )
+            )
+        return RoomSimSpec(
+            width=_number(room, "width", where),
+            depth=_number(room, "depth", where),
+            nx=_number(room, "nx", where, int),
+            ny=_number(room, "ny", where, int),
+            kappa=_number(room, "kappa", where),
+            leak=_number(room, "leak", where),
+            ambient=_number(room, "ambient", where),
+            acs=tuple(acs),
+            sim_dt=_number(room, "sim_dt", where),
+            sample_dt=_number(room, "sample_dt", where),
+            duration=_number(room, "duration", where),
+            sensors=sensors,
+            **_optional(room, where, warmup=float, seed=int, init_temperature=float,
+                        init_noise=float),
+        )

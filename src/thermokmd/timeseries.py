@@ -435,12 +435,7 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
                     )
                 times.append(_parse_time(path, rec[0], r))
                 cells.append(rec[0])
-                try:
-                    # float() ignores surrounding whitespace, as str.strip() does
-                    vals = list(map(float, rec[1:]))
-                except ValueError:  # a bad cell, or one edged by \x1c-\x1f, which only strip() drops
-                    vals = [_cell_value(path, cell, r, c) for c, cell in enumerate(rec[1:], start=2)]
-                rows.append(vals)
+                rows.append([_cell_value(path, cell, r, c) for c, cell in enumerate(rec[1:], 2)])
         if len(rows) < 3:
             raise TooShortError(f"{path}: need at least 3 data rows, got {len(rows)}")
         values = np.array(rows, dtype=float).T  # (M, N)

@@ -458,15 +458,21 @@ def analytic_ini(values) -> str:
             + (f"poly = {values['poly']}\n" if "poly" in values else wave + "\n"))
 
 
-def exits_0_or_one_error_line(argv) -> None:
-    """``main(argv)`` exits 0, or 2 with one ``error:`` line on stderr."""
+def exits_0_or_one_error_line(argv, named="") -> None:
+    """``main(argv)`` exits 0, or 2 with one ``error: <named>`` line on stderr.
+
+    An argument that argparse refuses exits with SystemExit, whose code counts.
+    """
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     assert code in (0, 2)
     if code == 2:
         lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines) == 1 and lines[0].startswith(f"error: {named}")
 
 
 class TestConfigValues:
@@ -503,10 +509,12 @@ class TestConfigValues:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("noise_std", "nan"), ("dt", "inf"), ("period", "inf"), ("phase", "nan")])
+        ("noise_std", "nan"), ("dt", "inf"), ("period", "inf"), ("phase", "nan"),
+        # twice dt is below the period, but the last time, 240 * dt, overflows
+        ("dt", "1e306")])
     def test_analytic_value(self, key, value, tmp_path, capsys):
         bad = tmp_path / "analytic.ini"
-        fields = {"dt": "60.0", "noise_std": "0.05", "period": "853.8", "phase": "0.0", key: value}
+        fields = {"dt": "60.0", "noise_std": "0.05", "period": "1e307", "phase": "0.0", key: value}
         bad.write_text("[analytic]\n"
                        f"dt = {fields['dt']}\nsnapshots = 241\nnoise_std = {fields['noise_std']}\n"
                        f"[tone.1]\nperiod = {fields['period']}\nphase = {fields['phase']}\n"
@@ -518,6 +526,8 @@ class TestConfigValues:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=80, deadline=None)
     @given(field=st.sampled_from(ROOM_FLOAT_KEYS), value=st.floats())
+    @example(field=("room", "init_noise"), value=1e308)  # the field overflows
+    @example(field=("room", "duration"), value=10.0)  # two snapshots
     def test_any_room_value(self, field, value):
         section, key = field
         config = {name: dict(values) for name, values in SMALL_ROOM.items()}
@@ -533,20 +543,23 @@ class TestConfigValues:
             path = Path(tmp) / "room.ini"
             path.write_text(room_ini(config), encoding="utf-8")
             (Path(tmp) / "layout.csv").write_text("id,x,y\ns,1.0,0.5\n", encoding="utf-8")
+            # every fault names the config, or the layout with it
             exits_0_or_one_error_line(["synth-room", "--config", str(path), "--layout",
                                        str(Path(tmp) / "layout.csv"),
-                                       "--out-dir", str(Path(tmp) / "out")])
+                                       "--out-dir", str(Path(tmp) / "out")],
+                                      named=os.path.join(tmp, ""))
 
     @settings(max_examples=80, deadline=None)
     @given(key=st.sampled_from(list(SMALL_ANALYTIC)), value=st.floats())
     @example(key="poly", value="400 0 1.0")  # x**400 overflows
     @example(key="poly", value="0 0 1e308 1e308")  # 2 Re[A lam^k] overflows
     def test_any_analytic_value(self, key, value):
+        # every fault, even values that overflow as they are generated, names the config
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "analytic.ini"
             path.write_text(analytic_ini({**SMALL_ANALYTIC, key: value}), encoding="utf-8")
             exits_0_or_one_error_line(["synth-analytic", "--config", str(path),
-                                       "--out-dir", str(Path(tmp) / "out")])
+                                       "--out-dir", str(Path(tmp) / "out")], named=f"{path}: ")
 
     @pytest.mark.parametrize("command, text, message", [
         ("synth-room", "[room]\nwidth = 14.0\ndepth\n",
@@ -813,6 +826,33 @@ class TestPipeline:
             main(argv)
         assert exc.value.code == 2
         assert "invalid choice: 'dft'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=50, deadline=None)
+    @given(option=st.sampled_from(["--neighbors", "--method"]), value=st.text())
+    @example(option="--method", value="bogus")
+    @example(option="--method", value="companion")
+    @example(option="--neighbors", value="1e3")
+    @example(option="--neighbors", value="-1")  # below d + 1
+    @example(option="--neighbors", value=" 10000000000000000000000 ")  # above the sensor count
+    @example(option="--neighbors", value="--out-dir")  # no value
+    def test_any_argument(self, option, value, two_tone_dir):
+        with tempfile.TemporaryDirectory() as tmp:
+            exits_0_or_one_error_line(["pipeline", "--snapshots",
+                                       str(two_tone_dir / "snapshots.csv"), "--layout",
+                                       str(two_tone_dir / "layout.csv"), option, value,
+                                       "--out-dir", str(Path(tmp) / "out")])
+
+    @pytest.mark.parametrize("dt", ["1e307", "1.7e308"])
+    def test_period_past_a_double_exit_1(self, dt, two_tone_dir, tmp_path, capsys):
+        # 2 pi dt / |arg(lam)| overflows: a numerical failure, and nothing is written
+        code = main(["pipeline", "--snapshots", str(two_tone_dir / "snapshots.csv"),
+                     "--layout", str(two_tone_dir / "layout.csv"), "--dt-override", dt,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "out of the range of a double" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method", ["hankel", "companion"])
