@@ -107,6 +107,11 @@ class Tone:
     phase: float = 0.0
 
 
+#: the most values (sensors x snapshots) an analytic record may hold, so that a
+#: count no machine could hold is refused rather than allocated
+MAX_VALUES = 10**8
+
+
 @dataclass(frozen=True)
 class AnalyticSpec:
     layout: SensorLayout
@@ -123,6 +128,9 @@ class AnalyticSpec:
             _require_finite("tone ", period=tone.period, phase=tone.phase)
         if self.n_snapshots < 3:
             raise ArgumentError(f"need at least 3 snapshots, got {self.n_snapshots}")
+        if self.layout.n_sensors * int(self.n_snapshots) > MAX_VALUES:
+            raise ArgumentError(f"{self.layout.n_sensors} sensors x {self.n_snapshots} snapshots "
+                                f"is over {MAX_VALUES:.0e} values")
         if not self.dt > 0:
             raise ArgumentError(f"dt must be positive, got {self.dt}")
         if not math.isfinite((self.n_snapshots - 1) * self.dt):  # the record's last time
@@ -400,6 +408,11 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
     of the relays that could reach their level within it, jumps to the first
     step at which one switches, and decides there as a step would.  So it
     agrees with the steps taken one at a time to round-off, not bit for bit.
+    Whether a reading could reach its level is bounded from the settled
+    state: for mu != 1, G_j = sim_dt (1 - mu^j) / (1 - mu), so in j steps the
+    mode moves by (mu^j - 1)(a - s), s = sim_dt f / (1 - mu), however large
+    s is; a mode with mu = 1 moves by j sim_dt f.  A coefficient that decays
+    below the smallest normal double is set to zero.
     """
     nx, ny = spec.nx, spec.ny
     c0 = float(spec.init_temperature)
@@ -436,14 +449,23 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
         gain[j + 1] += spec.sim_dt
     # |1 - mu^j| <= 1 - mu^n for j <= n when mu >= 0, and <= 1 - mu when -1 <= mu < 0
     swing = np.where(mu >= -1.0, 1.0 - mu, np.inf)
+    # f held fixed settles a mode with mu != 1 at s = sim_dt f / (1 - mu); a mode
+    # with mu = 1 has no settled state (s = 0 here) and ramps by sim_dt f a step
+    ramps = mu == 1.0
+    settle = spec.sim_dt / np.where(ramps, np.inf, 1.0 - mu)
+    # a subnormal coefficient (a fast mode decaying while no unit drives it) is
+    # far below any reading's round-off, but slows every product it enters
+    tiny = np.finfo(float).tiny
 
-    forced = {}  # units on -> f, each reading's response G_j f, and its running max and min
+    forced = {}  # units on -> f, each reading's response G_j f, s, ramp, and a margin
 
     def forcing(active):
         f = drift + rates[active] @ rows[active]
         response = gain @ (rows * f).T
-        return (f, response, np.maximum.accumulate(response), np.minimum.accumulate(response),
-                np.abs(response).max(axis=0, initial=0.0))
+        settled = settle * f
+        size = np.abs(response).max(axis=0, initial=0.0)
+        return (f, response, settled, spec.sim_dt * (rows[:, ramps] @ f[ramps]),
+                1e-9 * (magnitude @ np.abs(settled) + size))
 
     def reached(reading, level, rising):
         """Where a relay reading has reached its level, from below where ``rising``."""
@@ -471,22 +493,25 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
         key = on.tobytes()
         if key not in forced:
             forced[key] = forcing(on)
-        f, response, peak, trough, size = forced[key]
+        f, response, settled, ramp, margin = forced[key]
         n = min(steps, next_sample - step, total - step)
         # A relay can switch within the block only if its reading can reach its
-        # level: the free response moves by at most |rows| @ (|a| |1 - mu^j|)
-        # (plus a margin far above round-off), and the forced one is tabled.
-        scale = np.abs(a)
-        reach = magnitude @ (scale * np.where(mu >= 0.0, 1.0 - power[n], swing))
-        reach += 1e-9 * (np.abs(base) + magnitude @ scale + size)
-        maybe = np.flatnonzero(np.where(rising, ~(base + peak[n] + reach < level),
-                                        ~(base + trough[n] - reach > level)))
+        # level: the modes with mu != 1 move it by at most |rows| @ (|a - s|
+        # |1 - mu^j|), and those with mu = 1 by j ramp, monotonically.  The
+        # margin, far above round-off, covers |rows| @ |a| <= |rows| @ (|a - s| + |s|).
+        reach = magnitude @ (np.abs(a - settled) * (np.where(mu >= 0.0, 1.0 - power[n], swing)
+                                                     + 1e-9))
+        reach += 1e-9 * np.abs(base) + margin
+        climb = n * ramp
+        maybe = np.flatnonzero(np.where(rising, ~(base + np.maximum(climb, 0.0) + reach < level),
+                                        ~(base + np.minimum(climb, 0.0) - reach > level)))
         if maybe.size:
             reading = c0 + (power[1:n + 1] @ (rows[maybe] * a).T + response[1:n + 1, maybe])
             hit = np.flatnonzero(reached(reading, level[maybe], rising[maybe]).any(axis=1))
             if hit.size:
                 n = int(hit[0]) + 1
         a = power[n] * a + gain[n] * f
+        a[np.abs(a) < tiny] = 0.0
         step += n
 
     values = np.array(snapshots).T

@@ -511,12 +511,18 @@ class TestConfigValues:
     @pytest.mark.parametrize("key, value", [
         ("noise_std", "nan"), ("dt", "inf"), ("period", "inf"), ("phase", "nan"),
         # twice dt is below the period, but the last time, 240 * dt, overflows
-        ("dt", "1e306")])
+        ("dt", "1e306"),
+        # over MAX_VALUES: a count past a double's range, and one a double holds
+        # that no machine could allocate
+        pytest.param("snapshots", "1" + "0" * 400, id="snapshots-1e400"),
+        ("snapshots", "1000000000000000")])
     def test_analytic_value(self, key, value, tmp_path, capsys):
         bad = tmp_path / "analytic.ini"
-        fields = {"dt": "60.0", "noise_std": "0.05", "period": "1e307", "phase": "0.0", key: value}
+        fields = {"dt": "60.0", "snapshots": "241", "noise_std": "0.05", "period": "1e307",
+                  "phase": "0.0", key: value}
         bad.write_text("[analytic]\n"
-                       f"dt = {fields['dt']}\nsnapshots = 241\nnoise_std = {fields['noise_std']}\n"
+                       f"dt = {fields['dt']}\nsnapshots = {fields['snapshots']}\n"
+                       f"noise_std = {fields['noise_std']}\n"
                        f"[tone.1]\nperiod = {fields['period']}\nphase = {fields['phase']}\n"
                        "poly = 0 0 1.0\n", encoding="utf-8")
         argv = ["synth-analytic", "--config", str(bad), "--out-dir", str(tmp_path / "out")]

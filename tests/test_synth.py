@@ -488,6 +488,22 @@ def tug_room(leak):
                        init_noise=0.05)
 
 
+def crosstalk_room():
+    """A heater and a cooler on adjacent cells that fight over them.
+
+    The heater's band lies above the cooler's, and each step of either unit
+    moves its neighbour's cell by about a tenth of its own 0.5 degrees, so
+    the two chatter: thousands of switches in 600 s.
+    """
+    sensors = SensorLayout(("s1", "s2"), np.array([[0.6, 0.5], [2.4, 0.5]]))
+    acs = (AirConditioner("heater", (1.4, 0.5), "heat", 2.0, 25.2, 25.3),
+           AirConditioner("cooler", (1.6, 0.5), "cool", 2.0, 24.8, 24.7))
+    return RoomSimSpec(width=3.0, depth=1.0, nx=12, ny=4, kappa=0.03, leak=1e-3,
+                       ambient=28.0, acs=acs, sim_dt=0.25, sample_dt=5.0, duration=600.0,
+                       sensors=sensors, warmup=50.0, seed=11, init_temperature=25.0,
+                       init_noise=0.05)
+
+
 class TestModalMatchesStepping:
     """simulate_room (closed form between switches) against _simulate_loop, to round-off.
 
@@ -537,6 +553,13 @@ class TestModalMatchesStepping:
         events = self.assert_matches(flat_room())
         assert switch_log(events)[:2] == [(0.0, "cooler", "on"), (0.0, "heater", "on")]
         assert [e.state for e in events] == ["on", "on", "off", "off"]
+
+    def test_crosstalk_room(self):
+        # each switch moves the other unit's cell across its level within a step
+        # or two, so the state is never near the one its forcing settles at
+        events = self.assert_matches(crosstalk_room())
+        assert len(events) >= 1000
+        assert {e.ac for e in events} == {"heater", "cooler"}
 
     @pytest.mark.parametrize("leak", [1e-12, 0.0])
     def test_nearly_closed_room(self, leak):

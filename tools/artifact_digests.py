@@ -1,4 +1,4 @@
-"""Digest every artifact of fifteen fixed CLI runs, to show a change keeps them byte-identical.
+"""Digest every artifact of sixteen fixed CLI runs, to show a change keeps them byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] [--method M] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -36,7 +36,11 @@ checkout:
     reports ``mean_removed: false``;
 15. ``synth-room --config`` on a small room with no leak that the tool writes
     into ``--work`` (:data:`CLOSED_ROOM`): the constant mode of the closed
-    form has mu = 1 exactly, so its gain is j * sim_dt.
+    form has mu = 1 exactly, so its gain is j * sim_dt;
+16. ``synth-room --config`` on a room with a heater and a cooler on adjacent
+    cells that the tool writes into ``--work`` (:data:`CROSSTALK_ROOM`): each
+    switch moves the other cell across its level within a step or two, so
+    the log holds thousands of close switches.
 
 ``--method M`` adds ``--method M`` to every ``spectrum`` and ``pipeline``
 call; without it those calls take the tree's default method.  So one
@@ -148,6 +152,44 @@ off = 24.5
 """
 
 
+#: A heater and a cooler on adjacent cells of a 14 x 7 grid, the heater's band
+#: above the cooler's: each step of either unit moves the other's cell by about
+#: a tenth of its own 0.5 degrees, so the two chatter; 2 600 steps.
+CROSSTALK_ROOM = """\
+[room]
+width = 14.0
+depth = 7.0
+nx = 14
+ny = 7
+kappa = 0.48
+leak = 0.001
+ambient = 28.0
+sim_dt = 0.25
+sample_dt = 5.0
+duration = 600.0
+warmup = 50.0
+seed = 11
+init_temperature = 25.0
+init_noise = 0.05
+
+[ac.heater]
+x = 6.5
+y = 3.5
+mode = heat
+power = 2.0
+on = 25.2
+off = 25.3
+
+[ac.cooler]
+x = 7.5
+y = 3.5
+mode = cool
+power = 2.0
+on = 24.8
+off = 24.7
+"""
+
+
 def wide_layout() -> str:
     """A layout CSV of 256 scattered sensors in the default 14 m x 7 m room.
 
@@ -252,6 +294,8 @@ def _runs(w: Path) -> list[list[str]]:
         ["spectrum", "--snapshots", str(bias / "snapshots.csv"),
          "--out-dir", str(w / "bias-tone-spectrum")],
         ["synth-room", "--config", str(w / "closed_room.ini"), "--out-dir", str(w / "closed-room")],
+        ["synth-room", "--config", str(w / "crosstalk_room.ini"),
+         "--out-dir", str(w / "crosstalk-room")],
     ]
 
 
@@ -276,6 +320,7 @@ def cmd_run(args) -> int:
     (work / "lattice_sources.csv").write_text(LATTICE_SOURCES, encoding="utf-8")
     (work / "bias_tone.ini").write_text(BIAS_TONE, encoding="utf-8")
     (work / "closed_room.ini").write_text(CLOSED_ROOM, encoding="utf-8")
+    (work / "crosstalk_room.ini").write_text(CROSSTALK_ROOM, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for argv in _runs(work):
         if args.method and argv[0] in ("spectrum", "pipeline"):
@@ -311,7 +356,7 @@ def cmd_diff(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run the fifteen CLI runs and write the digest list")
+    p = sub.add_parser("run", help="run the sixteen CLI runs and write the digest list")
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
