@@ -53,8 +53,8 @@ class NumericalError(ToolkitError):
     """A numerical routine (eigensolver, least squares) failed to converge."""
 
 
-class StabilityError(ToolkitError):
-    """An explicit integration step violates its stability condition."""
+class StabilityError(ArgumentError):
+    """An explicit integration step would be unstable: its arguments are out of range."""
 
 
 class BiasWarning(UserWarning):

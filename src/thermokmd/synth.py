@@ -14,8 +14,8 @@ Two generators with known answers:
   oscillation whose period can be measured independently from the switch
   log.  The discrete system is an explicit step; :func:`simulate_room`
   advances it in closed form in the cosine basis that diagonalises it,
-  from one relay switch or snapshot to the next, and refuses to run
-  outside the step's CFL bound.
+  from one relay switch or snapshot to the next, and refuses a room in
+  which any mode's one-step multiplier (diffusion and leak) is below 0.
 """
 
 from __future__ import annotations
@@ -296,16 +296,12 @@ class RoomSimSpec:
             raise ArgumentError(f"the run is {total:.3g} steps of sim_dt, over {MAX_STEPS:.0e}")
         if self.init_noise < 0:
             raise ArgumentError("init_noise must be >= 0")
-        try:  # a float power overflows with an exception, not to inf
-            inv_dx2, inv_dy2 = 1.0 / self.dx**2, 1.0 / self.dy**2
-        except (OverflowError, ZeroDivisionError):
-            raise ArgumentError(
-                f"cell size {self.dx!r} m x {self.dy!r} m is out of range") from None
-        cfl = self.kappa * self.sim_dt * (inv_dx2 + inv_dy2)
-        if cfl > 0.25:
-            raise StabilityError(
-                f"explicit step unstable: kappa*dt*(1/dx^2+1/dy^2) = {cfl:.4g} > 0.25"
-            )
+        if not all(0.0 < h * h < math.inf for h in (self.dx, self.dy)):  # before any / h**2
+            raise ArgumentError(f"cell size {self.dx!r} m x {self.dy!r} m is out of range")
+        mu = _multipliers(self, self.nx - 1, self.ny - 1)
+        if not mu >= 0.0:
+            raise StabilityError(f"explicit step unstable: the fastest mode's multiplier {mu:.4g}"
+                                 f" is not >= 0 with kappa {self.kappa:g}, leak {self.leak:g}")
         if self.sensors.d < 2:
             raise LayoutError("room sensors need 2-D coordinates")
         for cid, p in zip(self.sensors.channel_ids, self.sensors.positions):
@@ -363,17 +359,24 @@ def _bilinear(spec: RoomSimSpec):
     return sample
 
 
-def _cosine_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal DCT-II rows, and the eigenvalues of the edge-copied 1-D Laplacian.
-
-    Row k of the basis is an eigenvector of (theta[i-1] - 2 theta[i] +
-    theta[i+1]) / h^2 with theta[-1] = theta[0] and theta[n] = theta[n-1],
-    for the eigenvalue -4 sin^2(pi k / 2n) / h^2.
-    """
+def _cosine_basis(n: int) -> np.ndarray:
+    """Orthonormal DCT-II rows: row k is the 1-D eigenvector of :func:`_multipliers`."""
     k = np.arange(n)
     scale = np.sqrt(np.where(k == 0, 1.0, 2.0) / n)
-    basis = scale[:, None] * np.cos(np.pi * np.outer(k, np.arange(n) + 0.5) / n)
-    return basis, -4.0 * np.sin(np.pi * k / (2 * n)) ** 2 / h**2
+    return scale[:, None] * np.cos(np.pi * np.outer(k, np.arange(n) + 0.5) / n)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing term gives mu = -inf or NaN
+def _multipliers(spec: RoomSimSpec, kx, ky) -> np.ndarray:
+    """mu = 1 + sim_dt (kappa (lam_x + lam_y) - leak): one step's factor on cosine mode (kx, ky).
+
+    Row k of the DCT-II basis is an eigenvector of (theta[i-1] - 2 theta[i] + theta[i+1]) / h^2,
+    theta[-1] = theta[0] and theta[n] = theta[n-1], for lam = -4 sin^2(pi k / 2n) / h^2.
+    mu <= 1, and the fastest mode, (nx - 1, ny - 1), has the smallest.
+    """
+    lam_x, lam_y = (-4.0 * np.sin(np.pi * k / (2 * n)) ** 2 / h**2
+                    for k, n, h in ((kx, spec.nx, spec.dx), (ky, spec.ny, spec.dy)))
+    return 1.0 + spec.sim_dt * (spec.kappa * (lam_x + lam_y) - spec.leak)
 
 
 #: at most this many steps per closed-form block, so that the step tables stay
@@ -411,8 +414,9 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
     Whether a reading could reach its level is bounded from the settled
     state: for mu != 1, G_j = sim_dt (1 - mu^j) / (1 - mu), so in j steps the
     mode moves by (mu^j - 1)(a - s), s = sim_dt f / (1 - mu), however large
-    s is; a mode with mu = 1 moves by j sim_dt f.  A coefficient that decays
-    below the smallest normal double is set to zero.
+    s is, and within an n-step block by at most (1 - mu^n)|a - s|, as
+    RoomSimSpec keeps 0 <= mu <= 1; a mode with mu = 1 moves by j sim_dt f.
+    A coefficient that decays below the smallest normal double is set to zero.
     """
     nx, ny = spec.nx, spec.ny
     c0 = float(spec.init_temperature)
@@ -420,11 +424,10 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
     noise = np.zeros((nx, ny))
     if spec.init_noise > 0:
         noise = spec.init_noise * rng.standard_normal((nx, ny))
-    cx, lam_x = _cosine_basis(nx, spec.dx)
-    cy, lam_y = _cosine_basis(ny, spec.dy)
+    cx, cy = _cosine_basis(nx), _cosine_basis(ny)
     # c0 stays out of the modal state, so a quiet room samples exactly c0
     a = (cx @ noise @ cy.T).ravel()
-    mu = (1.0 + spec.sim_dt * (spec.kappa * (lam_x[:, None] + lam_y[None, :]) - spec.leak)).ravel()
+    mu = _multipliers(spec, np.arange(nx)[:, None], np.arange(ny)).ravel()
     # row u: unit u's cell in the modal basis, which both reads and heats it
     rows = np.array([np.outer(cx[:, i], cy[:, j]).ravel()
                      for i, j in (_cell(spec, ac) for ac in spec.acs)]).reshape(-1, mu.size)
@@ -447,8 +450,6 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
         np.multiply(power[j], mu, out=power[j + 1])
         np.multiply(gain[j], mu, out=gain[j + 1])
         gain[j + 1] += spec.sim_dt
-    # |1 - mu^j| <= 1 - mu^n for j <= n when mu >= 0, and <= 1 - mu when -1 <= mu < 0
-    swing = np.where(mu >= -1.0, 1.0 - mu, np.inf)
     # f held fixed settles a mode with mu != 1 at s = sim_dt f / (1 - mu); a mode
     # with mu = 1 has no settled state (s = 0 here) and ramps by sim_dt f a step
     ramps = mu == 1.0
@@ -497,10 +498,9 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
         n = min(steps, next_sample - step, total - step)
         # A relay can switch within the block only if its reading can reach its
         # level: the modes with mu != 1 move it by at most |rows| @ (|a - s|
-        # |1 - mu^j|), and those with mu = 1 by j ramp, monotonically.  The
+        # (1 - mu^n)), and those with mu = 1 by j ramp, monotonically.  The
         # margin, far above round-off, covers |rows| @ |a| <= |rows| @ (|a - s| + |s|).
-        reach = magnitude @ (np.abs(a - settled) * (np.where(mu >= 0.0, 1.0 - power[n], swing)
-                                                     + 1e-9))
+        reach = magnitude @ (np.abs(a - settled) * (1.0 - power[n] + 1e-9))
         reach += 1e-9 * np.abs(base) + margin
         climb = n * ramp
         maybe = np.flatnonzero(np.where(rising, ~(base + np.maximum(climb, 0.0) + reach < level),
@@ -652,8 +652,8 @@ def _config(path, kind: str):
 
     A file that is not UTF-8, not INI or without a ``[kind]`` section is a
     ParseError naming it.  A value that parses but is out of range for the
-    spec, or a room whose explicit step would be unstable, is still a fault
-    of the file, so the spec's ArgumentError or StabilityError becomes a
+    spec (a room whose explicit step has a negative multiplier among them) is
+    still a fault of the file, so the spec's ArgumentError becomes a
     ParseError naming it.  A LayoutError (a sensor outside the room, or a
     layout that is not 2-D) passes through unchanged.
     """
@@ -671,7 +671,7 @@ def _config(path, kind: str):
         yield parser
     except LayoutError:
         raise  # a fault of the layout and the file together; the caller names both
-    except (ArgumentError, StabilityError) as exc:
+    except ArgumentError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 

@@ -186,22 +186,31 @@ class TestSynthAndSpectrum:
         assert err.startswith(f"error: {bad}: not UTF-8 text (") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("field", ["nx", "mode", "snapshots", "sim_dt"])
+    @pytest.mark.parametrize("field", ["nx", "mode", "snapshots", "sim_dt", "leak"])
     def test_out_of_range_config_exit_2(self, field, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         room_ini = files("thermokmd.configs").joinpath("room_default.ini").read_text("utf-8")
-        text, command = {
-            "nx": (room_ini.replace("nx = 56", "nx = 2"), "synth-room"),
-            "mode": (room_ini.replace("mode = cool\n", "", 1), "synth-room"),
-            "snapshots": ("[analytic]\ndt = 60.0\nsnapshots = 2\n", "synth-analytic"),
-            # an explicit step past the stability bound (19.2 > 0.25)
-            "sim_dt": (room_ini.replace("sim_dt = 0.375", "sim_dt = 30.0"), "synth-room"),
+        text, command, named = {
+            "nx": (room_ini.replace("nx = 56", "nx = 2"), "synth-room", "3x3 cells"),
+            "mode": (room_ini.replace("mode = cool\n", "", 1), "synth-room", "AC mode"),
+            "snapshots": ("[analytic]\ndt = 60.0\nsnapshots = 2\n", "synth-analytic",
+                          "3 snapshots"),
+            # an explicit step whose fastest mode has the multiplier -75.66
+            "sim_dt": (room_ini.replace("sim_dt = 0.375", "sim_dt = 30.0"), "synth-room",
+                       "multiplier -75.66 is not >= 0"),
+            # a leak that takes the fastest mode's multiplier to -1.98; over a
+            # short run the field stays finite, so nothing else would refuse it
+            "leak": (room_ini.replace("leak = 0.00035", "leak = 5.4")
+                     .replace("warmup = 7200.0", "warmup = 0.0")
+                     .replace("duration = 14400.0", "duration = 120.0"), "synth-room",
+                     "leak 5.4"),
         }[field]
         bad.write_text(text, encoding="utf-8")
         assert main([command, "--config", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(bad) in err
+        assert str(bad) in err and named in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field", ["dx", "dy"])
     def test_zero_grid_spacing_exit_2(self, field, tmp_path, capsys):

@@ -229,6 +229,12 @@ class TestSimulateRoom:
         with pytest.raises(StabilityError):
             quiet_room(sensors, kappa=0.1, sim_dt=0.5)
 
+    def test_negative_multiplier_refused(self):
+        # the leak of TestModalMatchesStepping.test_fastest_mode_nearly_still, 0.008 / s more
+        with pytest.raises(StabilityError, match="multiplier -0.001 is not >= 0 with "
+                                                 "kappa 0.01, leak 2.82863"):
+            leaky_room(-1e-3)
+
     def test_sensor_outside_room(self):
         bad = SensorLayout(("s",), np.array([[5.0, 0.5]]))
         with pytest.raises(ArgumentError):
@@ -504,6 +510,20 @@ def crosstalk_room():
                        init_noise=0.05)
 
 
+def leaky_room(fastest):
+    """The tug room leaking so fast that its fastest mode's multiplier is ``fastest``.
+
+    Each step takes the field most of the way back to ambient, and each unit
+    drives its cell past its level in a step or two, so both units chatter.
+    """
+    spec = tug_room(0.0)
+    lam = sum(-4.0 * np.sin(np.pi * (n - 1) / (2 * n)) ** 2 / h**2
+              for n, h in ((spec.nx, spec.dx), (spec.ny, spec.dy)))
+    acs = (AirConditioner("heater", (0.3, 0.5), "heat", 4.0, 25.2, 25.6),
+           AirConditioner("cooler", (2.7, 0.5), "cool", 4.0, 24.8, 24.4))
+    return replace(spec, leak=spec.kappa * lam + (1.0 - fastest) / spec.sim_dt, acs=acs)
+
+
 class TestModalMatchesStepping:
     """simulate_room (closed form between switches) against _simulate_loop, to round-off.
 
@@ -566,6 +586,18 @@ class TestModalMatchesStepping:
         # the constant mode's mu is 1 - 2.5e-13 (or 1): its gain must not cancel
         events = self.assert_matches(tug_room(leak))
         assert len(events) >= 6
+
+    def test_fastest_mode_nearly_still(self):
+        # mu = 1e-3 on the fastest mode: its bound 1 - mu^n is about 1 after one step
+        events = self.assert_matches(leaky_room(1e-3))
+        assert len(events) >= 100 and {e.ac for e in events} == {"heater", "cooler"}
+
+    def test_closed_room_with_cfl_over_a_quarter(self):
+        # leak = 0 and kappa dt (1/dx^2 + 1/dy^2) = 0.26: the fastest mode's
+        # multiplier is 0.045, as the exact eigenvalue is above -4 / h^2
+        spec = replace(tug_room(0.0), kappa=0.0325)
+        assert spec.kappa * spec.sim_dt * (1 / spec.dx**2 + 1 / spec.dy**2) > 0.25
+        assert len(self.assert_matches(spec)) >= 6
 
     def test_quiet_room_is_exact(self):
         # the offset stays out of the modal state, so nothing rounds it
