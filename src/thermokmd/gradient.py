@@ -10,6 +10,10 @@ Two differentiation paths:
 
       minimize  sum_j w_j | f_i + g . (r_j - r_i) - f_j |^2,  w_j = 1/|r_j - r_i|.
 
+  Every valid stencil is solved in one stacked call of the LAPACK routine
+  behind ``np.linalg.lstsq``.  The one neighbour search also gives the
+  field's median spacing, which the SVG and the flux scores read.
+
 Degenerate stencils (too few neighbors, or neighbor positions collinear
 beyond the condition limit) yield an invalid flag rather than a regularized
 guess: a fabricated gradient component would defeat the diagnostic.
@@ -19,8 +23,10 @@ from __future__ import annotations
 
 import html
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import timeseries
 from .errors import ArgumentError, DuplicateError, GeometryError, ParseError
@@ -54,7 +60,7 @@ class GradientField:
 
     ``vectors`` is (M, d), complex when the differentiated mode was complex;
     rows where ``valid`` is False hold NaN.  ``methods`` records the stencil
-    used at each sensor.
+    used at each sensor.  :attr:`spacing` is the layout's median spacing.
     """
 
     vectors: np.ndarray
@@ -71,6 +77,15 @@ class GradientField:
         val.setflags(write=False)
         if np.any(~np.isfinite(vec[val])):
             raise GeometryError("gradient produced non-finite values at valid sensors")
+
+    @cached_property
+    def spacing(self) -> float:
+        """:func:`median_spacing` of the layout, computed on first use.
+
+        :func:`gradient_field` sets it for a scattered layout from the
+        stencil's neighbour search, so that no second search is made.
+        """
+        return median_spacing(self.layout)
 
 
 @dataclass(frozen=True)
@@ -150,12 +165,7 @@ def median_spacing(layout: SensorLayout) -> float:
     pos = layout.positions
     if len(pos) < 2:
         raise GeometryError("need at least 2 sensors to define a spacing")
-    nearest = np.empty(len(pos))
-    for start, dist in _distance_blocks(pos):
-        rows = np.arange(len(dist))
-        dist[rows, start + rows] = np.inf  # a sensor is not its own neighbour
-        nearest[start:start + len(dist)] = dist.min(axis=1)
-    return timeseries.median(nearest)
+    return timeseries.median(_nearest(pos, 1)[1][:, 0])
 
 
 def gradient_field(
@@ -184,14 +194,18 @@ def gradient_field(
     is_complex = np.iscomplexobj(mode)
     mode = mode.astype(complex if is_complex else float)
 
+    spacing = None
     if layout.grid is not None:
         vectors, valid, methods = _grid_gradient(mode, layout)
     else:
-        vectors, valid, methods = _scattered_gradient(mode, layout, neighbors)
+        vectors, valid, methods, spacing = _scattered_gradient(mode, layout, neighbors)
     if not np.any(valid):
         raise GeometryError("gradient stencil is degenerate at every sensor")
     vectors[~valid] = np.nan
-    return GradientField(vectors=vectors, valid=valid, methods=tuple(methods), layout=layout)
+    field = GradientField(vectors=vectors, valid=valid, methods=tuple(methods), layout=layout)
+    if spacing is not None:
+        vars(field)["spacing"] = spacing  # where cached_property keeps its value
+    return field
 
 
 def _grid_gradient(mode, layout):
@@ -214,14 +228,27 @@ def _grid_gradient(mode, layout):
     return vectors, np.ones(m, dtype=bool), methods
 
 
+def _lstsq_failed(err, flag):
+    """The error state's callback: the error ``np.linalg.lstsq`` raises when LAPACK fails."""
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
 def _scattered_gradient(mode, layout, neighbors):
+    """(vectors, valid, methods, median spacing or None when no search was made).
+
+    Each valid row is ``np.linalg.lstsq(a_i, b_i, rcond=None)[0]`` to the bit:
+    the stencils go to the gufunc that ``lstsq`` wraps, stacked, with its
+    signature, its rcond ``eps * max(k, d)`` and its error state.
+    """
     pos = layout.positions
     m, d = pos.shape
     k = min(neighbors, m - 1)
     vectors = np.zeros((m, d), dtype=mode.dtype)
     valid = np.zeros(m, dtype=bool)
+    spacing = None
     if k >= d + 1:
         order, dist = _nearest(pos, k)
+        spacing = timeseries.median(dist[:, 0])  # as median_spacing takes it
         # distinct sensors whose squared distance underflows to 0 void the stencil
         apart = dist > 0
         w = np.divide(1.0, dist, out=np.zeros_like(dist), where=apart)
@@ -231,10 +258,14 @@ def _scattered_gradient(mode, layout, neighbors):
         valid = apart.all(axis=1) & ~(sv[:, -1] <= 0)
         valid[valid] = ~(sv[valid, 0] / sv[valid, -1] > CONDITION_LIMIT)
         b = (mode[order] - mode[:, None]) * w
-        for i in np.flatnonzero(valid):
-            vectors[i] = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
+        signature = "DDd->Ddid" if np.iscomplexobj(b) else "ddd->ddid"
+        with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            vectors[valid] = _umath_linalg.lstsq(a[valid], b[valid, :, None],
+                                                 np.finfo(float).eps * max(k, d),
+                                                 signature=signature)[0][..., 0]
     methods = [SCATTERED_LSQ if v else INVALID for v in valid.tolist()]
-    return vectors, valid, methods
+    return vectors, valid, methods, spacing
 
 
 def rms_gradient(
@@ -269,7 +300,7 @@ def flux_consistency(field: GradientField, sources) -> dict[str, float]:
     Raises GeometryError when a source has no valid sensor in range.
     """
     layout = field.layout
-    spacing = median_spacing(layout)
+    spacing = field.spacing
     pos = layout.positions
     grads = np.real(field.vectors)
     scores: dict[str, float] = {}
@@ -330,16 +361,16 @@ def rms_to_csv(field: GradientField) -> str:
 def field_to_svg(field: GradientField) -> str:
     """Quiver plot of the real gradient vectors.
 
-    Arrows are scaled so the longest is 0.8 times the median sensor spacing;
-    the scale appears in the legend.  The CSV is the canonical output; the
-    SVG is for human inspection.
+    Arrows are scaled so the longest is 0.8 times the median sensor spacing
+    (:attr:`GradientField.spacing`); the scale appears in the legend.  The
+    CSV is the canonical output; the SVG is for human inspection.
     """
     layout = field.layout
     if layout.d < 2:
         raise GeometryError("SVG export needs a 2-D layout")
     pos = layout.positions[:, :2]
     grads = np.real(field.vectors[:, :2])
-    spacing = median_spacing(layout)
+    spacing = field.spacing
     finite = field.valid
     max_norm = float(np.sqrt((grads[finite] ** 2).sum(axis=1)).max()) if np.any(finite) else 0.0
     arrow_m = 0.8 * spacing

@@ -475,10 +475,9 @@ def _mode_json(mode: np.ndarray) -> str:
     """``"mode": [...]`` with one ``{"im", "re"}`` object per channel, as json writes it."""
     if mode.size == 0:
         return _MODE_SLOT
-    pairs = zip(map(repr, mode.imag.tolist()), map(repr, mode.real.tolist()))
-    text = _MODE_OPEN + _MODE_NEXT.join(map(_MODE_RE.join, pairs)) + _MODE_CLOSE
-    # repr spells the non-finite floats nan, inf and -inf; json, NaN and (-)Infinity
-    return text.replace("nan", "NaN").replace("inf", "Infinity")
+    pairs = zip(timeseries.json_floats(mode.imag.tolist()),
+                timeseries.json_floats(mode.real.tolist()))
+    return _MODE_OPEN + _MODE_NEXT.join(map(_MODE_RE.join, pairs)) + _MODE_CLOSE
 
 
 def table_to_json(table: ModeTable) -> str:
@@ -488,9 +487,7 @@ def table_to_json(table: ModeTable) -> str:
     whose ``"mode"`` lists hold one ``{"im": v.imag, "re": v.real}`` object
     per channel.  ``json_text`` renders everything but the mode lists (key
     order, ASCII string escapes, ``null`` periods); each mode list is
-    written from ``tolist()`` with float ``repr``, which is what json writes
-    for a finite float, ``-0.0`` included, and NaN and infinities are
-    spelled ``NaN``, ``Infinity`` and ``-Infinity`` as json spells them.
+    written from ``tolist()`` with ``timeseries.json_floats``.
     """
     payload = {
         "dt_seconds": table.dt,

@@ -240,6 +240,18 @@ def json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def json_floats(values: list[float]) -> list[str]:
+    """Each float of ``values`` as :func:`json_text` writes it.
+
+    That is its ``repr`` when finite, ``-0.0`` included; json spells the rest
+    ``NaN``, ``Infinity`` and ``-Infinity`` where repr has nan, inf and -inf.
+    The renaming runs on one text of nothing but reprs, so it never meets a
+    string such as a channel id.
+    """
+    text = "\n".join(map(repr, values))
+    return text.replace("nan", "NaN").replace("inf", "Infinity").splitlines()
+
+
 class _Lines(list):
     write = list.append  # a csv.writer target that keeps each line it is given
 

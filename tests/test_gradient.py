@@ -1,4 +1,3 @@
-import html
 from xml.dom import minidom
 
 import numpy as np
@@ -26,6 +25,8 @@ from thermokmd.gradient import (
 from thermokmd.phaseavg import harmonic_amplitude
 from thermokmd.synth import default_layout
 from thermokmd.timeseries import GridSpec, SensorLayout, SnapshotMatrix
+
+from oracles import _field_to_svg_loop, _median_spacing_full, _scattered_gradient_loop
 
 
 def grid_layout(rows, cols, dx, dy, x0=0.0, y0=0.0):
@@ -287,120 +288,7 @@ class TestExports:
         assert labels[:-1] == list(ids)
 
 
-# -- the per-sensor reference code that the array passes reproduce bit for bit ------
-
-def _scattered_gradient_loop(mode, layout, neighbors, condition_limit):
-    """The reference stencil: a full distance row and a stable argsort per sensor."""
-    pos = layout.positions
-    m, d = pos.shape
-    k = min(neighbors, m - 1)
-    vectors = np.zeros((m, d), dtype=mode.dtype)
-    valid = np.zeros(m, dtype=bool)
-    methods = []
-    for i in range(m):
-        if k < d + 1:
-            methods.append(INVALID)
-            continue
-        dist = np.sqrt(((pos - pos[i]) ** 2).sum(axis=1))
-        order = np.argsort(dist, kind="stable")[1 : k + 1]
-        dr = pos[order] - pos[i]
-        w = 1.0 / dist[order]
-        a = dr * w[:, None]
-        sv = np.linalg.svd(a, compute_uv=False)
-        if sv[-1] <= 0 or sv[0] / sv[-1] > condition_limit:
-            methods.append(INVALID)
-            continue
-        b = (mode[order] - mode[i]) * w
-        g, *_ = np.linalg.lstsq(a, b, rcond=None)
-        vectors[i] = g
-        valid[i] = True
-        methods.append(SCATTERED_LSQ)
-    return vectors, valid, methods
-
-
-def _median_spacing_full(layout):
-    """The reference spacing: the whole (M, M, d) difference array at once."""
-    pos = layout.positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    return float(np.median(dist.min(axis=1)))
-
-
-def _field_to_svg_loop(field, width_px=720):
-    """The reference quiver plot: each arrow tip and head from 2-vectors, one sensor at a time."""
-    layout = field.layout
-    pos = layout.positions[:, :2]
-    grads = np.real(field.vectors[:, :2])
-    spacing = _median_spacing_full(layout)
-    finite = field.valid
-    max_norm = float(np.sqrt((grads[finite] ** 2).sum(axis=1)).max()) if np.any(finite) else 0.0
-    arrow_m = 0.8 * spacing
-    scale = arrow_m / max_norm if max_norm > 0 else 0.0
-
-    x0, y0 = pos.min(axis=0)
-    x1, y1 = pos.max(axis=0)
-    pad = max(spacing, 0.05 * max(x1 - x0, y1 - y0, 1.0))
-    span_x = (x1 - x0) + 2 * pad
-    span_y = (y1 - y0) + 2 * pad
-    px_per_m = width_px / span_x
-    height_px = span_y * px_per_m + 40
-
-    def to_px(p):
-        return (
-            (p[0] - x0 + pad) * px_per_m,
-            (y1 - p[1] + pad) * px_per_m,
-        )
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px:.0f}" '
-        f'height="{height_px:.0f}" viewBox="0 0 {width_px:.0f} {height_px:.0f}">',
-        '<rect x="0" y="0" width="100%" height="100%" fill="white"/>',
-    ]
-    bx0, by0 = to_px((x0, y1))
-    bx1, by1 = to_px((x1, y0))
-    parts.append(
-        f'<rect x="{bx0:.1f}" y="{by0:.1f}" width="{bx1 - bx0:.1f}" '
-        f'height="{by1 - by0:.1f}" fill="none" stroke="#999" stroke-width="1"/>'
-    )
-    for i, cid in enumerate(layout.channel_ids):
-        cx, cy = to_px(pos[i])
-        parts.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="3" fill="#c22"/>')
-        label = html.escape(cid, quote=False)
-        parts.append(
-            f'<text x="{cx + 4:.1f}" y="{cy - 4:.1f}" font-size="9" fill="#555">{label}</text>'
-        )
-        if not field.valid[i]:
-            continue
-        tip = pos[i] + scale * grads[i]
-        tx, ty = to_px(tip)
-        parts.append(
-            f'<line x1="{cx:.1f}" y1="{cy:.1f}" x2="{tx:.1f}" y2="{ty:.1f}" '
-            'stroke="#1648b0" stroke-width="1.5"/>'
-        )
-        v = np.array([tx - cx, ty - cy])
-        norm = np.sqrt((v**2).sum())
-        if norm > 1e-9:
-            u = v / norm
-            n = np.array([-u[1], u[0]])
-            head = 5.0
-            for s in (+1, -1):
-                hx, hy = np.array([tx, ty]) - head * u + s * 0.6 * head * n
-                parts.append(
-                    f'<line x1="{tx:.1f}" y1="{ty:.1f}" x2="{hx:.1f}" y2="{hy:.1f}" '
-                    'stroke="#1648b0" stroke-width="1.5"/>'
-                )
-    legend = (
-        f"longest arrow = {max_norm:.4g} units/m (drawn {arrow_m:.3g} m)"
-        if max_norm > 0
-        else "all gradients zero or invalid"
-    )
-    parts.append(
-        f'<text x="8" y="{height_px - 12:.1f}" font-size="12" fill="#333">{legend}</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
+# -- the array passes against the per-sensor reference code in oracles.py ---------------
 
 def scattered_layout(m, d, seed):
     """``m`` sensors at seeded uniform points of a 14 m x 7 m x 3 m box, first ``d`` axes."""
@@ -443,19 +331,65 @@ def oracle_mode(layout, complex_mode):
 @pytest.mark.filterwarnings("error")
 class TestArrayPassesMatchLoop:
     @pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize("name", ORACLE_LAYOUTS)
+    @pytest.mark.parametrize("name", [*ORACLE_LAYOUTS, "wide"])
     def test_scattered_gradient(self, name, complex_mode):
-        layout = ORACLE_LAYOUTS[name]()
+        # "wide" is the sensor-wide benchmark's size; its loop reference is
+        # slow, so it runs at the default neighbour count only
+        layout = {"wide": lambda: scattered_layout(1024, 2, 16), **ORACLE_LAYOUTS}[name]()
         mode = oracle_mode(layout, complex_mode)
-        for neighbors in (DEFAULT_NEIGHBORS, 3, 9):
+        for neighbors in (DEFAULT_NEIGHBORS, 3, 9)[: 1 if name == "wide" else 3]:
             got = _scattered_gradient(mode, layout, neighbors)
             want = _scattered_gradient_loop(mode, layout, neighbors, CONDITION_LIMIT)
             assert got[0].dtype == want[0].dtype
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             assert got[2] == want[2]
+            searched = min(neighbors, layout.n_sensors - 1) >= layout.d + 1
+            assert got[3] == (median_spacing(layout) if searched else None)
         if name == "collinear":
             assert 0 < want[1].sum() < layout.n_sensors
+
+    @pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
+    def test_non_finite_mode(self, complex_mode):
+        layout = ORACLE_LAYOUTS["scattered-d2"]()
+        mode = oracle_mode(layout, complex_mode)
+        mode[[5, 200]] = np.nan, np.inf
+        # a complex inf times a stencil weight warns of an invalid value; that is not under test
+        with np.errstate(invalid="ignore"):
+            got = _scattered_gradient(mode, layout, DEFAULT_NEIGHBORS)
+            want = _scattered_gradient_loop(mode, layout, DEFAULT_NEIGHBORS, CONDITION_LIMIT)
+            assert np.array_equal(got[0], want[0], equal_nan=True)
+            assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+            with pytest.raises(GeometryError, match="^gradient produced non-finite values "
+                                                    "at valid sensors$"):
+                gradient_field(mode, layout)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_spacing_from_neighbour_search(self, seed):
+        # lattice points, so distances tie, and some points 1e-200 apart near the
+        # origin, whose squared distances underflow: those sensors coincide at 0
+        rng = np.random.default_rng(seed)
+        n = rng.integers(8, 40)
+        pts = rng.integers(0, 6, size=(n, 2)) * 0.375
+        tiny = rng.random(n) < 0.3
+        pts = np.where(tiny[:, None], rng.integers(1, 4, size=(n, 2)) * 1e-200, pts)
+        pts = np.unique(pts, axis=0)
+        layout = SensorLayout(tuple(f"p{i}" for i in range(len(pts))), pts)
+        spacing = _scattered_gradient(np.zeros(len(pts)), layout, 3)[3]
+        assert spacing == median_spacing(layout) == _median_spacing_full(layout)
+
+    def test_field_spacing(self):
+        layout = ORACLE_LAYOUTS["scattered-d2"]()
+        field = gradient_field(oracle_mode(layout, False), layout)
+        assert vars(field)["spacing"] == _median_spacing_full(layout)  # set, not computed
+        grid = grid_layout(3, 4, 0.5, 0.7)
+        field = gradient_field(grid.positions[:, 0], grid)
+        assert "spacing" not in vars(field)
+        assert field.spacing == median_spacing(grid) == 0.5
+        one = grid_layout(1, 1, 0.5, 0.5)
+        field = gradient_field(np.zeros(1), one)  # a field of one sensor has no spacing
+        with pytest.raises(GeometryError, match="^need at least 2 sensors"):
+            field.spacing
 
     def test_lattice_neighbours_tie(self):
         layout = lattice_layout()

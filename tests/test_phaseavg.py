@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from thermokmd.errors import BiasWarning, PeriodError
 from thermokmd.phaseavg import (
+    PhaseAverageResult,
     harmonic_amplitude,
     phase_average,
     result_to_csv,
@@ -12,6 +14,8 @@ from thermokmd.phaseavg import (
 )
 from thermokmd.spectral import companion_kmd
 from thermokmd.timeseries import SnapshotMatrix
+
+from oracles import _result_to_json_dumps
 
 
 def record(values, dt=60.0):
@@ -162,9 +166,55 @@ class TestSerialization:
         lines = csv_text.splitlines()
         assert lines[0] == "channel_id,sum_real,harmonic_re,harmonic_im"
         assert len(lines) == 3
-        import json
-
         payload = json.loads(result_to_json(res))
         assert payload["period_samples"] == 10
         assert payload["cycles_used"] == res.cycles_used
         assert len(payload["channels"]) == 2
+
+
+class TestJsonBytes:
+    """result_to_json is byte-identical to the reference json.dumps writer."""
+
+    def result(self, ids, sum_real, harmonic, warnings=()):
+        return PhaseAverageResult(period_samples=12, cycles_used=5, sum_real=sum_real,
+                                  harmonic=harmonic, dt=30.0, channel_ids=ids,
+                                  warnings=warnings)
+
+    def test_phase_average_of_a_record(self):
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=40)
+        s = record(tone(lambda k: 2 * np.cos(2 * np.pi * k / 12), 121, v)
+                   + 0.01 * rng.normal(size=(40, 121)) + 0.5)
+        with pytest.warns(BiasWarning):
+            res = phase_average(s, 12)
+        assert res.warnings
+        assert result_to_json(res) == _result_to_json_dumps(res)
+
+    def test_ids_json_escapes(self):
+        ids = ('q"uote', "back\\slash", "tab\tbell\x07", "caf\u00e9 \u2103", "\U0001f321",
+               "nan", "inf", "-inf", "Infinity", "nan inf", '"channels": []', "")
+        n = len(ids)
+        res = self.result(ids, np.linspace(-1.0, 1.0, n), np.arange(n) * (0.5 - 1.25j),
+                          warnings=('channel "nan" has "channels": []',))
+        text = result_to_json(res)
+        assert text == _result_to_json_dumps(res)
+        assert [c["channel_id"] for c in json.loads(text)["channels"]] == list(ids)
+
+    def test_non_finite_and_signed_zero_values(self):
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308]
+        harmonic = np.array(specials, dtype=complex)
+        harmonic.imag = specials[::-1]
+        res = self.result(("nan", "inf", "a", "b", "c", "d", "e"),
+                          [-0.0, 0.0, 1e-300, -1e300, 2.5, 3.0, 0.1], harmonic)
+        text = result_to_json(res)
+        assert text == _result_to_json_dumps(res)
+        assert "NaN" in text and "-Infinity" in text and '"nan"' in text
+        # a non-finite stride average is refused before it can be written
+        with pytest.raises(PeriodError, match="non-finite"):
+            self.result(("a",), [np.nan], [0j])
+
+    def test_no_channels(self):
+        res = self.result((), np.zeros(0), np.zeros(0, dtype=complex))
+        text = result_to_json(res)
+        assert text == _result_to_json_dumps(res)
+        assert json.loads(text)["channels"] == []

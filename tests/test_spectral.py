@@ -37,6 +37,8 @@ from thermokmd.synth import (
 )
 from thermokmd.timeseries import SnapshotMatrix
 
+from oracles import _table_to_json_dumps
+
 
 def make_record(values, dt=60.0):
     values = np.asarray(values, dtype=float)
@@ -674,34 +676,6 @@ class TestSerialization:
         assert entry["period_minutes"] == pytest.approx(14.23)
         assert entry["bias_flag"] is False
         assert entry["mode"] == [{"re": 1.0640, "im": 0.0}]
-
-
-def _table_to_json_dumps(table):
-    """The reference writer: json.dumps over one {"re", "im"} dict per mode value."""
-    def record(e):
-        return {
-            "couple": list(e.label),
-            "lam": {"re": e.rep.lam.real, "im": e.rep.lam.imag},
-            "abs_lam": e.abs_lam,
-            "period_minutes": None if e.period_seconds is None else e.period_seconds / 60.0,
-            "mode_norm": e.mode_norm,
-            "energy": e.energy,
-            "bias_flag": e.bias,
-            "nyquist_flag": e.nyquist,
-            "unpaired_flag": e.unpaired,
-            "mode": [{"re": v.real, "im": v.imag} for v in e.rep.mode],
-        }
-
-    payload = {
-        "dt_seconds": table.dt,
-        "n_snapshots": table.n_snapshots,
-        "residual": table.residual,
-        "mean_removed": table.mean_removed,
-        "channel_ids": list(table.channel_ids),
-        "notes": list(table.notes),
-        "modes": [record(e) for e in table.entries],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class TestJsonBytes:
