@@ -338,7 +338,12 @@ def _cell(spec: RoomSimSpec, ac: AirConditioner) -> tuple[int, int]:
 
 
 def _bilinear(spec: RoomSimSpec):
-    """The sensor sampler: bilinear interpolation on cell centers, clamped at the walls."""
+    """The sensor sampler: bilinear interpolation on cell centers, clamped at the walls.
+
+    Returns the flat indices of the four cells each sensor reads, shape
+    (4, sensors), and the function that weighs the values taken there; it
+    takes any array whose last two axes are (4, sensors).
+    """
     nx, ny, dx, dy = spec.nx, spec.ny, spec.dx, spec.dy
     sens = spec.sensors.positions
     fx = np.clip(sens[:, 0] / dx - 0.5, 0.0, nx - 1.0)
@@ -347,16 +352,17 @@ def _bilinear(spec: RoomSimSpec):
     j0 = np.minimum(fy.astype(int), ny - 2)
     tx = fx - i0
     ty = fy - j0
+    cells = np.array([i0 * ny + j0, (i0 + 1) * ny + j0, i0 * ny + j0 + 1, (i0 + 1) * ny + j0 + 1])
 
-    def sample(field: np.ndarray) -> np.ndarray:
+    def weigh(taken: np.ndarray) -> np.ndarray:
         return (
-            field[i0, j0] * (1 - tx) * (1 - ty)
-            + field[i0 + 1, j0] * tx * (1 - ty)
-            + field[i0, j0 + 1] * (1 - tx) * ty
-            + field[i0 + 1, j0 + 1] * tx * ty
+            taken[..., 0, :] * (1 - tx) * (1 - ty)
+            + taken[..., 1, :] * tx * (1 - ty)
+            + taken[..., 2, :] * (1 - tx) * ty
+            + taken[..., 3, :] * tx * ty
         )
 
-    return sample
+    return cells, weigh
 
 
 def _cosine_basis(n: int) -> np.ndarray:
@@ -417,6 +423,15 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
     s is, and within an n-step block by at most (1 - mu^n)|a - s|, as
     RoomSimSpec keeps 0 <= mu <= 1; a mode with mu = 1 moves by j sim_dt f.
     A coefficient that decays below the smallest normal double is set to zero.
+
+    A room has a few units, so their state (on, level, direction) and the
+    screen that picks which to predict are Python floats and bools, taken
+    from the arrays with ``tolist``; the vector work stays in numpy.  Each
+    snapshot keeps only the four cells each sensor reads, and the bilinear
+    weights are applied to all snapshots at the end.  The record bytes and
+    the switch log equal those of the same blocks with the relay state in
+    arrays and the whole field sampled per snapshot (``_simulate_blocks`` in
+    the tests' oracles).
     """
     nx, ny = spec.nx, spec.ny
     c0 = float(spec.init_temperature)
@@ -433,12 +448,9 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
                      for i, j in (_cell(spec, ac) for ac in spec.acs)]).reshape(-1, mu.size)
     magnitude = np.abs(rows)
     rates = np.array([-ac.power if ac.mode == "cool" else ac.power for ac in spec.acs])
-    cool = np.array([ac.mode == "cool" for ac in spec.acs], dtype=bool)
-    on_level = np.array([ac.on_threshold for ac in spec.acs])
-    off_level = np.array([ac.off_threshold for ac in spec.acs])
     drift = np.zeros(mu.size)
     drift[0] = spec.leak * (spec.ambient - c0) * np.sqrt(nx * ny)
-    sample = _bilinear(spec)
+    cells, weigh = _bilinear(spec)
 
     stride, wsteps, total = _schedule(spec)
     # power[j] = mu^j and gain[j] = G_j, by the recurrence the steps follow
@@ -460,61 +472,73 @@ def simulate_room(spec: RoomSimSpec) -> tuple[SnapshotMatrix, tuple[SwitchEvent,
 
     forced = {}  # units on -> f, each reading's response G_j f, s, ramp, and a margin
 
-    def forcing(active):
+    def forcing(on):
+        active = np.array(on, dtype=bool)
         f = drift + rates[active] @ rows[active]
         response = gain @ (rows * f).T
         settled = settle * f
         size = np.abs(response).max(axis=0, initial=0.0)
-        return (f, response, settled, spec.sim_dt * (rows[:, ramps] @ f[ramps]),
-                1e-9 * (magnitude @ np.abs(settled) + size))
+        return (f, response, settled, (spec.sim_dt * (rows[:, ramps] @ f[ramps])).tolist(),
+                (1e-9 * (magnitude @ np.abs(settled) + size)).tolist())
 
     def reached(reading, level, rising):
-        """Where a relay reading has reached its level, from below where ``rising``."""
-        return np.where(rising, reading >= level, reading <= level)
+        """Whether a reading (float or array) has reached its level, from below if ``rising``."""
+        return reading >= level if rising else reading <= level
 
-    on = np.zeros(len(spec.acs), dtype=bool)
-    level, rising = on_level, cool  # every unit starts off, waiting for its on level
-    snapshots: list[np.ndarray] = []
+    # the per-unit state is Python floats and bools: a room has a few units
+    units = range(len(spec.acs))
+    cool = [ac.mode == "cool" for ac in spec.acs]
+    on = [False] * len(spec.acs)
+    level, rising = [ac.on_threshold for ac in spec.acs], cool[:]  # every unit waits to go on
+    f, response, settled, ramp, margin = forced[tuple(on)] = forcing(on)
+    taken: list[np.ndarray] = []  # the four cells each sensor reads, per snapshot
     events: list[SwitchEvent] = []
     step, next_sample = 0, wsteps
     while True:
         if step == next_sample:
-            snapshots.append(sample(c0 + cx.T @ a.reshape(nx, ny) @ cy))
+            taken.append((cx.T @ a.reshape(nx, ny) @ cy).take(cells))
             next_sample += stride
         if step == total:
             break
-        base = c0 + rows @ a
-        flip = reached(base, level, rising)
-        on ^= flip
-        level, rising = np.where(on, off_level, on_level), cool != on
-        t = step * spec.sim_dt - spec.warmup
-        if t >= 0:
-            events += (SwitchEvent(t, spec.acs[u].name, "on" if on[u] else "off", float(base[u]))
-                       for u in np.flatnonzero(flip))
-        key = on.tobytes()
-        if key not in forced:
-            forced[key] = forcing(on)
-        f, response, settled, ramp, margin = forced[key]
+        base = [c0 + b for b in (rows @ a).tolist()]
+        flip = [u for u in units if reached(base[u], level[u], rising[u])]
+        if flip:
+            t = step * spec.sim_dt - spec.warmup
+            for u in flip:
+                ac = spec.acs[u]
+                on[u] = not on[u]
+                level[u] = ac.off_threshold if on[u] else ac.on_threshold
+                rising[u] = cool[u] != on[u]
+                if t >= 0:
+                    events.append(SwitchEvent(t, ac.name, "on" if on[u] else "off", base[u]))
+            key = tuple(on)
+            if key not in forced:
+                forced[key] = forcing(on)
+            f, response, settled, ramp, margin = forced[key]
         n = min(steps, next_sample - step, total - step)
         # A relay can switch within the block only if its reading can reach its
         # level: the modes with mu != 1 move it by at most |rows| @ (|a - s|
         # (1 - mu^n)), and those with mu = 1 by j ramp, monotonically.  The
         # margin, far above round-off, covers |rows| @ |a| <= |rows| @ (|a - s| + |s|).
-        reach = magnitude @ (np.abs(a - settled) * (1.0 - power[n] + 1e-9))
-        reach += 1e-9 * np.abs(base) + margin
-        climb = n * ramp
-        maybe = np.flatnonzero(np.where(rising, ~(base + np.maximum(climb, 0.0) + reach < level),
-                                        ~(base + np.minimum(climb, 0.0) - reach > level)))
-        if maybe.size:
+        reach = (magnitude @ (np.abs(a - settled) * (1.0 - power[n] + 1e-9))).tolist()
+        maybe = []
+        for u in units:
+            bound = reach[u] + (1e-9 * abs(base[u]) + margin[u])
+            climb = n * ramp[u]
+            if (not base[u] + max(climb, 0.0) + bound < level[u] if rising[u]
+                    else not base[u] + min(climb, 0.0) - bound > level[u]):
+                maybe.append(u)
+        if maybe:
             reading = c0 + (power[1:n + 1] @ (rows[maybe] * a).T + response[1:n + 1, maybe])
-            hit = np.flatnonzero(reached(reading, level[maybe], rising[maybe]).any(axis=1))
-            if hit.size:
-                n = int(hit[0]) + 1
+            for u, column in zip(maybe, reading.T):
+                hit = np.flatnonzero(reached(column, level[u], rising[u]))
+                if hit.size:
+                    n = min(n, int(hit[0]) + 1)
         a = power[n] * a + gain[n] * f
         a[np.abs(a) < tiny] = 0.0
         step += n
 
-    values = np.array(snapshots).T
+    values = weigh(c0 + np.array(taken)).T
     record = SnapshotMatrix(values, spec.sample_dt, 0.0, spec.sensors.channel_ids)
     return record, tuple(events)
 

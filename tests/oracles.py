@@ -8,10 +8,23 @@ the code it replaced and not against itself.
 
 import html
 import json
+from dataclasses import replace
 
 import numpy as np
 
 from thermokmd.gradient import INVALID, SCATTERED_LSQ
+from thermokmd.synth import (
+    MAX_BLOCK,
+    SwitchEvent,
+    _bilinear,
+    _cell,
+    _cosine_basis,
+    _multipliers,
+    _schedule,
+    simulate_room,
+    switch_cycle_period,
+)
+from thermokmd.timeseries import SensorLayout, SnapshotMatrix
 
 
 # -- gradient: the per-sensor stencil, the all-pairs spacing and the per-arrow SVG ----------
@@ -176,3 +189,266 @@ def _result_to_json_dumps(res):
         ],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# -- room simulator: one explicit step at a time, and the closed form on numpy arrays -------
+
+def _simulate_loop(spec):
+    """The discrete system one explicit step at a time: the reference for simulate_room.
+
+    Ghost cells that repeat each edge cell outward, and fresh arrays every step.
+    """
+    nx, ny, dx, dy = spec.nx, spec.ny, spec.dx, spec.dy
+    rng = np.random.default_rng(spec.seed)
+    theta = np.full((nx, ny), float(spec.init_temperature))
+    if spec.init_noise > 0:
+        theta = theta + spec.init_noise * rng.standard_normal((nx, ny))
+
+    cells = []
+    for ac in spec.acs:
+        ci = min(int(ac.position[0] / dx), nx - 1)
+        cj = min(int(ac.position[1] / dy), ny - 1)
+        cells.append((ci, cj))
+    on = [False] * len(spec.acs)
+
+    sens = spec.sensors.positions
+    fx = np.clip(sens[:, 0] / dx - 0.5, 0.0, nx - 1.0)
+    fy = np.clip(sens[:, 1] / dy - 0.5, 0.0, ny - 1.0)
+    i0 = np.minimum(fx.astype(int), nx - 2)
+    j0 = np.minimum(fy.astype(int), ny - 2)
+    tx = fx - i0
+    ty = fy - j0
+
+    def sample(field):
+        return (
+            field[i0, j0] * (1 - tx) * (1 - ty)
+            + field[i0 + 1, j0] * tx * (1 - ty)
+            + field[i0, j0 + 1] * (1 - tx) * ty
+            + field[i0 + 1, j0 + 1] * tx * ty
+        )
+
+    stride = int(round(spec.sample_dt / spec.sim_dt))
+    wsteps = int(round(spec.warmup / spec.sim_dt))
+    total = wsteps + int(round(spec.duration / spec.sim_dt)) // stride * stride
+    inv_dx2 = 1.0 / dx**2
+    inv_dy2 = 1.0 / dy**2
+    padded = np.empty((nx + 2, ny + 2))  # the corners are never read
+
+    snapshots = []
+    events = []
+    for step in range(total + 1):
+        if step >= wsteps and (step - wsteps) % stride == 0:
+            snapshots.append(sample(theta))
+        if step == total:
+            break
+        t = step * spec.sim_dt - spec.warmup
+        source = np.zeros_like(theta)
+        for a, ac in enumerate(spec.acs):
+            tc = float(theta[cells[a]])
+            if ac.mode == "cool":
+                should_switch_on = not on[a] and tc >= ac.on_threshold
+                should_switch_off = on[a] and tc <= ac.off_threshold
+            else:
+                should_switch_on = not on[a] and tc <= ac.on_threshold
+                should_switch_off = on[a] and tc >= ac.off_threshold
+            if should_switch_on:
+                on[a] = True
+                if t >= 0:
+                    events.append(SwitchEvent(t, ac.name, "on", tc))
+            elif should_switch_off:
+                on[a] = False
+                if t >= 0:
+                    events.append(SwitchEvent(t, ac.name, "off", tc))
+            if on[a]:
+                rate = -ac.power if ac.mode == "cool" else ac.power
+                source[cells[a]] += rate
+        padded[1:-1, 1:-1] = theta
+        padded[0, 1:-1], padded[-1, 1:-1] = theta[0], theta[-1]
+        padded[1:-1, 0], padded[1:-1, -1] = theta[:, 0], theta[:, -1]
+        lap = ((padded[2:, 1:-1] + padded[:-2, 1:-1]) - 2.0 * theta) * inv_dx2 + (
+            (padded[1:-1, 2:] + padded[1:-1, :-2]) - 2.0 * theta
+        ) * inv_dy2
+        theta = theta + spec.sim_dt * (
+            spec.kappa * lap - spec.leak * (theta - spec.ambient) + source
+        )
+
+    values = np.array(snapshots).T
+    return SnapshotMatrix(values, spec.sample_dt, 0.0, spec.sensors.channel_ids), tuple(events)
+
+
+def _bilinear_sampler(spec):
+    """The sensor sampler that indexes the whole field, in 16 fancy-index and elementwise steps."""
+    nx, ny, dx, dy = spec.nx, spec.ny, spec.dx, spec.dy
+    sens = spec.sensors.positions
+    fx = np.clip(sens[:, 0] / dx - 0.5, 0.0, nx - 1.0)
+    fy = np.clip(sens[:, 1] / dy - 0.5, 0.0, ny - 1.0)
+    i0 = np.minimum(fx.astype(int), nx - 2)
+    j0 = np.minimum(fy.astype(int), ny - 2)
+    tx = fx - i0
+    ty = fy - j0
+
+    def sample(field: np.ndarray) -> np.ndarray:
+        return (
+            field[i0, j0] * (1 - tx) * (1 - ty)
+            + field[i0 + 1, j0] * tx * (1 - ty)
+            + field[i0, j0 + 1] * (1 - tx) * ty
+            + field[i0 + 1, j0 + 1] * tx * ty
+        )
+
+    return sample
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _simulate_blocks(spec):
+    """The closed-form simulator with its per-unit state in numpy arrays, one field per snapshot.
+
+    ``simulate_room`` as it was before its relay bookkeeping moved to Python
+    floats and its sampling to the four cells each sensor reads; the new one
+    must give the same record bytes and the same switch log.
+    """
+    nx, ny = spec.nx, spec.ny
+    c0 = float(spec.init_temperature)
+    rng = np.random.default_rng(spec.seed)
+    noise = np.zeros((nx, ny))
+    if spec.init_noise > 0:
+        noise = spec.init_noise * rng.standard_normal((nx, ny))
+    cx, cy = _cosine_basis(nx), _cosine_basis(ny)
+    # c0 stays out of the modal state, so a quiet room samples exactly c0
+    a = (cx @ noise @ cy.T).ravel()
+    mu = _multipliers(spec, np.arange(nx)[:, None], np.arange(ny)).ravel()
+    # row u: unit u's cell in the modal basis, which both reads and heats it
+    rows = np.array([np.outer(cx[:, i], cy[:, j]).ravel()
+                     for i, j in (_cell(spec, ac) for ac in spec.acs)]).reshape(-1, mu.size)
+    magnitude = np.abs(rows)
+    rates = np.array([-ac.power if ac.mode == "cool" else ac.power for ac in spec.acs])
+    cool = np.array([ac.mode == "cool" for ac in spec.acs], dtype=bool)
+    on_level = np.array([ac.on_threshold for ac in spec.acs])
+    off_level = np.array([ac.off_threshold for ac in spec.acs])
+    drift = np.zeros(mu.size)
+    drift[0] = spec.leak * (spec.ambient - c0) * np.sqrt(nx * ny)
+    sample = _bilinear_sampler(spec)
+
+    stride, wsteps, total = _schedule(spec)
+    # power[j] = mu^j and gain[j] = G_j, by the recurrence the steps follow
+    steps = min(stride, total, MAX_BLOCK)
+    power = np.empty((steps + 1, mu.size))
+    gain = np.empty((steps + 1, mu.size))
+    power[0], gain[0] = 1.0, 0.0
+    for j in range(steps):
+        np.multiply(power[j], mu, out=power[j + 1])
+        np.multiply(gain[j], mu, out=gain[j + 1])
+        gain[j + 1] += spec.sim_dt
+    # f held fixed settles a mode with mu != 1 at s = sim_dt f / (1 - mu); a mode
+    # with mu = 1 has no settled state (s = 0 here) and ramps by sim_dt f a step
+    ramps = mu == 1.0
+    settle = spec.sim_dt / np.where(ramps, np.inf, 1.0 - mu)
+    # a subnormal coefficient (a fast mode decaying while no unit drives it) is
+    # far below any reading's round-off, but slows every product it enters
+    tiny = np.finfo(float).tiny
+
+    forced = {}  # units on -> f, each reading's response G_j f, s, ramp, and a margin
+
+    def forcing(active):
+        f = drift + rates[active] @ rows[active]
+        response = gain @ (rows * f).T
+        settled = settle * f
+        size = np.abs(response).max(axis=0, initial=0.0)
+        return (f, response, settled, spec.sim_dt * (rows[:, ramps] @ f[ramps]),
+                1e-9 * (magnitude @ np.abs(settled) + size))
+
+    def reached(reading, level, rising):
+        """Where a relay reading has reached its level, from below where ``rising``."""
+        return np.where(rising, reading >= level, reading <= level)
+
+    on = np.zeros(len(spec.acs), dtype=bool)
+    level, rising = on_level, cool  # every unit starts off, waiting for its on level
+    snapshots: list[np.ndarray] = []
+    events: list[SwitchEvent] = []
+    step, next_sample = 0, wsteps
+    while True:
+        if step == next_sample:
+            snapshots.append(sample(c0 + cx.T @ a.reshape(nx, ny) @ cy))
+            next_sample += stride
+        if step == total:
+            break
+        base = c0 + rows @ a
+        flip = reached(base, level, rising)
+        on ^= flip
+        level, rising = np.where(on, off_level, on_level), cool != on
+        t = step * spec.sim_dt - spec.warmup
+        if t >= 0:
+            events += (SwitchEvent(t, spec.acs[u].name, "on" if on[u] else "off", float(base[u]))
+                       for u in np.flatnonzero(flip))
+        key = on.tobytes()
+        if key not in forced:
+            forced[key] = forcing(on)
+        f, response, settled, ramp, margin = forced[key]
+        n = min(steps, next_sample - step, total - step)
+        # A relay can switch within the block only if its reading can reach its
+        # level: the modes with mu != 1 move it by at most |rows| @ (|a - s|
+        # (1 - mu^n)), and those with mu = 1 by j ramp, monotonically.  The
+        # margin, far above round-off, covers |rows| @ |a| <= |rows| @ (|a - s| + |s|).
+        reach = magnitude @ (np.abs(a - settled) * (1.0 - power[n] + 1e-9))
+        reach += 1e-9 * np.abs(base) + margin
+        climb = n * ramp
+        maybe = np.flatnonzero(np.where(rising, ~(base + np.maximum(climb, 0.0) + reach < level),
+                                        ~(base + np.minimum(climb, 0.0) - reach > level)))
+        if maybe.size:
+            reading = c0 + (power[1:n + 1] @ (rows[maybe] * a).T + response[1:n + 1, maybe])
+            hit = np.flatnonzero(reached(reading, level[maybe], rising[maybe]).any(axis=1))
+            if hit.size:
+                n = int(hit[0]) + 1
+        a = power[n] * a + gain[n] * f
+        a[np.abs(a) < tiny] = 0.0
+        step += n
+
+    values = np.array(snapshots).T
+    record = SnapshotMatrix(values, spec.sample_dt, 0.0, spec.sensors.channel_ids)
+    return record, tuple(events)
+
+
+
+# -- room: the true fundamental gradient, from the field on every cell ---------------------
+
+def _cell_centre_layout(spec):
+    """One sensor on each cell centre, in the field's (x, y) order: it samples the field exactly."""
+    i, j = np.meshgrid(np.arange(spec.nx), np.arange(spec.ny), indexing="ij")
+    pts = np.column_stack([(i.ravel() + 0.5) * spec.dx, (j.ravel() + 0.5) * spec.dy])
+    return SensorLayout(tuple(f"c{k}" for k in range(len(pts))), pts)
+
+
+def _room_gradient_truth(spec, ac):
+    """(complex gradient (sensors, 2) at the sensors of ``spec``, the dense run's switch log).
+
+    A copy of ``spec`` with one sensor on each cell centre records the whole
+    field.  Its Fourier average at omega = 2 pi / switch_cycle_period(events,
+    ac), (1/N) sum_k (theta_k - mean) exp(-i omega k sample_dt), is the room's
+    fundamental mode A on the grid, so that theta ~ 2 Re(A exp(i omega t)).
+    ``np.gradient`` of A, sampled with the simulator's bilinear weights, is the
+    true gradient at each sensor.
+    """
+    dense, events = simulate_room(replace(spec, sensors=_cell_centre_layout(spec)))
+    omega = 2.0 * np.pi / switch_cycle_period(events, ac)
+    y = dense.values - dense.values.mean(axis=1, keepdims=True)
+    phase = np.exp(-1j * omega * spec.sample_dt * np.arange(dense.n_snapshots))
+    mode = (y @ phase / dense.n_snapshots).reshape(spec.nx, spec.ny)
+    cells, weigh = _bilinear(spec)
+    grad = [weigh(g.ravel().take(cells)) for g in np.gradient(mode, spec.dx, spec.dy)]
+    return np.column_stack(grad), events
+
+
+def _gradient_angle(vectors, truth):
+    """Degrees: the angle of the median per-sensor |cosine| between gradients and the truth.
+
+    Complex vectors meet the complex truth by the modulus of their inner
+    product, so that a mode's arbitrary complex phase drops out.  Real ones,
+    a field at the phase of sample 0, meet its real part by their signed
+    cosine, so that a reversed gradient reads 180 degrees.
+    """
+    if np.iscomplexobj(vectors):
+        inner = np.abs(np.sum(np.conj(vectors) * truth, axis=1))
+    else:
+        truth = truth.real
+        inner = np.sum(vectors * truth, axis=1)
+    cosine = inner / (np.linalg.norm(vectors, axis=1) * np.linalg.norm(truth, axis=1))
+    return float(np.degrees(np.arccos(np.clip(np.median(cosine), -1.0, 1.0))))

@@ -3,7 +3,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from thermokmd import gradient
+from thermokmd import gradient, phaseavg, spectral, timeseries
 from thermokmd.errors import ArgumentError, GeometryError
 from thermokmd.gradient import (
     CONDITION_LIMIT,
@@ -26,7 +26,13 @@ from thermokmd.phaseavg import harmonic_amplitude
 from thermokmd.synth import default_layout
 from thermokmd.timeseries import GridSpec, SensorLayout, SnapshotMatrix
 
-from oracles import _field_to_svg_loop, _median_spacing_full, _scattered_gradient_loop
+from oracles import (
+    _field_to_svg_loop,
+    _gradient_angle,
+    _median_spacing_full,
+    _room_gradient_truth,
+    _scattered_gradient_loop,
+)
 
 
 def grid_layout(rows, cols, dx, dy, x0=0.0, y0=0.0):
@@ -450,3 +456,50 @@ class TestArrayPassesMatchLoop:
             field = GradientField(vec, np.arange(layout.n_sensors) % 5 > 0,
                                   (SCATTERED_LSQ,) * layout.n_sensors, layout)
             assert field_to_svg(field) == _field_to_svg_loop(field)
+
+
+# -- the default room's gradient against its truth from the field on every cell -------------
+
+#: the most degrees the pipeline's room gradient may turn from the truth: the
+#: 28-sensor stencil floor, which the Fourier average of the sensors at the
+#: switch frequency meets at 7.0-7.1 degrees on seeds 0-7, plus 0.9
+ROOM_ANGLE_BOUND = 8.0
+
+
+@pytest.fixture(scope="module")
+def room_fits(default_rooms):
+    """Per default room: (layout, dominant entry, stride average, truth, both switch logs)."""
+    fits = []
+    for spec, record, events in default_rooms:
+        truth, dense_events = _room_gradient_truth(spec, "AC-2")
+        mean_free = timeseries.remove_mean(record)
+        dominant = spectral.decompose(mean_free, spectral.METHODS[0]).dominant()
+        period, _ = phaseavg.select_period(dominant, record.dt, record.n_snapshots)
+        average = phaseavg.phase_average(mean_free, period)
+        fits.append((spec.sensors, dominant, average, truth, events, dense_events))
+    return fits
+
+
+class TestRoomGradientTruth:
+    """The gradient the pipeline takes on the default room, seeds 0-7, against the truth.
+
+    The truth is the Fourier average of the whole field at AC-2's switch
+    frequency, differentiated on the grid and sampled at the sensors.
+    """
+
+    def test_dense_run_switches_as_the_sensors_run(self, room_fits):
+        for *_, events, dense_events in room_fits:
+            assert dense_events == events
+
+    def test_dmd_mode(self, room_fits):
+        # measured: 6.55-6.56 degrees
+        angles = [_gradient_angle(gradient_field(dominant.rep.mode, layout).vectors, truth)
+                  for layout, dominant, _, truth, *_ in room_fits]
+        assert max(angles) <= ROOM_ANGLE_BOUND, angles
+
+    @pytest.mark.xfail(reason="the stride average at the rounded period, 16 samples for "
+                              "16.2, turns the gradient by 17.9-18.6 degrees")
+    def test_sum_real(self, room_fits):
+        angles = [_gradient_angle(gradient_field(average.sum_real, layout).vectors, truth)
+                  for layout, _, average, truth, *_ in room_fits]
+        assert max(angles) <= ROOM_ANGLE_BOUND, angles

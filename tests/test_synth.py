@@ -19,7 +19,6 @@ from thermokmd.synth import (
     PlaneWaveField,
     PolynomialField,
     RoomSimSpec,
-    SwitchEvent,
     Tone,
     constant_field,
     default_analytic_spec,
@@ -31,7 +30,9 @@ from thermokmd.synth import (
     simulate_room,
     switch_cycle_period,
 )
-from thermokmd.timeseries import SensorLayout, SnapshotMatrix
+from thermokmd.timeseries import SensorLayout
+
+from oracles import _simulate_blocks, _simulate_loop
 
 
 def small_layout():
@@ -378,89 +379,6 @@ def random_room(kind, rng):
     )
 
 
-def _simulate_loop(spec):
-    """The discrete system one explicit step at a time: the reference for simulate_room.
-
-    Ghost cells that repeat each edge cell outward, and fresh arrays every step.
-    """
-    nx, ny, dx, dy = spec.nx, spec.ny, spec.dx, spec.dy
-    rng = np.random.default_rng(spec.seed)
-    theta = np.full((nx, ny), float(spec.init_temperature))
-    if spec.init_noise > 0:
-        theta = theta + spec.init_noise * rng.standard_normal((nx, ny))
-
-    cells = []
-    for ac in spec.acs:
-        ci = min(int(ac.position[0] / dx), nx - 1)
-        cj = min(int(ac.position[1] / dy), ny - 1)
-        cells.append((ci, cj))
-    on = [False] * len(spec.acs)
-
-    sens = spec.sensors.positions
-    fx = np.clip(sens[:, 0] / dx - 0.5, 0.0, nx - 1.0)
-    fy = np.clip(sens[:, 1] / dy - 0.5, 0.0, ny - 1.0)
-    i0 = np.minimum(fx.astype(int), nx - 2)
-    j0 = np.minimum(fy.astype(int), ny - 2)
-    tx = fx - i0
-    ty = fy - j0
-
-    def sample(field):
-        return (
-            field[i0, j0] * (1 - tx) * (1 - ty)
-            + field[i0 + 1, j0] * tx * (1 - ty)
-            + field[i0, j0 + 1] * (1 - tx) * ty
-            + field[i0 + 1, j0 + 1] * tx * ty
-        )
-
-    stride = int(round(spec.sample_dt / spec.sim_dt))
-    wsteps = int(round(spec.warmup / spec.sim_dt))
-    total = wsteps + int(round(spec.duration / spec.sim_dt)) // stride * stride
-    inv_dx2 = 1.0 / dx**2
-    inv_dy2 = 1.0 / dy**2
-    padded = np.empty((nx + 2, ny + 2))  # the corners are never read
-
-    snapshots = []
-    events = []
-    for step in range(total + 1):
-        if step >= wsteps and (step - wsteps) % stride == 0:
-            snapshots.append(sample(theta))
-        if step == total:
-            break
-        t = step * spec.sim_dt - spec.warmup
-        source = np.zeros_like(theta)
-        for a, ac in enumerate(spec.acs):
-            tc = float(theta[cells[a]])
-            if ac.mode == "cool":
-                should_switch_on = not on[a] and tc >= ac.on_threshold
-                should_switch_off = on[a] and tc <= ac.off_threshold
-            else:
-                should_switch_on = not on[a] and tc <= ac.on_threshold
-                should_switch_off = on[a] and tc >= ac.off_threshold
-            if should_switch_on:
-                on[a] = True
-                if t >= 0:
-                    events.append(SwitchEvent(t, ac.name, "on", tc))
-            elif should_switch_off:
-                on[a] = False
-                if t >= 0:
-                    events.append(SwitchEvent(t, ac.name, "off", tc))
-            if on[a]:
-                rate = -ac.power if ac.mode == "cool" else ac.power
-                source[cells[a]] += rate
-        padded[1:-1, 1:-1] = theta
-        padded[0, 1:-1], padded[-1, 1:-1] = theta[0], theta[-1]
-        padded[1:-1, 0], padded[1:-1, -1] = theta[:, 0], theta[:, -1]
-        lap = ((padded[2:, 1:-1] + padded[:-2, 1:-1]) - 2.0 * theta) * inv_dx2 + (
-            (padded[1:-1, 2:] + padded[1:-1, :-2]) - 2.0 * theta
-        ) * inv_dy2
-        theta = theta + spec.sim_dt * (
-            spec.kappa * lap - spec.leak * (theta - spec.ambient) + source
-        )
-
-    values = np.array(snapshots).T
-    return SnapshotMatrix(values, spec.sample_dt, 0.0, spec.sensors.channel_ids), tuple(events)
-
-
 def switch_log(events):
     return [(e.time, e.ac, e.state) for e in events]
 
@@ -524,16 +442,41 @@ def leaky_room(fastest):
     return replace(spec, leak=spec.kappa * lam + (1.0 - fastest) / spec.sim_dt, acs=acs)
 
 
+def edge_layout(spec):
+    """Sensors in the four corners, on the four walls and on one cell centre.
+
+    A sensor on the far wall reads the clamped cells i0 = nx - 2 (or
+    j0 = ny - 2) with weight 1 on the last one; the cell centre reads one
+    cell with weight 1.
+    """
+    w, d = spec.width, spec.depth
+    pts = [(0.0, 0.0), (w, 0.0), (0.0, d), (w, d), (w / 2, 0.0), (w / 2, d), (0.0, d / 3),
+           (w, d / 3), (2.5 * spec.dx, 1.5 * spec.dy)]
+    return SensorLayout(tuple(f"e{i}" for i in range(len(pts))), np.array(pts))
+
+
+def assert_same_bits(spec, got=None):
+    """simulate_room's record bytes and switch log equal those of _simulate_blocks."""
+    record, events = got or simulate_room(spec)
+    want_record, want_events = _simulate_blocks(spec)
+    assert record.values.shape == want_record.values.shape
+    assert record.values.tobytes() == want_record.values.tobytes()
+    assert events == want_events
+    return events
+
+
 class TestModalMatchesStepping:
     """simulate_room (closed form between switches) against _simulate_loop, to round-off.
 
     The switch logs are equal as (time, unit, state); samples and the event
-    cell temperatures agree within 1e-9.
+    cell temperatures agree within 1e-9.  Each room is also checked bit for
+    bit against _simulate_blocks.
     """
 
     @staticmethod
     def assert_matches(spec, got=None, want=None):
         record, events = got or simulate_room(spec)
+        assert_same_bits(spec, (record, events))
         want_record, want_events = want or _simulate_loop(spec)
         assert switch_log(events) == switch_log(want_events)
         assert record.values.shape == want_record.values.shape
@@ -604,6 +547,31 @@ class TestModalMatchesStepping:
         spec = quiet_room(cell_center_layout(2.0, 1.2, 10, 6), leak=0.01, ambient=25.0)
         record, events = simulate_room(spec)
         assert events == () and np.all(record.values == 25.0)
+
+
+class TestSameBitsAsArrays:
+    """simulate_room against _simulate_blocks, the closed form with its relay state in arrays.
+
+    TestModalMatchesStepping makes the same check on each of its rooms.
+    """
+
+    def test_default_room(self, default_rooms):
+        for spec, record, events in default_rooms:
+            assert len(assert_same_bits(spec, (record, events))) >= 6
+
+    def test_sensors_on_the_walls_and_in_the_corners(self):
+        spec = default_room_spec()
+        spec = replace(spec, sensors=edge_layout(spec), duration=3600.0)
+        got = simulate_room(spec)
+        assert assert_same_bits(spec, got)
+        # the corner (0, 0) reads cell (0, 0) alone, and the corner (w, d) the last cell
+        dense = simulate_room(replace(spec, sensors=cell_center_layout(
+            spec.width, spec.depth, spec.nx, spec.ny)))[0].values
+        assert np.array_equal(got[0].values[[0, 3]], dense[[0, -1]])
+
+    def test_no_units(self):
+        spec = quiet_room(small_layout(), leak=0.01, init_noise=0.5, seed=3)
+        assert assert_same_bits(spec) == ()
 
 
 class TestMirrorSymmetry:

@@ -1,4 +1,4 @@
-"""Digest every artifact of sixteen fixed CLI runs, to show a change keeps them byte-identical.
+"""Digest every artifact of seventeen fixed CLI runs, to show a change keeps them byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] [--method M] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -40,7 +40,11 @@ checkout:
 16. ``synth-room --config`` on a room with a heater and a cooler on adjacent
     cells that the tool writes into ``--work`` (:data:`CROSSTALK_ROOM`): each
     switch moves the other cell across its level within a step or two, so
-    the log holds thousands of close switches.
+    the log holds thousands of close switches;
+17. ``synth-room --layout`` on the default room with sensors in its corners,
+    on its walls and on one cell centre, a layout the tool writes into
+    ``--work`` (:func:`edge_layout`): the sensors on the far walls read the
+    clamped cells ``nx - 2`` and ``ny - 2`` of the bilinear sampler.
 
 ``--method M`` adds ``--method M`` to every ``spectrum`` and ``pipeline``
 call; without it those calls take the tree's default method.  So one
@@ -234,6 +238,17 @@ def lattice_layout() -> str:
     return "\n".join(rows) + "\n"
 
 
+def edge_layout() -> str:
+    """A layout CSV of 9 sensors in the default 14 m x 7 m room (cells of 0.25 m).
+
+    The four corners, one point on each wall, and the centre of cell (10, 6).
+    """
+    pts = [(0, 0), (14000, 0), (0, 7000), (14000, 7000), (7000, 0), (5500, 7000),
+           (0, 2300), (14000, 4700), (2625, 1625)]
+    rows = ["id,x,y", *(f"E{k},{x / 1000!r},{y / 1000!r}" for k, (x, y) in enumerate(pts))]
+    return "\n".join(rows) + "\n"
+
+
 #: a cooler and a heater inside the lattice, for ``pipeline --flux-sources``
 LATTICE_SOURCES = "id,x,y,mode\nAC-1,3.0,3.5,cool\nHT-1,10.5,2.0,heat\n"
 
@@ -296,6 +311,7 @@ def _runs(w: Path) -> list[list[str]]:
         ["synth-room", "--config", str(w / "closed_room.ini"), "--out-dir", str(w / "closed-room")],
         ["synth-room", "--config", str(w / "crosstalk_room.ini"),
          "--out-dir", str(w / "crosstalk-room")],
+        ["synth-room", "--layout", str(w / "edge_layout.csv"), "--out-dir", str(w / "edge-room")],
     ]
 
 
@@ -321,6 +337,7 @@ def cmd_run(args) -> int:
     (work / "bias_tone.ini").write_text(BIAS_TONE, encoding="utf-8")
     (work / "closed_room.ini").write_text(CLOSED_ROOM, encoding="utf-8")
     (work / "crosstalk_room.ini").write_text(CROSSTALK_ROOM, encoding="utf-8")
+    (work / "edge_layout.csv").write_text(edge_layout(), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for argv in _runs(work):
         if args.method and argv[0] in ("spectrum", "pipeline"):
@@ -356,7 +373,7 @@ def cmd_diff(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run the sixteen CLI runs and write the digest list")
+    p = sub.add_parser("run", help="run the seventeen CLI runs and write the digest list")
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
