@@ -1,5 +1,6 @@
 """The CSV format: every writer and loader pair gives back any channel id."""
 
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 from thermokmd.errors import ParseError
 from thermokmd.gradient import load_sources_csv
 from thermokmd.phaseavg import PhaseAverageResult, load_result_csv, result_to_csv
-from thermokmd.synth import AirConditioner, write_sources_csv
+from thermokmd.synth import (
+    AirConditioner,
+    default_analytic_spec,
+    default_room_spec,
+    generate_analytic,
+    simulate_room,
+    write_sources_csv,
+)
 from thermokmd.timeseries import (
     SensorLayout,
     SnapshotMatrix,
@@ -20,6 +28,7 @@ from thermokmd.timeseries import (
     load_layout,
     load_snapshots,
     read_records,
+    repr_rows,
     write_layout,
     write_snapshots,
 )
@@ -112,8 +121,13 @@ def write_snapshots_csv_text(s, path):
 
 
 #: a signed zero, the least subnormal, the two points where repr turns to
-#: exponent form, and the largest doubles
-EDGE_FLOATS = (-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, -1.7976931348623157e308)
+#: exponent form, and the largest doubles; then the edges of the window in which
+#: repr_rows formats in numpy (1e-4 <= |x| < 1e14: 1e-4 and the double below
+#: it, 1e14 and its two neighbours), a power-of-two mantissa (0.5, 2**-20), and
+#: values whose shortest form has 1 and 14 digits (0.1, 1234.5678901234)
+EDGE_FLOATS = (-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, -1.7976931348623157e308,
+               1e-4, 9.999999999999999e-05, 1e14, 99999999999999.98, 100000000000000.02,
+               0.5, 2.0**-20, 0.1, 1234.5678901234)
 
 
 @st.composite
@@ -147,6 +161,78 @@ class TestSnapshotWriter:
         write_snapshots_csv_text(s, tmp_path / "old.csv")
         assert ((tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
                 == b"time\r\n0\r\n60\r\n120\r\n")
+
+
+def cell_texts(values) -> list[str]:
+    """``repr_rows``' text for each value of a 1-D array, each from a row of its own."""
+    rows, _ = repr_rows(np.asarray(values, dtype=float)[:, None])
+    return [row[1:] for row in rows]
+
+
+def seeded_floats() -> np.ndarray:
+    """About 10^5 doubles of both signs that draw every branch of repr_rows.
+
+    Random mantissas over the decades 1e-12 to 1e20, each power of ten in that
+    range with its two neighbours, the window edges 1e-4 and 1e14 likewise,
+    powers of two, integers, values of 2 and 3 decimals, the signed zeros,
+    the least subnormal and the largest doubles.
+    """
+    rng = np.random.default_rng(20180618)
+    tens = np.array([float(f"1e{n}") for n in range(-12, 21)])
+    parts = [
+        10.0 ** rng.uniform(-12, 20, 30_000),
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        np.nextafter([1e-4, 1e14], 0.0), np.nextafter([1e-4, 1e14], np.inf),
+        2.0 ** np.arange(-60, 70),
+        np.arange(1000.0), rng.integers(0, 10**16, 10_000).astype(float),
+        np.round(rng.uniform(0, 1e4, 10_000), 2), np.round(rng.uniform(0, 1e3, 10_000), 3),
+        np.round(rng.uniform(0, 1, 5_000), 3),
+        [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+    ]
+    x = np.concatenate(parts)
+    return np.concatenate([x, -x])
+
+
+class TestReprRows:
+    """``repr_rows`` gives the text of ``repr``, value by value, and takes its own path for most."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_float(self, x):
+        assert cell_texts([x]) == [repr(x)]
+
+    def test_seeded_floats(self):
+        x = seeded_floats()
+        assert x.size > 10**5
+        texts, expected = cell_texts(x), [repr(v) for v in x.tolist()]
+        wrong = [(v, a, b) for v, a, b in zip(x.tolist(), texts, expected) if a != b]
+        assert not wrong, wrong[:10]
+
+    def test_rows(self):
+        x = seeded_floats()[:30_000].reshape(300, 100)
+        rows, _ = repr_rows(x)
+        assert rows == ["".join("," + repr(v) for v in row) for row in x.tolist()]
+        assert repr_rows(np.empty((3, 0))) == (["", "", ""], 0)
+        assert repr_rows(np.empty((0, 4))) == ([], 0)
+
+    def test_non_finite(self):
+        assert cell_texts([np.nan, np.inf, -np.inf]) == ["nan", "inf", "-inf"]
+
+    @pytest.mark.parametrize("record", ["room-default", "two-tone-1024"])
+    def test_most_cells_take_the_numpy_path(self, record):
+        # a formatter that left every cell to repr would write the same bytes,
+        # only slower; the share pins that the numpy path is taken
+        if record == "room-default":
+            s, _ = simulate_room(default_room_spec())
+        else:
+            rng = np.random.default_rng(3)
+            layout = SensorLayout(tuple(f"S-{i:04d}" for i in range(1024)),
+                                  rng.uniform((0.0, 0.0), (14.0, 7.0), size=(1024, 2)))
+            s, _ = generate_analytic(replace(default_analytic_spec(layout), noise_std=0.05))
+            assert s.values.shape == (1024, 241)
+        rows, certified = repr_rows(s.values.T)
+        assert rows == ["".join("," + repr(v) for v in row) for row in s.values.T.tolist()]
+        assert certified / s.values.size >= 0.99
 
 
 class TestReadRecords:

@@ -1,4 +1,4 @@
-"""Digest every artifact of seventeen fixed CLI runs, to show a change keeps them byte-identical.
+"""Digest every artifact of eighteen fixed CLI runs, to show a change keeps them byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] [--method M] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -44,7 +44,12 @@ checkout:
 17. ``synth-room --layout`` on the default room with sensors in its corners,
     on its walls and on one cell centre, a layout the tool writes into
     ``--work`` (:func:`edge_layout`): the sensors on the far walls read the
-    clamped cells ``nx - 2`` and ``ny - 2`` of the bilinear sampler.
+    clamped cells ``nx - 2`` and ``ny - 2`` of the bilinear sampler;
+18. ``synth-analytic --config`` on a record whose values span twenty decades
+    that the tool writes into ``--work`` (:data:`WINDOW_EDGES`): every row of
+    ``snapshots.csv`` holds cells that ``timeseries.repr_rows`` formats in
+    numpy and cells it leaves to ``repr``, and some sensors cross the edges
+    of its window, 1e-4 and 1e14, from one snapshot to the next.
 
 ``--method M`` adds ``--method M`` to every ``spectrum`` and ``pipeline``
 call; without it those calls take the tree's default method.  So one
@@ -194,6 +199,30 @@ off = 24.7
 """
 
 
+#: 40 snapshots of the default layout across the edges of the window in which
+#: ``timeseries.repr_rows`` formats in numpy, 1e-4 <= |x| < 1e14.  The bias
+#: 3.77e-7 x^20 runs from 3e-5 at x = 1.25 m to 5e15 at x = 12.75 m and is
+#: 1e14 at x = 10.5 m; a tone of amplitude 2e-5 moves the sensor at x = 1.3 m
+#: across 1e-4, and one of a thousandth of the bias moves those at 10.5 m
+#: across 1e14.
+WINDOW_EDGES = """\
+[analytic]
+dt = 60.0
+snapshots = 40
+
+[tone.1]
+period = 853.8
+poly = 0 0 2e-5
+
+[tone.2]
+period = 900.0
+poly = 20 0 3.77e-10
+
+[bias]
+poly = 20 0 3.77e-7
+"""
+
+
 def wide_layout() -> str:
     """A layout CSV of 256 scattered sensors in the default 14 m x 7 m room.
 
@@ -312,6 +341,8 @@ def _runs(w: Path) -> list[list[str]]:
         ["synth-room", "--config", str(w / "crosstalk_room.ini"),
          "--out-dir", str(w / "crosstalk-room")],
         ["synth-room", "--layout", str(w / "edge_layout.csv"), "--out-dir", str(w / "edge-room")],
+        ["synth-analytic", "--config", str(w / "window_edges.ini"),
+         "--out-dir", str(w / "window-edges")],
     ]
 
 
@@ -338,6 +369,7 @@ def cmd_run(args) -> int:
     (work / "closed_room.ini").write_text(CLOSED_ROOM, encoding="utf-8")
     (work / "crosstalk_room.ini").write_text(CROSSTALK_ROOM, encoding="utf-8")
     (work / "edge_layout.csv").write_text(edge_layout(), encoding="utf-8")
+    (work / "window_edges.ini").write_text(WINDOW_EDGES, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for argv in _runs(work):
         if args.method and argv[0] in ("spectrum", "pipeline"):
@@ -373,7 +405,7 @@ def cmd_diff(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run the seventeen CLI runs and write the digest list")
+    p = sub.add_parser("run", help="run the eighteen CLI runs and write the digest list")
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
