@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import gradient as gradientmod
 from . import phaseavg, pipeline, spectral, synth, timeseries
-from .errors import ArgumentError, GeometryError, LayoutError, ParseError, ToolkitError
+from .errors import BiasWarning, GeometryError, LayoutError, ParseError, ToolkitError
 
 _IO_ERRORS = (ParseError, OSError)
 
@@ -134,8 +135,13 @@ def cmd_phase_average(args) -> int:
     phaseavg.select_period(None, snapshots.dt, snapshots.n_snapshots, args.period_samples)
     if not args.keep_mean:
         snapshots = timeseries.remove_mean(snapshots)
-    result = phaseavg.phase_average(snapshots, args.period_samples)
+    with warnings.catch_warnings():
+        # each of the result's warnings is printed as one line below
+        warnings.simplefilter("ignore", BiasWarning)
+        result = phaseavg.phase_average(snapshots, args.period_samples)
     _write(Path(args.out_dir), pipeline.phase_average_files(result))
+    for note in result.warnings:
+        print(f"warning: {note}", file=sys.stderr)
     print(f"phase average at P={result.period_samples} samples over Q={result.cycles_used} cycles")
     return 0
 
@@ -155,7 +161,13 @@ def cmd_pipeline(args) -> int:
     _check_top(args.top)
     snapshots = _load_snapshots(args)
     layout = _layout_for(args.layout, args.snapshots, snapshots.channel_ids, args.neighbors)
-    sources = gradientmod.load_sources_csv(args.flux_sources) if args.flux_sources else None
+    sources = None
+    if args.flux_sources:
+        sources = gradientmod.load_sources_csv(args.flux_sources)
+        if layout.d != 2:
+            # the two input files do not match
+            raise ParseError(f"{args.flux_sources} with {args.layout}: sources are placed "
+                             f"in d = 2 (id,x,y,mode), the layout in d = {layout.d}")
     files, metadata = pipeline.run(
         snapshots, layout, sources, inputs={"snapshots": args.snapshots, "layout": args.layout},
         method=args.method, top=args.top, period_samples=args.period_samples,
@@ -261,7 +273,7 @@ def main(argv=None) -> int:
     except _IO_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ToolkitError, ArgumentError, np.linalg.LinAlgError) as exc:
+    except (ToolkitError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,11 @@
 """Ritz eigenvalue/mode extraction: Hankel DMD (default) and the companion-matrix method.
 
-Both method stages end in :func:`mode_table`, which groups conjugate couples
-and ranks them by energy.  Modes of real input data come in conjugate
-couples; each couple is reported once through its Im(lam) > 0 member and
-ranked by the energy norm of its real reconstructed contribution.
+Both methods end in one fit step: it drops the numerically zero modes and
+passes the rest to :func:`mode_table`, which groups conjugate couples and
+ranks them by energy.  Modes of real input data come in conjugate couples;
+each couple is reported once through its Im(lam) > 0 member and ranked by
+the energy norm of its real reconstructed contribution.  A LAPACK failure in
+either fit is raised as a NumericalError that names the failed solve.
 
 :func:`hankel_dmd` is exact DMD (Tu et al. 2014) on a delay-embedded record
 (Arbabi & Mezic 2017).  It stacks q delayed copies of the record into a
@@ -198,44 +200,27 @@ def companion_kmd(s: SnapshotMatrix) -> ModeTable:
         The snapshot matrix carries no signal (effective rank zero), so no
         dynamics can be fitted.
     NumericalError
-        The eigenvalue solver did not converge.
+        A least-squares or eigenvalue solve did not converge.
     """
-    Y = s.values
-    K = Y[:, :-1]
-    y_last = Y[:, -1]
+    K, y_last = s.values[:, :-1], s.values[:, -1]
     n1 = s.n_snapshots - 1
 
-    c, _, rank, _ = np.linalg.lstsq(K, y_last, rcond=RANK_RCOND)
-    if rank < 1:
-        raise DegenerateDataError(
-            "snapshot matrix has effective rank 0 (no signal); nothing to fit"
-        )
+    c, _, rank, _ = _solve("recurrence least-squares solve", np.linalg.lstsq,
+                           K, y_last, rcond=RANK_RCOND)
+    _require_signal(rank)
     residual = float(np.linalg.norm(K @ c - y_last))
 
     companion = np.zeros((n1, n1))
     companion[np.arange(1, n1), np.arange(n1 - 1)] = 1.0
     companion[:, -1] = c
-    try:
-        lams = np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"companion eigenvalue solve failed: {exc}") from exc
+    lams = _solve("companion eigenvalue solve", np.linalg.eigvals, companion)
 
     # V solves V @ T = K in least squares, T[j, k] = lam_j^k
     vander = np.vander(lams, N=n1, increasing=True)  # (n_eigs, n_powers)
-    try:
-        modes_t, *_ = np.linalg.lstsq(vander.T, K.T.astype(complex), rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"mode least-squares solve failed: {exc}") from exc
-    modes = modes_t.T  # (M, n_eigs)
-
-    lams, modes, notes = _drop_zero_modes(lams, modes)
-    return mode_table(
-        lams, modes, s.dt, s.n_snapshots,
-        residual=residual, mean_removed=timeseries.mean_offset(s) is None,
-        channel_ids=s.channel_ids, notes=notes,
-        fit={"recurrence_rank": int(rank), "amplitudes": "vandermonde_fit",
-             "residual": residual},
-    )
+    modes_t, *_ = _solve("mode least-squares solve", np.linalg.lstsq,
+                         vander.T, K.T.astype(complex), rcond=None)
+    return _fitted(s, lams, modes_t.T, residual, (),
+                   {"recurrence_rank": int(rank), "amplitudes": "vandermonde_fit"})
 
 
 def hankel_delays(n_channels: int, n_snapshots: int) -> int:
@@ -261,9 +246,10 @@ def hankel_dmd(s: SnapshotMatrix, delays: int | None = None) -> ModeTable:
     Raises
     ------
     DegenerateDataError
-        The snapshot matrix carries no signal (largest singular value 0).
+        The snapshot matrix carries no signal (no singular value above
+        ``RANK_RCOND * s_1``).
     NumericalError
-        The SVD or the eigenvalue solver did not converge.
+        The SVD, the eigenvalue solver or the amplitude solve did not converge.
     """
     m, n = s.values.shape
     q = hankel_delays(m, n) if delays is None else delays
@@ -271,46 +257,28 @@ def hankel_dmd(s: SnapshotMatrix, delays: int | None = None) -> ModeTable:
         raise ArgumentError(f"delays must be in [1, {n - 1}], got {q}")
     H = np.concatenate([s.values[:, i:n - q + 1 + i] for i in range(q)])
     X, Xp = H[:, :-1], H[:, 1:]
-    try:
-        U, sigma, Wt = np.linalg.svd(X, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hankel SVD failed: {exc}") from exc
-    if not sigma[0] > 0:
-        raise DegenerateDataError(
-            "snapshot matrix has effective rank 0 (no signal); nothing to fit"
-        )
+    U, sigma, Wt = _solve("Hankel SVD", np.linalg.svd, X, full_matrices=False)
+    r_rcond = int(np.count_nonzero(sigma > RANK_RCOND * sigma[0]))
+    _require_signal(r_rcond)
     # Gavish & Donoho (2014) for an unknown noise level; beta is the aspect ratio of X
     beta = min(X.shape) / max(X.shape)
     threshold = (0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43) * timeseries.median(sigma)
     r_gd = int(np.count_nonzero(sigma > threshold))
-    r_rcond = int(np.count_nonzero(sigma > RANK_RCOND * sigma[0]))
     r = max(1, min(r_gd, r_rcond))
     limit = "gavish_donoho" if r_gd <= r_rcond else "rank_rcond"
 
     U_r = U[:, :r]
     B = Xp @ (Wt[:r].T / sigma[:r])  # X' W_r S_r^-1, (qM, r)
     A = U_r.T @ B
-    try:
-        lams, Y = np.linalg.eig(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hankel eigenvalue solve failed: {exc}") from exc
+    lams, Y = _solve("Hankel eigenvalue solve", np.linalg.eig, A)
     Phi = B @ Y
-    try:
-        b, *_ = np.linalg.lstsq(Phi, H[:, 0], rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"mode amplitude solve failed: {exc}") from exc
+    b, *_ = _solve("mode amplitude solve", np.linalg.lstsq, Phi, H[:, 0], rcond=None)
     # X' - U_r A U_r^T X, with U_r^T X = S_r W_r^T
     residual = float(np.linalg.norm(Xp - U_r @ (A @ (sigma[:r, None] * Wt[:r]))))
-
-    lams, modes, dropped = _drop_zero_modes(lams, Phi[:m] * b)
-    return mode_table(
-        lams, modes, s.dt, s.n_snapshots,
-        residual=residual, mean_removed=timeseries.mean_offset(s) is None,
-        channel_ids=s.channel_ids,
-        notes=(f"hankel dmd: q={q} delays, rank r={r} ({limit})", *dropped),
-        fit={"delays": q, "rank": r, "gd_threshold": threshold, "rank_limit": limit,
-             "amplitudes": "projected_initial_condition", "residual": residual},
-    )
+    return _fitted(s, lams, Phi[:m] * b, residual,
+                   (f"hankel dmd: q={q} delays, rank r={r} ({limit})",),
+                   {"delays": q, "rank": r, "gd_threshold": threshold, "rank_limit": limit,
+                    "amplitudes": "projected_initial_condition"})
 
 
 def decompose(s: SnapshotMatrix, method: str = METHODS[0]) -> ModeTable:
@@ -322,15 +290,35 @@ def decompose(s: SnapshotMatrix, method: str = METHODS[0]) -> ModeTable:
     raise ArgumentError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
 
 
-def _drop_zero_modes(lams: np.ndarray, modes: np.ndarray):
-    """Columns whose norm exceeds ZERO_MODE_RTOL * the largest, and one note per dropped one.
+def _solve(step: str, routine, *args, **kwargs):
+    """``routine(*args, **kwargs)``, a LAPACK failure raised as a NumericalError naming ``step``."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{step} failed: {exc}") from exc
 
-    A NaN norm is kept.
+
+def _require_signal(rank: int) -> None:
+    """Refuse a record whose fit has effective rank 0: it holds no dynamics to fit."""
+    if rank < 1:
+        raise DegenerateDataError(
+            "snapshot matrix has effective rank 0 (no signal); nothing to fit")
+
+
+def _fitted(s: SnapshotMatrix, lams: np.ndarray, modes: np.ndarray, residual: float,
+            notes: tuple[str, ...], fit: dict) -> ModeTable:
+    """A method's fit of ``s`` as its ranked ModeTable, the fit step both methods end in.
+
+    Mode columns whose norm is at most ZERO_MODE_RTOL * the largest are
+    dropped, each with a note after ``notes``; a NaN norm is kept.  ``fit``
+    gains the ``"residual"``.
     """
     norms = np.linalg.norm(modes, axis=0)
     keep = ~(norms <= ZERO_MODE_RTOL * norms.max(initial=0.0))
-    notes = tuple(f"dropped zero mode at lam={lam:.6g}" for lam in lams[~keep])
-    return lams[keep], modes[:, keep], notes
+    notes = (*notes, *(f"dropped zero mode at lam={lam:.6g}" for lam in lams[~keep]))
+    return mode_table(lams[keep], modes[:, keep], s.dt, s.n_snapshots, residual=residual,
+                      mean_removed=timeseries.mean_offset(s) is None,
+                      channel_ids=s.channel_ids, notes=notes, fit={**fit, "residual": residual})
 
 
 def mode_table(lams: np.ndarray, modes: np.ndarray, dt: float, n_snapshots: int, *,
@@ -355,59 +343,42 @@ def mode_table(lams: np.ndarray, modes: np.ndarray, dt: float, n_snapshots: int,
 def _group_and_rank(
     pairs: list[RitzPair], dt: float, n_snapshots: int, notes: list[str]
 ) -> tuple[ModeEntry, ...]:
-    upper = [p for p in pairs if p.lam.imag > 0]
-    unmatched_lower = {p.index: p for p in pairs if p.lam.imag < 0}
-    real = [p for p in pairs if p.lam.imag == 0]
-
+    lower = {p.index: p for p in pairs if p.lam.imag < 0}
     entries: list[ModeEntry] = []
-    for p in upper:
-        target = p.lam.conjugate()
-        scale = max(1.0, abs(p.lam))
-        best, best_dist = None, np.inf
-        for q in unmatched_lower.values():
-            dist = abs(q.lam - target)
-            if dist < best_dist:
-                best, best_dist = q, dist
-        if best is not None and best_dist <= CONJUGATE_MATCH_RTOL * scale:
-            del unmatched_lower[best.index]
-            entries.append(_make_entry(p, best, dt, n_snapshots))
-        else:
-            notes.append(f"unpaired complex eigenvalue lam={p.lam:.6g}")
-            _LOG.warning(notes[-1])
-            entries.append(_make_entry(p, None, dt, n_snapshots, unpaired=True))
-    for q in unmatched_lower.values():
-        notes.append(f"unpaired complex eigenvalue lam={q.lam:.6g}")
+    unpaired: list[RitzPair] = []
+    for p in pairs:
+        if p.lam.imag == 0:
+            entries.append(_make_entry(p, None, dt, n_snapshots))
+        elif p.lam.imag > 0:
+            target = p.lam.conjugate()
+            best = min(lower.values(), key=lambda q: abs(q.lam - target), default=None)
+            tol = CONJUGATE_MATCH_RTOL * max(1.0, abs(p.lam))
+            if best is not None and abs(best.lam - target) <= tol:
+                del lower[best.index]
+                entries.append(_make_entry(p, best, dt, n_snapshots))
+            else:
+                unpaired.append(p)
+    for p in (*unpaired, *lower.values()):
+        notes.append(f"unpaired complex eigenvalue lam={p.lam:.6g}")
         _LOG.warning(notes[-1])
-        # report through the conjugate so the listed member has Im >= 0
-        flipped = RitzPair(q.lam.conjugate(), q.mode.conjugate(), q.index)
-        entries.append(_make_entry(flipped, None, dt, n_snapshots, unpaired=True))
-    for p in real:
+        if p.lam.imag < 0:  # report through the conjugate so the listed member has Im >= 0
+            p = RitzPair(p.lam.conjugate(), p.mode.conjugate(), p.index)
         entries.append(_make_entry(p, None, dt, n_snapshots))
 
     # deterministic order: energy desc, then magnitude, angle, input index
-    entries.sort(
-        key=lambda e: (-e.energy, -e.abs_lam, abs(np.angle(e.rep.lam)), e.rep.index)
-    )
-    labeled: list[ModeEntry] = []
-    next_index = 1
+    entries.sort(key=lambda e: (-e.energy, -e.abs_lam, abs(np.angle(e.rep.lam)), e.rep.index))
+    labeled, next_index = [], 1
     for e in entries:
-        if e.bias:
-            labeled.append(e)
-            continue
-        width = 2 if e.is_couple else 1
-        label = tuple(range(next_index, next_index + width))
-        next_index += width
-        labeled.append(replace(e, label=label))
+        if not e.bias:
+            width = 2 if e.is_couple else 1
+            e = replace(e, label=tuple(range(next_index, next_index + width)))
+            next_index += width
+        labeled.append(e)
     return tuple(labeled)
 
 
-def _make_entry(
-    rep: RitzPair,
-    partner: RitzPair | None,
-    dt: float,
-    n_snapshots: int,
-    unpaired: bool = False,
-) -> ModeEntry:
+def _make_entry(rep: RitzPair, partner: RitzPair | None, dt: float, n_snapshots: int) -> ModeEntry:
+    """The entry of ``rep``; a complex one without a ``partner`` is unpaired."""
     period = period_of(rep.lam, dt)
     # arg in (-pi, pi]: only arg == pi sits at the sampling limit
     nyquist = period is not None and bool(abs(np.angle(rep.lam)) >= np.pi)
@@ -421,7 +392,7 @@ def _make_entry(
         energy=energy_norm(rep, n_snapshots),
         bias=period is None,
         nyquist=nyquist,
-        unpaired=unpaired,
+        unpaired=partner is None and rep.lam.imag != 0,
     )
 
 

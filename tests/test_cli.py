@@ -285,6 +285,28 @@ class TestSynthAndSpectrum:
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
 
+    def test_sources_on_a_3d_layout_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a sources file places its sources in d = 2: refused before the fit
+        monkeypatch.setattr(pipeline.spectral, "decompose",
+                            lambda *a: pytest.fail("the fit ran before the sources were refused"))
+        ids = [f"S{k}" for k in range(5)]
+        rows = "".join(f"{60 * k}," + ",".join(f"{math.sin(k + j)!r}" for j in range(5)) + "\n"
+                       for k in range(12))
+        data = tmp_path / "snapshots.csv"
+        data.write_text("time," + ",".join(ids) + "\n" + rows, encoding="utf-8")
+        layout = tmp_path / "layout.csv"
+        layout.write_text("id,x,y,z\n" + "".join(f"{i},{k},{k % 2},{k // 2}\n"
+                                                 for k, i in enumerate(ids)), encoding="utf-8")
+        sources = tmp_path / "sources.csv"
+        sources.write_text("id,x,y,mode\nAC,1.0,0.5,cool\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--snapshots", str(data), "--layout", str(layout),
+                     "--flux-sources", str(sources), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {sources} with {layout}: sources are placed in d = 2 (id,x,y,mode), "
+            "the layout in d = 3\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("column, cell, use", [("sum_real", "nan", "sum_real"),
                                                   ("harmonic_im", "-inf", "harmonic")])
     def test_non_finite_mode_file_exit_2(self, column, cell, use, two_tone_dir, tmp_path,
@@ -630,6 +652,15 @@ class TestPhaseAverageAndGradient:
         first = rms[1].split(",")
         assert float(first[3]) == pytest.approx(np.sqrt(2) * abs(0.15 + 0.1j), rel=1e-6)
 
+    def test_keep_mean_warning_is_one_line(self, two_tone_dir, tmp_path, capsys):
+        # the record's tones leave a channel mean that --keep-mean keeps
+        assert main(["phase-average", "--snapshots", str(two_tone_dir / "snapshots.csv"),
+                     "--period-samples", "14", "--keep-mean",
+                     "--out-dir", str(tmp_path / "pa")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: input does not look mean-removed (channel 'TH-20' has |mean| = 0.0614); "
+            "the average will absorb the bias\n")
+
 
 class TestQuotedIds:
     """Ids with a comma, a quote, a backslash and SVG escapes survive every CSV artifact."""
@@ -881,6 +912,18 @@ class TestPipeline:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "rank 0" in err[0]
+
+    @pytest.mark.parametrize("command", ["pipeline", "spectrum"])
+    def test_fit_solve_failure_exit_1(self, command, failing_solve, two_tone_dir, tmp_path,
+                                      capsys):
+        method, step = failing_solve
+        argv = [command, "--snapshots", str(two_tone_dir / "snapshots.csv"),
+                "--method", method, "--out-dir", str(tmp_path / "out")]
+        if command == "pipeline":
+            argv += ["--layout", str(two_tone_dir / "layout.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {step} failed: injected failure\n"
+        assert not (tmp_path / "out").exists()
 
     def test_numpy_ma_never_loaded(self, tmp_path):
         # np.median, np.percentile and np.ma import numpy.ma, which no step here needs;

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from thermokmd import spectral, timeseries
-from thermokmd.errors import ArgumentError, DegenerateDataError
+from thermokmd.errors import ArgumentError, DegenerateDataError, NumericalError
 from thermokmd.spectral import (
     RANK_RCOND,
     ZERO_MODE_RTOL,
@@ -237,6 +237,16 @@ class TestHankelDmd:
 
 
 LAM_KINDS = ("inside", "on", "outside", "real_pos", "real_neg", "zero", "neg_zero_imag")
+
+
+class TestSolveFailures:
+    def test_names_the_step(self, failing_solve):
+        # every LAPACK failure inside a fit reaches the caller as a NumericalError
+        method, step = failing_solve
+        with pytest.raises(NumericalError) as exc:
+            decompose(single_tone_record(20, 1e-3), method)
+        assert str(exc.value) == f"{step} failed: injected failure"
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestEnergyNorm:

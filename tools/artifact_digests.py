@@ -1,4 +1,4 @@
-"""Digest every artifact of eighteen fixed CLI runs, to show a change keeps them byte-identical.
+"""Digest the files and console output of eighteen fixed CLI runs, to show they stay byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] [--method M] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -56,8 +56,11 @@ call; without it those calls take the tree's default method.  So one
 checkout compares ``run --tree OLD`` with ``run --method companion`` (the
 companion artifacts) and with ``run`` (the default method's artifacts).
 
-Every run writes under ``--work``, which is emptied first.  Keep ``--work``
-the same for both trees: ``run_metadata.json`` records its input paths.
+Every run writes under ``--work``, which is emptied first.  The tool writes
+each CLI call's stdout and stderr there too, as ``console/<k>-<command>.stdout``
+and ``.stderr`` for the k-th call, so that a changed ``error:``, ``warning:``
+or summary line is digested like an artifact.  Keep ``--work`` the same for
+both trees: ``run_metadata.json`` and the console lines record its paths.
 LIST holds one ``<sha256>  <path>`` line per file, sorted by path, and its
 own sha256 is printed.  ``diff`` prints the paths whose digests differ or
 that only one list has, and exits 1 if there are any.
@@ -371,14 +374,18 @@ def cmd_run(args) -> int:
     (work / "edge_layout.csv").write_text(edge_layout(), encoding="utf-8")
     (work / "window_edges.ini").write_text(WINDOW_EDGES, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    for argv in _runs(work):
+    console = work / "console"
+    console.mkdir()
+    for k, argv in enumerate(_runs(work), 1):
         if args.method and argv[0] in ("spectrum", "pipeline"):
             argv = [*argv, "--method", args.method]
         done = subprocess.run([sys.executable, "-m", "thermokmd.cli", *argv], env=env,
-                              cwd=work, capture_output=True, text=True)
+                              cwd=work, capture_output=True)
+        (console / f"{k:02d}-{argv[0]}.stdout").write_bytes(done.stdout)
+        (console / f"{k:02d}-{argv[0]}.stderr").write_bytes(done.stderr)
         if done.returncode != 0:
-            print(f"error: {argv[0]} exited {done.returncode}: {done.stderr.strip()}",
-                  file=sys.stderr)
+            err = done.stderr.decode(errors="replace").strip()
+            print(f"error: {argv[0]} exited {done.returncode}: {err}", file=sys.stderr)
             return 1
     files = sorted(p for p in work.rglob("*") if p.is_file() and p.name != MARKER)
     lines = [f"{_sha256(p)}  {p.relative_to(work).as_posix()}\n" for p in files]
