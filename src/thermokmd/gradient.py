@@ -14,6 +14,15 @@ Two differentiation paths:
   behind ``np.linalg.lstsq``.  The one neighbour search also gives the
   field's median spacing, which the SVG and the flux scores read.
 
+  The neighbour search buckets the sensors of a layout of
+  ``_GRID_MIN_SENSORS`` or more in a uniform cell grid and takes each
+  sensor's neighbours from the 3**d cells around it.  A row is kept only
+  when its farthest kept distance is below the distance to the nearest
+  cell outside those, with a margin for the rounding of the cell
+  coordinates.  Every other row, and every row of a
+  smaller layout, is searched over all pairs.  Both give the same indices
+  and distances, bit for bit.
+
 Degenerate stencils (too few neighbors, or neighbor positions collinear
 beyond the condition limit) yield an invalid flag rather than a regularized
 guess: a fabricated gradient component would defeat the diagnostic.
@@ -22,6 +31,7 @@ guess: a fabricated gradient component would defeat the diagnostic.
 from __future__ import annotations
 
 import html
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -120,20 +130,149 @@ def load_sources_csv(path) -> tuple[FluxSource, ...]:
 #: _BLOCK_ROWS x M, never M x M
 _BLOCK_ROWS = 128
 
+#: layouts of fewer sensors search all pairs only: below this count the cell
+#: grid's set-up costs more than the distances it saves (tools/neighbour_sweep.py)
+_GRID_MIN_SENSORS = 256
 
-def _distance_blocks(pos):
-    """Yield ``(start, dist)``: rows ``start:start + len(dist)`` of the sensor distance matrix.
+#: about how many sensors share one cell of the search grid
+_CELL_SENSORS = 4
 
-    Each distance is ``sqrt(dx**2 + dy**2 [+ dz**2])`` with the squares summed
-    in axis order, the value of ``np.sqrt(((pos - pos[i]) ** 2).sum(axis=1))``.
+#: the narrowest cell the grid takes; from it up, the rounding of a cell
+#: coordinate is relative, never the absolute error of a subnormal
+_MIN_CELL = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _distances(others, rows):
+    """``sqrt(dx**2 + dy**2 [+ dz**2])`` from each row's sensor to ``others``.
+
+    ``others`` and ``rows`` hold one coordinate array per axis, broadcast
+    against each other.  The squares are summed in axis order from +0.0,
+    which gives the value of ``np.sqrt(((pos - pos[i]) ** 2).sum(axis=1))``.
     """
+    sq = 0.0  # adding the first square to +0.0 is exact
+    for other, row in zip(others, rows):
+        delta = other - row
+        sq = sq + delta * delta
+    return np.sqrt(sq)
+
+
+def _first(block, ids, k):
+    """(ids, distances, (k+1)-th distance) of the k+1 nearest in each row of ``block``, first dropped.
+
+    The k+1 are the candidates at or below the (k+1)-th smallest distance,
+    ordered by (distance, id).  ``ids[r, c]`` is the sensor of ``block[r, c]``;
+    None means that column c is sensor c.
+    """
+    kth = np.partition(block, k, axis=1)[:, k]
+    rows, cols = np.nonzero(block <= kth[:, None])
+    near = block[rows, cols]
+    if ids is not None:
+        cols = ids[rows, cols]
+    order = np.lexsort((cols, near, rows))
+    # rows come out of nonzero ascending, so each row's candidates start where they did
+    counts = np.bincount(rows, minlength=len(block))
+    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(1, k + 1)]
+    return cols[pick], near[pick], kth
+
+
+def _cell_size(extent, m):
+    """Edge of a cubic cell that about :data:`_CELL_SENSORS` of ``m`` sensors share, or None.
+
+    The box's volume is spread over the axes that are at least one cell
+    long; a shorter axis is one cell wide.  None when the edge is below
+    :data:`_MIN_CELL` or not finite: then the whole box is one cell.
+    """
+    spans = sorted((float(e) for e in extent if e > 0), reverse=True)
+    size = math.inf
+    while spans:
+        size = math.exp((sum(map(math.log, spans)) + math.log(_CELL_SENSORS / m)) / len(spans))
+        if spans[-1] >= size:
+            break
+        spans.pop()
+    return size if _MIN_CELL <= size < math.inf else None
+
+
+def _cell_candidates(cell, dims):
+    """(candidates, begin, length): the sensors in the 3**d cells around each sensor's cell.
+
+    ``cell`` is each sensor's (M, d) cell index in a grid of ``dims`` cells.
+    Sensor i's candidates are ``candidates[begin[i]:begin[i] + length[i]]``,
+    cell after cell, each cell's sensors in index order, sensor i included;
+    one more entry at the end, M, stands for a sensor at infinity.
+    """
+    d = len(dims)
+    strides = np.cumprod(np.concatenate(([1], dims[:-1])))
+    key = cell @ strides
+    by_cell = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=int(np.prod(dims)))
+    first = np.cumsum(counts) - counts
+    # per occupied cell: the keys and counts of the 3**d cells around it
+    occupied = np.flatnonzero(counts)
+    around = cell[by_cell[first[occupied]]][:, None, :] + (np.indices((3,) * d).reshape(d, -1).T - 1)
+    inside = ((around >= 0) & (around < dims)).all(axis=2)
+    around = np.where(inside, around @ strides, 0)
+    seg = np.where(inside, counts[around], 0)
+    flat = seg.ravel()
+    source = np.repeat(first[around].ravel() - (np.cumsum(flat) - flat), flat)
+    candidates = np.append(by_cell[source + np.arange(len(source))], len(cell))
+    slot = np.empty(len(counts), dtype=np.intp)
+    slot[occupied] = np.arange(len(occupied))
+    length = seg.sum(axis=1)
+    return candidates, (np.cumsum(length) - length)[slot[key]], length[slot[key]]
+
+
+def _grid_nearest(pos, k, index, dist):
+    """Fill the rows of ``index`` and ``dist`` that the cell grid certifies; return the other rows.
+
+    The sensors are bucketed in a uniform grid over their bounding box
+    (fixed-radius near-neighbour search, Bentley, Stanat & Williams 1977).
+    A sensor's candidates are the sensors of the 3**d cells around its own,
+    itself included, and its row is the candidates' :func:`_first`.  The row
+    is certified when its (k+1)-th distance is below the distance formula's
+    value at the gap from the sensor to the nearest cell outside those 3**d,
+    less a margin for the rounding of the cell coordinates: every sensor
+    outside is then farther, so the row is the all-pairs row, bit for bit.
+    """
+    m, d = pos.shape
+    lo = pos.min(axis=0)
+    extent = pos.max(axis=0) - lo
+    size = _cell_size(extent, m)
+    if size is None:
+        return np.arange(m)
+    u = (pos - lo) / size  # each within eps * (dims + 1) cells of the exact quotient
+    cell = u.astype(np.intp)
+    dims = (extent / size).astype(np.intp) + 1
+    frac = u - cell  # exact
+    # cells from the sensor to the faces of its 3**d block that have cells beyond
+    # them, less the rounding of two cell coordinates and of this sum
+    gap = np.minimum(np.where(cell >= 2, frac + 1.0, np.inf),
+                     np.where(cell <= dims - 3, 2.0 - frac, np.inf)).min(axis=1)
+    gap = (gap - 4 * np.finfo(float).eps * (dims.max() + 4)) * size
+    with np.errstate(over="ignore"):  # a bound past the float range is inf, as are the distances
+        bound = np.sqrt(gap * gap)
+
+    candidates, begin, length = _cell_candidates(cell, dims)
     axes = np.ascontiguousarray(pos.T)
-    for start in range(0, len(pos), _BLOCK_ROWS):
-        sq = 0.0  # adding the first square to +0.0 is exact
-        for coord in axes:
-            delta = coord - coord[start:start + _BLOCK_ROWS, None]
-            sq = sq + delta * delta
-        yield start, np.sqrt(sq)
+    far = np.hstack([axes, np.full((d, 1), np.inf)])  # candidate m pads a row
+    # rows by candidate count, in blocks of at most _BLOCK_ROWS x M padded distances
+    order = np.argsort(length, kind="stable")
+    width = np.maximum(length[order], k + 1)
+    rest = []
+    start = 0
+    while start < m:
+        fits = np.arange(1, m - start + 1) * width[start:] <= _BLOCK_ROWS * m
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        rows = order[start:stop]
+        col = np.arange(width[stop - 1])
+        pad = len(candidates) - 1
+        ids = candidates[np.where(col < length[rows, None], begin[rows, None] + col, pad)]
+        got, near, kth = _first(_distances(far[:, ids], axes[:, rows, None]), ids, k)
+        sure = kth < bound[rows]
+        index[rows[sure]] = got[sure]
+        dist[rows[sure]] = near[sure]
+        rest.append(rows[~sure])
+        start = stop
+    return np.concatenate(rest)
 
 
 def _nearest(pos, k):
@@ -141,22 +280,20 @@ def _nearest(pos, k):
 
     Row i is ``np.argsort(dist_i, kind="stable")[1 : k + 1]``, ties included:
     candidates at or below the (k+1)-th smallest distance, ordered by
-    (distance, index), first one dropped.
+    (distance, index), first one dropped.  From :data:`_GRID_MIN_SENSORS`
+    sensors up, :func:`_grid_nearest` finds the rows it can certify from a
+    few cells around each sensor; every other row, and every row of a
+    smaller layout, is searched over all pairs in blocks of
+    :data:`_BLOCK_ROWS` rows, which is the reference path.
     """
     m = len(pos)
     index = np.empty((m, k), dtype=np.intp)
     dist = np.empty((m, k))
-    take = np.arange(k + 1)
-    for start, block in _distance_blocks(pos):
-        kth = np.partition(block, k, axis=1)[:, k]
-        rows, cols = np.nonzero(block <= kth[:, None])
-        near = block[rows, cols]
-        order = np.lexsort((cols, near, rows))
-        # rows come out of nonzero ascending, so each row's candidates start where they did
-        counts = np.bincount(rows, minlength=len(block))
-        pick = order[(np.cumsum(counts) - counts)[:, None] + take][:, 1:]
-        index[start:start + len(block)] = cols[pick]
-        dist[start:start + len(block)] = near[pick]
+    rest = _grid_nearest(pos, k, index, dist) if m >= _GRID_MIN_SENSORS else np.arange(m)
+    axes = np.ascontiguousarray(pos.T)
+    for start in range(0, len(rest), _BLOCK_ROWS):
+        rows = rest[start:start + _BLOCK_ROWS]
+        index[rows], dist[rows], _ = _first(_distances(axes, axes[:, rows, None]), None, k)
     return index, dist
 
 

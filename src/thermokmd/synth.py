@@ -94,10 +94,6 @@ def _whole_steps(name: str, seconds: float, sim_dt: float) -> int:
     return round(steps)
 
 
-def constant_field(value: complex) -> PolynomialField:
-    return PolynomialField(((tuple(), complex(value)),))
-
-
 @dataclass(frozen=True)
 class Tone:
     """One oscillatory component: period in seconds, spatial amplitude, phase."""

@@ -152,8 +152,7 @@ class SensorLayout:
         if not np.all(np.isfinite(pos)):
             raise GeometryError("sensor coordinates contain NaN or Inf")
         seen: dict[tuple, str] = {}
-        for cid, p in zip(self.channel_ids, pos):
-            key = tuple(p.tolist())
+        for cid, key in zip(self.channel_ids, map(tuple, pos.tolist())):
             if key in seen:
                 raise GeometryError(
                     f"sensors {seen[key]!r} and {cid!r} share coordinates {key}"

@@ -27,7 +27,7 @@ from thermokmd.synth import (
 from thermokmd.timeseries import SensorLayout, SnapshotMatrix
 
 
-# -- gradient: the per-sensor stencil, the all-pairs spacing and the per-arrow SVG ----------
+# -- gradient: the per-sensor stencil and neighbours, the all-pairs spacing, the SVG --------
 
 def _scattered_gradient_loop(mode, layout, neighbors, condition_limit):
     """The reference stencil: a full distance row and a stable argsort per sensor."""
@@ -56,6 +56,17 @@ def _scattered_gradient_loop(mode, layout, neighbors, condition_limit):
         valid[i] = True
         methods.append(SCATTERED_LSQ)
     return vectors, valid, methods
+
+
+def _nearest_argsort(pos, k):
+    """The reference neighbour rows: a full distance row and a stable argsort per sensor."""
+    index = np.empty((len(pos), k), dtype=np.intp)
+    dist = np.empty((len(pos), k))
+    for i in range(len(pos)):
+        row = np.sqrt(((pos - pos[i]) ** 2).sum(axis=1))
+        index[i] = np.argsort(row, kind="stable")[1 : k + 1]
+        dist[i] = row[index[i]]
+    return index, dist
 
 
 def _median_spacing_full(layout):

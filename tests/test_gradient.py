@@ -30,6 +30,7 @@ from oracles import (
     _field_to_svg_loop,
     _gradient_angle,
     _median_spacing_full,
+    _nearest_argsort,
     _room_gradient_truth,
     _scattered_gradient_loop,
 )
@@ -456,6 +457,75 @@ class TestArrayPassesMatchLoop:
             field = GradientField(vec, np.arange(layout.n_sensors) % 5 > 0,
                                   (SCATTERED_LSQ,) * layout.n_sensors, layout)
             assert field_to_svg(field) == _field_to_svg_loop(field)
+
+
+# -- the cell-grid neighbour search against a stable argsort per sensor ---------------------
+
+def cluster_points():
+    """A dense 1 m square of 1400 sensors and 136 outliers over the room.
+
+    The square's cells hold hundreds of sensors each, so the grid takes their
+    rows in several blocks; the outliers' neighbours lie beyond the cells
+    around them, so their rows fall back.
+    """
+    rng = np.random.default_rng(21)
+    return np.vstack([rng.uniform(3.0, 4.0, size=(1400, 2)),
+                      rng.uniform((0.0, 0.0), (14.0, 7.0), size=(136, 2))])
+
+
+NEAREST_LAYOUTS = {
+    "d1-150": lambda: scattered_layout(150, 1, 31).positions,
+    "d1-600": lambda: scattered_layout(600, 1, 32).positions,
+    "d2-200": lambda: scattered_layout(200, 2, 33).positions,
+    "d2-1024": lambda: scattered_layout(1024, 2, 34).positions,
+    "d3-300": lambda: scattered_layout(300, 3, 35).positions,
+    "d2-4096": lambda: scattered_layout(4096, 2, 36).positions,
+    # binary-fraction spacings, so that distances tie exactly
+    "lattice-d2": lambda: np.indices((30, 40)).reshape(2, -1).T[:, ::-1] * 0.875 + 0.25,
+    "lattice-d3": lambda: np.indices((10, 10, 8)).reshape(3, -1).T * 0.5,
+    "cluster": cluster_points,
+    # every square underflows to 0, so no row is certified and all tie by index
+    "scaled-1e-200": lambda: scattered_layout(400, 3, 37).positions * 1e-200,
+    # the product of the extents overflows; the cell size is taken in logs
+    "scaled-1e150": lambda: scattered_layout(400, 3, 38).positions * 1e150,
+    # cells narrower than _MIN_CELL: the grid is one cell and every row falls back
+    "scaled-1e-300": lambda: scattered_layout(400, 2, 39).positions * 1e-300,
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestNearest:
+    # about 2.5 s of tier-1 together, 1.6 s of it the argsort reference at 4096 sensors
+    @pytest.mark.parametrize("name", NEAREST_LAYOUTS)
+    def test_matches_argsort(self, name, monkeypatch):
+        pos = NEAREST_LAYOUTS[name]()
+        m = len(pos)
+        want_index, want_dist = _nearest_argsort(pos, 9)
+        grid = gradient._grid_nearest
+        if m < gradient._GRID_MIN_SENSORS:  # all pairs alone
+            monkeypatch.setattr(gradient, "_grid_nearest", None)
+        certified = fallback = 0
+        for k in (1, DEFAULT_NEIGHBORS, 9):
+            index, dist = gradient._nearest(pos, k)
+            assert np.array_equal(index, want_index[:, :k])
+            assert np.array_equal(dist.view(np.int64), want_dist[:, :k].view(np.int64))
+            # the grid's own rows, on either side of the threshold
+            index = np.full((m, k), -1)
+            dist = np.full((m, k), np.nan)
+            rest = grid(pos, k, index, dist)
+            sure = np.setdiff1d(np.arange(m), rest)
+            assert np.array_equal(index[sure], want_index[sure, :k])
+            assert np.array_equal(dist[sure].view(np.int64), want_dist[sure, :k].view(np.int64))
+            certified += len(sure)
+            fallback += len(rest)
+        if name in ("scaled-1e-200", "scaled-1e-300"):
+            assert certified == 0
+        else:
+            assert certified > 0 and fallback > 0
+
+    def test_sizes_on_both_sides_of_the_threshold(self):
+        sizes = [len(make()) for make in NEAREST_LAYOUTS.values()]
+        assert min(sizes) < gradient._GRID_MIN_SENSORS <= max(sizes)
 
 
 # -- the default room's gradient against its truth from the field on every cell -------------

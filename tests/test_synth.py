@@ -20,7 +20,6 @@ from thermokmd.synth import (
     PolynomialField,
     RoomSimSpec,
     Tone,
-    constant_field,
     default_analytic_spec,
     default_layout,
     default_room_spec,
@@ -33,6 +32,10 @@ from thermokmd.synth import (
 from thermokmd.timeseries import SensorLayout
 
 from oracles import _simulate_blocks, _simulate_loop
+
+
+def constant_field(value: complex) -> PolynomialField:
+    return PolynomialField(((tuple(), complex(value)),))
 
 
 def small_layout():

@@ -1,4 +1,4 @@
-"""Digest the files and console output of eighteen fixed CLI runs, to show they stay byte-identical.
+"""Digest the files and console output of nineteen fixed CLI runs, to show they stay byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] [--method M] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -49,7 +49,14 @@ checkout:
     that the tool writes into ``--work`` (:data:`WINDOW_EDGES`): every row of
     ``snapshots.csv`` holds cells that ``timeseries.repr_rows`` formats in
     numpy and cells it leaves to ``repr``, and some sensors cross the edges
-    of its window, 1e-4 and 1e14, from one snapshot to the next.
+    of its window, 1e-4 and 1e14, from one snapshot to the next;
+19. ``synth-analytic --layout`` on 1536 scattered sensors, a dense block and
+    sparse outliers, that the tool writes into ``--work``
+    (:func:`cluster_layout`), then ``pipeline --gradient-source dmd_mode
+    --flux-sources`` on it with a sources file in the block
+    (:data:`CLUSTER_SOURCES`): the neighbour search runs on its cell grid,
+    which certifies the block's rows, while most outliers' rows fall back
+    to the all-pairs search.
 
 ``--method M`` adds ``--method M`` to every ``spectrum`` and ``pipeline``
 call; without it those calls take the tree's default method.  So one
@@ -285,6 +292,30 @@ def edge_layout() -> str:
 LATTICE_SOURCES = "id,x,y,mode\nAC-1,3.0,3.5,cool\nHT-1,10.5,2.0,heat\n"
 
 
+def cluster_layout() -> str:
+    """A layout CSV of 1536 sensors: 1024 in a 4 m x 2 m block and 512 outliers over the room.
+
+    The coordinates are distinct multiples of 1 mm from integer arithmetic,
+    so the file is the same on every platform.  The search grid's cells are
+    about 0.5 m wide: a block sensor's six neighbours lie in the cells
+    around it, and most outliers' do not, so 307 of the 1536 rows take the
+    all-pairs search.
+    """
+    rows = ["id,x,y"]
+    for k in range(1, 1025):
+        rows.append(f"B{k:04d},{(3000 + k * 9973 % 4001) / 1000!r},"
+                    f"{(2000 + k * 7919 % 2001) / 1000!r}")
+    for k in range(1, 513):
+        rows.append(f"O{k:03d},{(50 + k * 7919 % 13901) / 1000!r},"
+                    f"{(50 + k * 9973 % 6901) / 1000!r}")
+    return "\n".join(rows) + "\n"
+
+
+#: a cooler and a heater inside the block of :func:`cluster_layout`, each with
+#: sensors within two median spacings
+CLUSTER_SOURCES = "id,x,y,mode\nAC-B,3.9,2.9,cool\nHT-B,6.1,3.3,heat\n"
+
+
 #: 20 snapshots of a plane-wave tone, a tone of zero amplitude and a static
 #: bias field; the noiseless fit leaves 16 zero modes to drop
 BIAS_TONE = """\
@@ -307,7 +338,7 @@ poly = 0 0 1.5; 1 0 0.2
 
 def _runs(w: Path) -> list[list[str]]:
     room, ana, avg, wide = w / "room", w / "analytic", w / "phase-average", w / "wide"
-    grid, lattice, bias = w / "grid", w / "lattice", w / "bias-tone"
+    grid, lattice, bias, cluster = w / "grid", w / "lattice", w / "bias-tone", w / "cluster"
     ana_data = ["--snapshots", str(ana / "snapshots.csv")]
     ana_pipeline = ["pipeline", *ana_data, "--layout", str(ana / "layout.csv")]
     gradient = ["gradient", "--mode-file", str(avg / "phase_average.csv"),
@@ -346,6 +377,11 @@ def _runs(w: Path) -> list[list[str]]:
         ["synth-room", "--layout", str(w / "edge_layout.csv"), "--out-dir", str(w / "edge-room")],
         ["synth-analytic", "--config", str(w / "window_edges.ini"),
          "--out-dir", str(w / "window-edges")],
+        ["synth-analytic", "--layout", str(w / "cluster_layout.csv"), "--out-dir", str(cluster)],
+        ["pipeline", "--snapshots", str(cluster / "snapshots.csv"), "--layout",
+         str(cluster / "layout.csv"), "--gradient-source", "dmd_mode",
+         "--flux-sources", str(w / "cluster_sources.csv"),
+         "--out-dir", str(w / "cluster-pipeline")],
     ]
 
 
@@ -373,6 +409,8 @@ def cmd_run(args) -> int:
     (work / "crosstalk_room.ini").write_text(CROSSTALK_ROOM, encoding="utf-8")
     (work / "edge_layout.csv").write_text(edge_layout(), encoding="utf-8")
     (work / "window_edges.ini").write_text(WINDOW_EDGES, encoding="utf-8")
+    (work / "cluster_layout.csv").write_text(cluster_layout(), encoding="utf-8")
+    (work / "cluster_sources.csv").write_text(CLUSTER_SOURCES, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     console = work / "console"
     console.mkdir()
@@ -412,7 +450,7 @@ def cmd_diff(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run the eighteen CLI runs and write the digest list")
+    p = sub.add_parser("run", help="run the nineteen CLI runs and write the digest list")
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
