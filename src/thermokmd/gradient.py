@@ -14,14 +14,14 @@ Two differentiation paths:
   behind ``np.linalg.lstsq``.  The one neighbour search also gives the
   field's median spacing, which the SVG and the flux scores read.
 
-  The neighbour search buckets the sensors of a layout of
-  ``_GRID_MIN_SENSORS`` or more in a uniform cell grid and takes each
-  sensor's neighbours from the 3**d cells around it.  A row is kept only
-  when its farthest kept distance is below the distance to the nearest
-  cell outside those, with a margin for the rounding of the cell
-  coordinates.  Every other row, and every row of a
-  smaller layout, is searched over all pairs.  Both give the same indices
-  and distances, bit for bit.
+  The neighbour search sorts the sensors along the layout's longest axis
+  and searches each sensor's row over a window of that order around it.
+  The row is kept when its farthest kept distance is below the distance
+  formula's own value at the gap, on that axis, to the nearest sensor
+  outside the window: no sensor outside can compute a smaller distance,
+  so the row is the all-pairs row, bit for bit, with no rounding margin.
+  The other rows are searched again over a window twice as wide, up to
+  the whole layout.
 
 Degenerate stencils (too few neighbors, or neighbor positions collinear
 beyond the condition limit) yield an invalid flag rather than a regularized
@@ -126,20 +126,15 @@ def load_sources_csv(path) -> tuple[FluxSource, ...]:
     return tuple(sources.values())
 
 
-#: sensors whose distance rows one array pass computes; temporaries are
-#: _BLOCK_ROWS x M, never M x M
+#: one block of the neighbour search holds at most _BLOCK_ROWS x M distances,
+#: never M x M
 _BLOCK_ROWS = 128
 
-#: layouts of fewer sensors search all pairs only: below this count the cell
-#: grid's set-up costs more than the distances it saves (tools/neighbour_sweep.py)
-_GRID_MIN_SENSORS = 256
-
-#: about how many sensors share one cell of the search grid
-_CELL_SENSORS = 4
-
-#: the narrowest cell the grid takes; from it up, the rounding of a cell
-#: coordinate is relative, never the absolute error of a subnormal
-_MIN_CELL = np.finfo(float).tiny / np.finfo(float).eps
+#: the neighbour search's first window is ceil(_WINDOW_FACTOR * (k+1)**(1/d)
+#: * M**(1 - 1/d)) sensors, which grows as the slab across evenly spread
+#: sensors that holds a sensor's k + 1 nearest; 1.0-1.2 timed best
+#: (tools/neighbour_sweep.py)
+_WINDOW_FACTOR = 1.2
 
 
 def _distances(others, rows):
@@ -175,125 +170,56 @@ def _first(block, ids, k):
     return cols[pick], near[pick], kth
 
 
-def _cell_size(extent, m):
-    """Edge of a cubic cell that about :data:`_CELL_SENSORS` of ``m`` sensors share, or None.
-
-    The box's volume is spread over the axes that are at least one cell
-    long; a shorter axis is one cell wide.  None when the edge is below
-    :data:`_MIN_CELL` or not finite: then the whole box is one cell.
-    """
-    spans = sorted((float(e) for e in extent if e > 0), reverse=True)
-    size = math.inf
-    while spans:
-        size = math.exp((sum(map(math.log, spans)) + math.log(_CELL_SENSORS / m)) / len(spans))
-        if spans[-1] >= size:
-            break
-        spans.pop()
-    return size if _MIN_CELL <= size < math.inf else None
-
-
-def _cell_candidates(cell, dims):
-    """(candidates, begin, length): the sensors in the 3**d cells around each sensor's cell.
-
-    ``cell`` is each sensor's (M, d) cell index in a grid of ``dims`` cells.
-    Sensor i's candidates are ``candidates[begin[i]:begin[i] + length[i]]``,
-    cell after cell, each cell's sensors in index order, sensor i included;
-    one more entry at the end, M, stands for a sensor at infinity.
-    """
-    d = len(dims)
-    strides = np.cumprod(np.concatenate(([1], dims[:-1])))
-    key = cell @ strides
-    by_cell = np.argsort(key, kind="stable")
-    counts = np.bincount(key, minlength=int(np.prod(dims)))
-    first = np.cumsum(counts) - counts
-    # per occupied cell: the keys and counts of the 3**d cells around it
-    occupied = np.flatnonzero(counts)
-    around = cell[by_cell[first[occupied]]][:, None, :] + (np.indices((3,) * d).reshape(d, -1).T - 1)
-    inside = ((around >= 0) & (around < dims)).all(axis=2)
-    around = np.where(inside, around @ strides, 0)
-    seg = np.where(inside, counts[around], 0)
-    flat = seg.ravel()
-    source = np.repeat(first[around].ravel() - (np.cumsum(flat) - flat), flat)
-    candidates = np.append(by_cell[source + np.arange(len(source))], len(cell))
-    slot = np.empty(len(counts), dtype=np.intp)
-    slot[occupied] = np.arange(len(occupied))
-    length = seg.sum(axis=1)
-    return candidates, (np.cumsum(length) - length)[slot[key]], length[slot[key]]
-
-
-def _grid_nearest(pos, k, index, dist):
-    """Fill the rows of ``index`` and ``dist`` that the cell grid certifies; return the other rows.
-
-    The sensors are bucketed in a uniform grid over their bounding box
-    (fixed-radius near-neighbour search, Bentley, Stanat & Williams 1977).
-    A sensor's candidates are the sensors of the 3**d cells around its own,
-    itself included, and its row is the candidates' :func:`_first`.  The row
-    is certified when its (k+1)-th distance is below the distance formula's
-    value at the gap from the sensor to the nearest cell outside those 3**d,
-    less a margin for the rounding of the cell coordinates: every sensor
-    outside is then farther, so the row is the all-pairs row, bit for bit.
-    """
-    m, d = pos.shape
-    lo = pos.min(axis=0)
-    extent = pos.max(axis=0) - lo
-    size = _cell_size(extent, m)
-    if size is None:
-        return np.arange(m)
-    u = (pos - lo) / size  # each within eps * (dims + 1) cells of the exact quotient
-    cell = u.astype(np.intp)
-    dims = (extent / size).astype(np.intp) + 1
-    frac = u - cell  # exact
-    # cells from the sensor to the faces of its 3**d block that have cells beyond
-    # them, less the rounding of two cell coordinates and of this sum
-    gap = np.minimum(np.where(cell >= 2, frac + 1.0, np.inf),
-                     np.where(cell <= dims - 3, 2.0 - frac, np.inf)).min(axis=1)
-    gap = (gap - 4 * np.finfo(float).eps * (dims.max() + 4)) * size
-    with np.errstate(over="ignore"):  # a bound past the float range is inf, as are the distances
-        bound = np.sqrt(gap * gap)
-
-    candidates, begin, length = _cell_candidates(cell, dims)
-    axes = np.ascontiguousarray(pos.T)
-    far = np.hstack([axes, np.full((d, 1), np.inf)])  # candidate m pads a row
-    # rows by candidate count, in blocks of at most _BLOCK_ROWS x M padded distances
-    order = np.argsort(length, kind="stable")
-    width = np.maximum(length[order], k + 1)
-    rest = []
-    start = 0
-    while start < m:
-        fits = np.arange(1, m - start + 1) * width[start:] <= _BLOCK_ROWS * m
-        stop = start + max(1, int(np.count_nonzero(fits)))
-        rows = order[start:stop]
-        col = np.arange(width[stop - 1])
-        pad = len(candidates) - 1
-        ids = candidates[np.where(col < length[rows, None], begin[rows, None] + col, pad)]
-        got, near, kth = _first(_distances(far[:, ids], axes[:, rows, None]), ids, k)
-        sure = kth < bound[rows]
-        index[rows[sure]] = got[sure]
-        dist[rows[sure]] = near[sure]
-        rest.append(rows[~sure])
-        start = stop
-    return np.concatenate(rest)
-
-
 def _nearest(pos, k):
     """Indices and distances (M, k) of each sensor's k nearest other sensors.
 
     Row i is ``np.argsort(dist_i, kind="stable")[1 : k + 1]``, ties included:
     candidates at or below the (k+1)-th smallest distance, ordered by
-    (distance, index), first one dropped.  From :data:`_GRID_MIN_SENSORS`
-    sensors up, :func:`_grid_nearest` finds the rows it can certify from a
-    few cells around each sensor; every other row, and every row of a
-    smaller layout, is searched over all pairs in blocks of
-    :data:`_BLOCK_ROWS` rows, which is the reference path.
+    (distance, index), first one dropped.
+
+    The sensors are sorted along the layout's longest axis (Friedman,
+    Baskett & Shustek 1975), and each row is searched over a window of ``w``
+    consecutive sensors of that order around its own.  The row is kept when
+    its (k+1)-th distance is below ``sqrt(gap * gap)``, where ``gap`` is the
+    difference on that axis, ``other - row`` as :func:`_distances` takes it,
+    to the nearest sensor outside the window on either side.  Rounding is
+    monotone and adding a nonnegative square never lowers a sum, so every
+    sensor outside computes a distance of at least that bound: the row is
+    the all-pairs row, bit for bit, with no margin.  The other rows are
+    searched again with ``2w``; at ``w = M`` every row is kept, and that pass
+    is the all-pairs search.  A pass takes its rows in blocks of at most
+    :data:`_BLOCK_ROWS` x M distances.
     """
-    m = len(pos)
+    m, d = pos.shape
+    axes = np.ascontiguousarray(pos.T)
+    with np.errstate(over="ignore"):  # an extent past the float range is inf
+        along = axes[np.argmax(pos.max(axis=0) - pos.min(axis=0))]
+    order = np.argsort(along, kind="stable")
+    # the coordinates in that order, with a sensor at each end at infinity
+    ends = np.concatenate(([-np.inf], along[order], [np.inf]))
     index = np.empty((m, k), dtype=np.intp)
     dist = np.empty((m, k))
-    rest = _grid_nearest(pos, k, index, dist) if m >= _GRID_MIN_SENSORS else np.arange(m)
-    axes = np.ascontiguousarray(pos.T)
-    for start in range(0, len(rest), _BLOCK_ROWS):
-        rows = rest[start:start + _BLOCK_ROWS]
-        index[rows], dist[rows], _ = _first(_distances(axes, axes[:, rows, None]), None, k)
+    rest = np.arange(m)  # places in the order of the rows still to search
+    w = math.ceil(_WINDOW_FACTOR * (k + 1) ** (1 / d) * m ** (1 - 1 / d))
+    while len(rest):
+        w = min(max(w, k + 1), m)
+        step = _BLOCK_ROWS * m // w
+        left = []
+        for start in range(0, len(rest), step):
+            places = rest[start:start + step]
+            first = np.clip(places - w // 2, 0, m - w)
+            rows = order[places]
+            ids = order[first[:, None] + np.arange(w)]
+            got, near, kth = _first(_distances(axes[:, ids], axes[:, rows, None]), ids, k)
+            with np.errstate(over="ignore"):  # a bound past the float range is inf
+                below = ends[first] - along[rows]
+                above = ends[first + w + 1] - along[rows]
+                sure = (kth < np.sqrt(np.minimum(below * below, above * above))) | (w == m)
+            index[rows[sure]] = got[sure]
+            dist[rows[sure]] = near[sure]
+            left.append(places[~sure])
+        rest = np.concatenate(left)
+        w *= 2
     return index, dist
 
 

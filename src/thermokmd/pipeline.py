@@ -43,6 +43,8 @@ def run(snapshots, layout, sources=None, *, inputs=None, method=spectral.METHODS
     ``layout`` holds the sensors in channel order, ``sources`` the flux sources
     to score or None, and ``inputs`` the input files the metadata names and hashes.
     """
+    if period_samples is not None:  # refused before the fit, not after it
+        phaseavg.select_period(None, snapshots.dt, snapshots.n_snapshots, period_samples)
     mean_free = timeseries.remove_mean(snapshots)
     table = spectral.decompose(mean_free, method)
     dominant = table.dominant()

@@ -8,11 +8,18 @@ the code it replaced and not against itself.
 
 import html
 import json
+import math
 from dataclasses import replace
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, localcontext
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
+from thermokmd import timeseries
+from thermokmd.errors import ParseError, TooShortError, UniformityError
 from thermokmd.gradient import INVALID, SCATTERED_LSQ
+from thermokmd.spectral import RANK_RCOND, ZERO_MODE_RTOL, ModeTable, RitzPair, _group_and_rank
 from thermokmd.synth import (
     MAX_BLOCK,
     SwitchEvent,
@@ -24,7 +31,16 @@ from thermokmd.synth import (
     simulate_room,
     switch_cycle_period,
 )
-from thermokmd.timeseries import SensorLayout, SnapshotMatrix
+from thermokmd.timeseries import (
+    UNIFORMITY_RTOL,
+    SensorLayout,
+    SnapshotMatrix,
+    _cell_value,
+    _csv_rows,
+    _parse_time,
+    _seconds,
+    utf8_errors,
+)
 
 
 # -- gradient: the per-sensor stencil and neighbours, the all-pairs spacing, the SVG --------
@@ -463,3 +479,210 @@ def _gradient_angle(vectors, truth):
         inner = np.sum(vectors * truth, axis=1)
     cosine = inner / (np.linalg.norm(vectors, axis=1) * np.linalg.norm(truth, axis=1))
     return float(np.degrees(np.arccos(np.clip(np.median(cosine), -1.0, 1.0))))
+
+
+# -- timeseries: the row-by-row reader, the per-cell parser, exact timestamps ---------------
+
+def _load_snapshots_rows(path):
+    """The reference reader: csv and float() cell by cell, then the exact timestamp check.
+
+    The whole of ``load_snapshots`` before it parsed value cells with
+    ``np.loadtxt``; its row loop is now only the error path.
+    """
+    path = Path(path)
+    with utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
+        reader = _csv_rows(path, fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TooShortError(f"{path}: empty file") from None
+        if len(header) < 2 or header[0].strip() != "time":
+            raise ParseError(f"{path}: header must be 'time,<id1>,...', got {header!r}")
+        ids = tuple(h.strip() for h in header[1:])
+        times = []
+        longest = 0
+        rows = []
+        for r, rec in enumerate(reader, start=1):
+            if len(rec) != len(header):
+                raise ParseError(
+                    f"{path}: data row {r} has {len(rec)} cells, expected {len(header)}"
+                )
+            times.append(_parse_time(path, rec[0], r))
+            longest = max(longest, len(rec[0]))
+            try:
+                vals = list(map(float, rec[1:]))
+            except ValueError:
+                vals = [_cell_value(path, cell, r, c) for c, cell in enumerate(rec[1:], start=2)]
+            rows.append(vals)
+    if len(rows) < 3:
+        raise TooShortError(f"{path}: need at least 3 data rows, got {len(rows)}")
+    exact = Context(prec=640 + longest, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    step = exact.subtract(times[1], times[0])
+    if step <= 0:
+        raise UniformityError(f"{path}: timestamps must be strictly increasing (row 2)", row=2)
+    tol = exact.multiply(step, UNIFORMITY_RTOL)
+    for r in range(2, len(times)):
+        delta = exact.subtract(times[r], times[r - 1])
+        if exact.abs(exact.subtract(delta, step)) > tol:
+            raise UniformityError(
+                f"{path}: non-uniform timestamp at data row {r + 1}: spacing "
+                f"{_seconds(delta)} s differs from {_seconds(step)} s",
+                row=r + 1,
+            )
+    dt = float(step)
+    if math.isinf(dt):
+        raise ParseError(
+            f"{path}: sampling period {_seconds(step)} s is out of the range of a double"
+        )
+    values = np.array(rows, dtype=float).T
+    try:
+        return SnapshotMatrix(values, dt, float(times[0]), ids)
+    except ParseError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _row_values_loop(path, rec, r):
+    """The reference cell parser: strip, then float(), one cell at a time."""
+    vals = []
+    for c, cell in enumerate(rec[1:], start=1):
+        text = cell.strip()
+        if not text:
+            raise ParseError(f"{path}: missing value at data row {r}, column {c + 1}")
+        try:
+            v = float(text)
+        except ValueError:
+            raise ParseError(
+                f"{path}: non-numeric value {cell!r} at data row {r}, column {c + 1}"
+            ) from None
+        vals.append(v)
+    return vals
+
+
+def _seconds_fraction(x):
+    try:
+        return f"{float(x):g}"
+    except OverflowError:
+        return f"{Decimal(x.numerator) / Decimal(x.denominator):.6g}"
+
+
+def _load_times_fraction(path, cells):
+    """The reference timestamp check, in exact Fraction arithmetic.
+
+    What ``load_snapshots`` returns or raises for a one-channel file with these
+    time cells and every value 1.
+    """
+    times = []
+    for row, cell in enumerate(cells, start=1):
+        try:
+            dec = Decimal(cell.strip())
+        except InvalidOperation:
+            raise ParseError(f"{path}: non-numeric timestamp {cell!r} at data row {row}") from None
+        if not dec.is_finite():
+            raise ParseError(f"{path}: non-finite timestamp {cell!r} at data row {row}")
+        t = float(dec)
+        if math.isinf(t) or (t == 0 and dec):
+            raise ParseError(
+                f"{path}: timestamp {cell!r} at data row {row} is out of the range of a double"
+            )
+        times.append(Fraction(dec))
+    if len(times) < 3:
+        raise TooShortError(f"{path}: need at least 3 data rows, got {len(times)}")
+    step = times[1] - times[0]
+    if step <= 0:
+        raise UniformityError(f"{path}: timestamps must be strictly increasing (row 2)", row=2)
+    tol = step * Fraction(1, 10**6)
+    for r in range(2, len(times)):
+        delta = times[r] - times[r - 1]
+        if abs(delta - step) > tol:
+            raise UniformityError(
+                f"{path}: non-uniform timestamp at data row {r + 1}: spacing "
+                f"{_seconds_fraction(delta)} s differs from {_seconds_fraction(step)} s",
+                row=r + 1,
+            )
+    try:
+        dt = float(step)
+    except OverflowError:
+        raise ParseError(f"{path}: sampling period {_seconds_fraction(step)} s "
+                         "is out of the range of a double") from None
+    try:
+        return SnapshotMatrix(np.ones((1, len(times))), dt, float(Decimal(cells[0].strip())),
+                              ("c",))
+    except ParseError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _times_fraction(t0, dt, n):
+    """The reference time cells: each t0 + k*dt as an exact Fraction, printed as a decimal
+    quotient (the whole of ``write_snapshots``'s timestamp rule before it used Decimal sums)."""
+    with localcontext() as ctx:
+        ctx.prec = 1600
+        return [str(Decimal(t.numerator) / Decimal(t.denominator))
+                for t in (Fraction(t0) + k * Fraction(dt) for k in range(n))]
+
+
+def _decimal_text(x: Fraction) -> str:
+    """The exact decimal expansion of a Fraction whose denominator is 2**a * 5**b."""
+    with localcontext() as ctx:
+        ctx.prec = 4000
+        ctx.traps[Inexact] = True
+        return str(Decimal(x.numerator) / Decimal(x.denominator))
+
+
+# -- spectral: the per-snapshot energy, the per-column companion fit ------------------------
+
+def _energy_loop(p, n_snapshots):
+    """The reference summation: one power, one np.dot and one add per snapshot."""
+    lam = complex(p.lam)
+    is_real = lam.imag == 0.0
+    total = 0.0
+    power = 1.0 + 0.0j
+    for _ in range(n_snapshots):
+        contrib = (power * p.mode).real if is_real else 2.0 * (power * p.mode).real
+        total += float(np.dot(contrib, contrib))
+        power *= lam
+    return float(np.sqrt(total))
+
+
+def _companion_kmd_per_column(s):
+    """companion_kmd as it was: one RitzPair per kept column, grouped and ranked in place."""
+    Y = s.values
+    K = Y[:, :-1]
+    y_last = Y[:, -1]
+    n1 = s.n_snapshots - 1
+    c, *_ = np.linalg.lstsq(K, y_last, rcond=RANK_RCOND)
+    residual = float(np.linalg.norm(K @ c - y_last))
+    companion = np.zeros((n1, n1))
+    companion[np.arange(1, n1), np.arange(n1 - 1)] = 1.0
+    companion[:, -1] = c
+    lams = np.linalg.eigvals(companion)
+    vander = np.vander(lams, N=n1, increasing=True)
+    modes = np.linalg.lstsq(vander.T, K.T.astype(complex), rcond=None)[0].T
+
+    notes, pairs = [], []
+    norms = np.linalg.norm(modes, axis=0)
+    cutoff = ZERO_MODE_RTOL * norms.max(initial=0.0)
+    for j in range(n1):
+        if norms[j] <= cutoff:
+            notes.append(f"dropped zero mode at lam={lams[j]:.6g}")
+            continue
+        pairs.append(RitzPair(complex(lams[j]), modes[:, j], index=j))
+    entries = _group_and_rank(pairs, s.dt, s.n_snapshots, notes)
+    return ModeTable(entries=entries, dt=s.dt, n_snapshots=s.n_snapshots, residual=residual,
+                     mean_removed=timeseries.mean_offset(s) is None,
+                     channel_ids=s.channel_ids, notes=tuple(notes))
+
+
+def _reconstruct_two_lists(table, n_snapshots=None):
+    """reconstruct as it was: the lam and mode lists rebuilt side by side."""
+    n = table.n_snapshots - 1 if n_snapshots is None else n_snapshots
+    lams, modes = [], []
+    for e in table.entries:
+        lams.append(e.rep.lam)
+        modes.append(e.rep.mode)
+        if e.partner is not None:
+            lams.append(e.partner.lam)
+            modes.append(e.partner.mode)
+    if not lams:
+        return np.zeros((len(table.channel_ids), n))
+    powers = np.vander(np.asarray(lams, dtype=complex), N=n, increasing=True)
+    return np.real(np.column_stack(modes) @ powers)

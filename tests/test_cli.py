@@ -420,10 +420,13 @@ class TestSynthAndSpectrum:
     @pytest.mark.parametrize("period", ["1", "121"])
     @pytest.mark.parametrize("command", ["phase-average", "pipeline"])
     def test_period_samples_out_of_range_exit_2(self, command, period, two_tone_dir, tmp_path,
-                                                capsys):
+                                                capsys, monkeypatch):
         argv = [command, "--snapshots", str(two_tone_dir / "snapshots.csv")]
         if command == "pipeline":
             argv += ["--layout", str(two_tone_dir / "layout.csv")]
+            # the explicit period is refused before the fit
+            monkeypatch.setattr(pipeline.spectral, "decompose",
+                                lambda *a: pytest.fail("the fit ran before the period was refused"))
         out = tmp_path / "out"
         assert main(argv + ["--period-samples", period, "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err

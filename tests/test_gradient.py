@@ -459,14 +459,13 @@ class TestArrayPassesMatchLoop:
             assert field_to_svg(field) == _field_to_svg_loop(field)
 
 
-# -- the cell-grid neighbour search against a stable argsort per sensor ---------------------
+# -- the sorted-strip neighbour search against a stable argsort per sensor ------------------
 
 def cluster_points():
     """A dense 1 m square of 1400 sensors and 136 outliers over the room.
 
-    The square's cells hold hundreds of sensors each, so the grid takes their
-    rows in several blocks; the outliers' neighbours lie beyond the cells
-    around them, so their rows fall back.
+    The square's windows are narrow on the sort axis, so an outlier's first
+    window rarely reaches its neighbours and its row is searched again.
     """
     rng = np.random.default_rng(21)
     return np.vstack([rng.uniform(3.0, 4.0, size=(1400, 2)),
@@ -484,48 +483,96 @@ NEAREST_LAYOUTS = {
     "lattice-d2": lambda: np.indices((30, 40)).reshape(2, -1).T[:, ::-1] * 0.875 + 0.25,
     "lattice-d3": lambda: np.indices((10, 10, 8)).reshape(3, -1).T * 0.5,
     "cluster": cluster_points,
-    # every square underflows to 0, so no row is certified and all tie by index
+    # every square underflows to 0: every bound is 0, and all distances tie by index
     "scaled-1e-200": lambda: scattered_layout(400, 3, 37).positions * 1e-200,
-    # the product of the extents overflows; the cell size is taken in logs
+    # sums of squares near the top of the float range
     "scaled-1e150": lambda: scattered_layout(400, 3, 38).positions * 1e150,
-    # cells narrower than _MIN_CELL: the grid is one cell and every row falls back
+    # coordinates near the bottom of the normal range; every square underflows
     "scaled-1e-300": lambda: scattered_layout(400, 2, 39).positions * 1e-300,
 }
 
 
+def shuffled_lattices():
+    """Small-integer lattices in d = 1 and 2, each in three seeded shuffles.
+
+    The index order differs from the sort order, and distances tie exactly
+    with the gap to a window's edge, so a row whose (k+1)-th distance only
+    equals its bound must be searched again.
+    """
+    rng = np.random.default_rng(40)
+    shapes = [(n,) for n in (5, 9, 16, 33, 64)] + [(2, 7), (3, 3), (4, 9), (5, 5), (6, 11),
+                                                    (8, 8), (1, 12), (12, 3)]
+    for shape in shapes:
+        points = np.indices(shape).reshape(len(shape), -1).T.astype(float)
+        for _ in range(3):
+            yield rng.permutation(points)
+
+
+def pass_widths(monkeypatch):
+    """(rows, window) of every distance block that ``_nearest`` forms, in call order."""
+    calls = []
+    distances = gradient._distances
+
+    def spy(others, rows):
+        calls.append(others[0].shape)
+        return distances(others, rows)
+
+    monkeypatch.setattr(gradient, "_distances", spy)
+    return calls
+
+
+def assert_matches_argsort(pos, k):
+    index, dist = gradient._nearest(pos, k)
+    want_index, want_dist = _nearest_argsort(pos, k)
+    assert np.array_equal(index, want_index)
+    assert np.array_equal(dist.view(np.int64), want_dist.view(np.int64))
+
+
 @pytest.mark.filterwarnings("error")
 class TestNearest:
-    # about 2.5 s of tier-1 together, 1.6 s of it the argsort reference at 4096 sensors
+    # about 3 s of tier-1 together (of a ~30 s budget), 1.7 s of it the argsort
+    # reference at 4096 sensors
     @pytest.mark.parametrize("name", NEAREST_LAYOUTS)
-    def test_matches_argsort(self, name, monkeypatch):
+    def test_matches_argsort(self, name):
         pos = NEAREST_LAYOUTS[name]()
-        m = len(pos)
         want_index, want_dist = _nearest_argsort(pos, 9)
-        grid = gradient._grid_nearest
-        if m < gradient._GRID_MIN_SENSORS:  # all pairs alone
-            monkeypatch.setattr(gradient, "_grid_nearest", None)
-        certified = fallback = 0
         for k in (1, DEFAULT_NEIGHBORS, 9):
             index, dist = gradient._nearest(pos, k)
             assert np.array_equal(index, want_index[:, :k])
             assert np.array_equal(dist.view(np.int64), want_dist[:, :k].view(np.int64))
-            # the grid's own rows, on either side of the threshold
-            index = np.full((m, k), -1)
-            dist = np.full((m, k), np.nan)
-            rest = grid(pos, k, index, dist)
-            sure = np.setdiff1d(np.arange(m), rest)
-            assert np.array_equal(index[sure], want_index[sure, :k])
-            assert np.array_equal(dist[sure].view(np.int64), want_dist[sure, :k].view(np.int64))
-            certified += len(sure)
-            fallback += len(rest)
-        if name in ("scaled-1e-200", "scaled-1e-300"):
-            assert certified == 0
-        else:
-            assert certified > 0 and fallback > 0
 
-    def test_sizes_on_both_sides_of_the_threshold(self):
-        sizes = [len(make()) for make in NEAREST_LAYOUTS.values()]
-        assert min(sizes) < gradient._GRID_MIN_SENSORS <= max(sizes)
+    def test_shuffled_lattices(self):
+        for pos in shuffled_lattices():
+            for k in range(1, min(len(pos), 10)):
+                assert_matches_argsort(pos, k)
+
+    def test_zero_extent_axis(self):
+        rng = np.random.default_rng(41)
+        for pos in (np.column_stack([rng.uniform(0, 14, 300), np.full(300, 2.5)]),
+                    np.column_stack([rng.uniform(0, 14, 300), np.zeros(300),
+                                     rng.uniform(0, 3, 300)])):
+            for k in (1, DEFAULT_NEIGHBORS, 9):
+                assert_matches_argsort(pos, k)
+
+    def test_overflowing_coordinates(self, monkeypatch):
+        # every distance and every bound overflows to inf, so only the pass
+        # over all M sensors keeps a row: the search must stop there
+        pos = 1e300 + scattered_layout(300, 2, 42).positions * 1e299
+        calls = pass_widths(monkeypatch)
+        with np.errstate(over="ignore"):
+            assert_matches_argsort(pos, DEFAULT_NEIGHBORS)
+        assert calls[-1][1] == len(pos)
+        assert sum(rows for rows, width in calls if width == len(pos)) == len(pos)
+
+    def test_rows_kept_per_pass(self, monkeypatch):
+        calls = pass_widths(monkeypatch)
+        gradient._nearest(scattered_layout(1024, 2, 34).positions, DEFAULT_NEIGHBORS)
+        first = calls[0][1]
+        again = sum(rows for rows, width in calls if width > first)
+        assert again <= 0.05 * 1024, calls
+        calls.clear()
+        gradient._nearest(cluster_points(), DEFAULT_NEIGHBORS)
+        assert len({width for _, width in calls}) > 1, calls
 
 
 # -- the default room's gradient against its truth from the field on every cell -------------

@@ -9,8 +9,6 @@ import pytest
 from thermokmd import spectral, timeseries
 from thermokmd.errors import ArgumentError, DegenerateDataError, NumericalError
 from thermokmd.spectral import (
-    RANK_RCOND,
-    ZERO_MODE_RTOL,
     ModeEntry,
     ModeTable,
     RitzPair,
@@ -37,7 +35,12 @@ from thermokmd.synth import (
 )
 from thermokmd.timeseries import SnapshotMatrix
 
-from oracles import _table_to_json_dumps
+from oracles import (
+    _companion_kmd_per_column,
+    _energy_loop,
+    _reconstruct_two_lists,
+    _table_to_json_dumps,
+)
 
 
 def make_record(values, dt=60.0):
@@ -314,19 +317,6 @@ class TestEnergyNorm:
             assert e.energy == _energy_loop(e.rep, table.n_snapshots), e.rep.lam
 
 
-def _energy_loop(p, n_snapshots):
-    """The reference summation: one power, one np.dot and one add per snapshot."""
-    lam = complex(p.lam)
-    is_real = lam.imag == 0.0
-    total = 0.0
-    power = 1.0 + 0.0j
-    for _ in range(n_snapshots):
-        contrib = (power * p.mode).real if is_real else 2.0 * (power * p.mode).real
-        total += float(np.dot(contrib, contrib))
-        power *= lam
-    return float(np.sqrt(total))
-
-
 class TestPeriodOf:
     def test_dominant_summer_period(self):
         lam = np.exp(2j * np.pi * 60.0 / 853.8)
@@ -507,53 +497,6 @@ class TestUnpaired:
             notes = [n for n in table.notes if n.startswith("unpaired")]
             assert notes, name
             assert logged_unpaired(caplog) == notes, name
-
-
-# -- the assembly before mode_table, kept as oracles --------------------------------
-
-def _companion_kmd_per_column(s):
-    """companion_kmd as it was: one RitzPair per kept column, grouped and ranked in place."""
-    Y = s.values
-    K = Y[:, :-1]
-    y_last = Y[:, -1]
-    n1 = s.n_snapshots - 1
-    c, *_ = np.linalg.lstsq(K, y_last, rcond=RANK_RCOND)
-    residual = float(np.linalg.norm(K @ c - y_last))
-    companion = np.zeros((n1, n1))
-    companion[np.arange(1, n1), np.arange(n1 - 1)] = 1.0
-    companion[:, -1] = c
-    lams = np.linalg.eigvals(companion)
-    vander = np.vander(lams, N=n1, increasing=True)
-    modes = np.linalg.lstsq(vander.T, K.T.astype(complex), rcond=None)[0].T
-
-    notes, pairs = [], []
-    norms = np.linalg.norm(modes, axis=0)
-    cutoff = ZERO_MODE_RTOL * norms.max(initial=0.0)
-    for j in range(n1):
-        if norms[j] <= cutoff:
-            notes.append(f"dropped zero mode at lam={lams[j]:.6g}")
-            continue
-        pairs.append(RitzPair(complex(lams[j]), modes[:, j], index=j))
-    entries = _group_and_rank(pairs, s.dt, s.n_snapshots, notes)
-    return ModeTable(entries=entries, dt=s.dt, n_snapshots=s.n_snapshots, residual=residual,
-                     mean_removed=timeseries.mean_offset(s) is None,
-                     channel_ids=s.channel_ids, notes=tuple(notes))
-
-
-def _reconstruct_two_lists(table, n_snapshots=None):
-    """reconstruct as it was: the lam and mode lists rebuilt side by side."""
-    n = table.n_snapshots - 1 if n_snapshots is None else n_snapshots
-    lams, modes = [], []
-    for e in table.entries:
-        lams.append(e.rep.lam)
-        modes.append(e.rep.mode)
-        if e.partner is not None:
-            lams.append(e.partner.lam)
-            modes.append(e.partner.mode)
-    if not lams:
-        return np.zeros((len(table.channel_ids), n))
-    powers = np.vander(np.asarray(lams, dtype=complex), N=n, increasing=True)
-    return np.real(np.column_stack(modes) @ powers)
 
 
 def single_tone_record(n, noise):

@@ -3,9 +3,8 @@ import math
 import re
 import time
 import warnings
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +34,6 @@ from thermokmd.synth import (
     write_sources_csv,
 )
 from thermokmd.timeseries import (
-    UNIFORMITY_RTOL,
     GridSpec,
     SensorLayout,
     SnapshotMatrix,
@@ -46,7 +44,14 @@ from thermokmd.timeseries import (
     write_layout,
     write_snapshots,
 )
-from thermokmd.timeseries import _cell_value, _csv_rows, _parse_time, _seconds, utf8_errors
+
+from oracles import (
+    _decimal_text,
+    _load_snapshots_rows,
+    _load_times_fraction,
+    _row_values_loop,
+    _times_fraction,
+)
 
 
 def write_csv(path, header, rows):
@@ -161,67 +166,6 @@ class TestLoadSnapshots:
         assert load_snapshots(path, dt_override=60).t0 == -float(big)
 
 
-def _seconds_fraction(x):
-    try:
-        return f"{float(x):g}"
-    except OverflowError:
-        return f"{Decimal(x.numerator) / Decimal(x.denominator):.6g}"
-
-
-def _load_times_fraction(path, cells):
-    """The reference timestamp check, in exact Fraction arithmetic.
-
-    What ``load_snapshots`` returns or raises for a one-channel file with these
-    time cells and every value 1.
-    """
-    times = []
-    for row, cell in enumerate(cells, start=1):
-        try:
-            dec = Decimal(cell.strip())
-        except InvalidOperation:
-            raise ParseError(f"{path}: non-numeric timestamp {cell!r} at data row {row}") from None
-        if not dec.is_finite():
-            raise ParseError(f"{path}: non-finite timestamp {cell!r} at data row {row}")
-        t = float(dec)
-        if math.isinf(t) or (t == 0 and dec):
-            raise ParseError(
-                f"{path}: timestamp {cell!r} at data row {row} is out of the range of a double"
-            )
-        times.append(Fraction(dec))
-    if len(times) < 3:
-        raise TooShortError(f"{path}: need at least 3 data rows, got {len(times)}")
-    step = times[1] - times[0]
-    if step <= 0:
-        raise UniformityError(f"{path}: timestamps must be strictly increasing (row 2)", row=2)
-    tol = step * Fraction(1, 10**6)
-    for r in range(2, len(times)):
-        delta = times[r] - times[r - 1]
-        if abs(delta - step) > tol:
-            raise UniformityError(
-                f"{path}: non-uniform timestamp at data row {r + 1}: spacing "
-                f"{_seconds_fraction(delta)} s differs from {_seconds_fraction(step)} s",
-                row=r + 1,
-            )
-    try:
-        dt = float(step)
-    except OverflowError:
-        raise ParseError(f"{path}: sampling period {_seconds_fraction(step)} s "
-                         "is out of the range of a double") from None
-    try:
-        return SnapshotMatrix(np.ones((1, len(times))), dt, float(Decimal(cells[0].strip())),
-                              ("c",))
-    except ParseError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-
-
-def _decimal_text(x: Fraction) -> str:
-    """The exact decimal expansion of a Fraction whose denominator is 2**a * 5**b."""
-    with localcontext() as ctx:
-        ctx.prec = 4000
-        ctx.traps[Inexact] = True
-        return str(Decimal(x.numerator) / Decimal(x.denominator))
-
-
 #: sampling periods, as exact Fractions: the doubles whose exact expansions
 #: are long (0.1, 1e-7, 1e300), the extremes, and any positive double
 periods = st.builds(
@@ -326,23 +270,6 @@ class TestMedian:
         assert np.float64(got).tobytes() == want.tobytes()
 
 
-def _row_values_loop(path, rec, r):
-    """The reference cell parser: strip, then float(), one cell at a time."""
-    vals = []
-    for c, cell in enumerate(rec[1:], start=1):
-        text = cell.strip()
-        if not text:
-            raise ParseError(f"{path}: missing value at data row {r}, column {c + 1}")
-        try:
-            v = float(text)
-        except ValueError:
-            raise ParseError(
-                f"{path}: non-numeric value {cell!r} at data row {r}, column {c + 1}"
-            ) from None
-        vals.append(v)
-    return vals
-
-
 class TestCellParsing:
     """``load_snapshots`` parses a row at once and matches the per-cell loop on every cell."""
 
@@ -369,15 +296,6 @@ class TestCellParsing:
             return
         got = load_snapshots(path).values[:, 1]
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-
-
-def _times_fraction(t0, dt, n):
-    """The reference time cells: each t0 + k*dt as an exact Fraction, printed as a decimal
-    quotient (the whole of ``write_snapshots``'s timestamp rule before it used Decimal sums)."""
-    with localcontext() as ctx:
-        ctx.prec = 1600
-        return [str(Decimal(t.numerator) / Decimal(t.denominator))
-                for t in (Fraction(t0) + k * Fraction(dt) for k in range(n))]
 
 
 #: timestamps and periods: signed zeros, subnormals, the extremes, the doubles
@@ -634,64 +552,6 @@ class TestMutatedConfigs:
             assert isinstance(load_analytic_config(path, default_layout()), AnalyticSpec)
         except ParseError as exc:
             _assert_one_line_naming(exc, path)
-
-
-def _load_snapshots_rows(path):
-    """The reference reader: csv and float() cell by cell, then the exact timestamp check.
-
-    The whole of ``load_snapshots`` before it parsed value cells with
-    ``np.loadtxt``; its row loop is now only the error path.
-    """
-    path = Path(path)
-    with utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(path, fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TooShortError(f"{path}: empty file") from None
-        if len(header) < 2 or header[0].strip() != "time":
-            raise ParseError(f"{path}: header must be 'time,<id1>,...', got {header!r}")
-        ids = tuple(h.strip() for h in header[1:])
-        times = []
-        longest = 0
-        rows = []
-        for r, rec in enumerate(reader, start=1):
-            if len(rec) != len(header):
-                raise ParseError(
-                    f"{path}: data row {r} has {len(rec)} cells, expected {len(header)}"
-                )
-            times.append(_parse_time(path, rec[0], r))
-            longest = max(longest, len(rec[0]))
-            try:
-                vals = list(map(float, rec[1:]))
-            except ValueError:
-                vals = [_cell_value(path, cell, r, c) for c, cell in enumerate(rec[1:], start=2)]
-            rows.append(vals)
-    if len(rows) < 3:
-        raise TooShortError(f"{path}: need at least 3 data rows, got {len(rows)}")
-    exact = Context(prec=640 + longest, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
-    step = exact.subtract(times[1], times[0])
-    if step <= 0:
-        raise UniformityError(f"{path}: timestamps must be strictly increasing (row 2)", row=2)
-    tol = exact.multiply(step, UNIFORMITY_RTOL)
-    for r in range(2, len(times)):
-        delta = exact.subtract(times[r], times[r - 1])
-        if exact.abs(exact.subtract(delta, step)) > tol:
-            raise UniformityError(
-                f"{path}: non-uniform timestamp at data row {r + 1}: spacing "
-                f"{_seconds(delta)} s differs from {_seconds(step)} s",
-                row=r + 1,
-            )
-    dt = float(step)
-    if math.isinf(dt):
-        raise ParseError(
-            f"{path}: sampling period {_seconds(step)} s is out of the range of a double"
-        )
-    values = np.array(rows, dtype=float).T
-    try:
-        return SnapshotMatrix(values, dt, float(times[0]), ids)
-    except ParseError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 #: bytes on which csv, float() and numpy's parser might part: line ends, quotes,

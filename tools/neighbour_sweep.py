@@ -2,16 +2,20 @@
 
     python tools/neighbour_sweep.py [--tree DIR] [--sensors 28 256 512 1024 4096]
                                     [--neighbors 6] [--repeat 9] [--seed 0]
+                                    [--factors 0.8 1.0 1.2 2.0]
 
 For each M it draws a seeded layout of M distinct sensors on the 1 mm grid of
 the default 14 m x 7 m room (uniform, as the sensor-wide benchmark draws
 them, but never two on one point) and a complex mode on it, and prints the best of ``--repeat`` wall
 times of ``gradient._nearest(positions, k)`` and of
-``gradient.gradient_field(mode, layout, k)``, in milliseconds.  When the tree
-has the cell-grid search it also times ``_nearest`` with the grid taken at
-every M (``grid``) and at none (``all-pairs``), and prints how many rows the
-grid certified; ``gradient._GRID_MIN_SENSORS`` belongs where those two
-columns cross.
+``gradient.gradient_field(mode, layout, k)``, in milliseconds.  These two
+columns work on any tree.
+
+When the tree has the sorted-strip search (``gradient._WINDOW_FACTOR``), it
+also prints how many rows each pass kept, first pass first, and, for each
+value of ``--factors``, the time of ``_nearest`` with the window factor set
+to that value; the best of those columns is where ``_WINDOW_FACTOR``
+belongs.
 
 ``--tree`` names the source tree whose ``src/`` is imported (default: this
 checkout), so one checkout times two trees: run the tool once per tree, one
@@ -50,6 +54,25 @@ def best_ms(call, repeat: int) -> float:
     return best * 1e3
 
 
+def rows_per_pass(gradient, pos, k) -> list[int]:
+    """How many rows each pass of the strip search kept, from the widths of its distance blocks."""
+    searched: dict[int, int] = {}  # rows searched at each window width, in pass order
+    distances = gradient._distances
+
+    def spy(others, rows):
+        width = others[0].shape[1]
+        searched[width] = searched.get(width, 0) + others[0].shape[0]
+        return distances(others, rows)
+
+    gradient._distances = spy
+    try:
+        gradient._nearest(pos, k)
+    finally:
+        gradient._distances = distances
+    counts = list(searched.values())
+    return [n - later for n, later in zip(counts, counts[1:] + [0])]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
@@ -58,16 +81,21 @@ def main(argv=None) -> int:
     parser.add_argument("--neighbors", type=int, default=6)
     parser.add_argument("--repeat", type=int, default=9)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--factors", type=float, nargs="*", default=[],
+                        help="window factors to time _nearest at, on a strip tree")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.tree).resolve() / "src"))
     from thermokmd import gradient
     from thermokmd.timeseries import SensorLayout
 
-    threshold = getattr(gradient, "_GRID_MIN_SENSORS", None)
-    print(f"tree {Path(args.tree).resolve()}, k = {args.neighbors}, best of {args.repeat}")
-    print(f"{'M':>6} {'_nearest ms':>12} {'gradient_field ms':>18} {'grid ms':>9} "
-          f"{'all-pairs ms':>13} {'grid rows':>10}")
+    factor = getattr(gradient, "_WINDOW_FACTOR", None)
+    factors = args.factors if factor is not None else []
+    print(f"tree {Path(args.tree).resolve()}, k = {args.neighbors}, best of {args.repeat}"
+          + ("" if factor is None else f", window factor {factor}"))
+    print(f"{'M':>6} {'_nearest ms':>12} {'gradient_field ms':>18}"
+          + "".join(f" {f'c={c:g} ms':>10}" for c in factors)
+          + ("" if factor is None else "  rows kept per pass"))
     for m in args.sensors:
         pos = layout_points(m, args.seed + m)
         layout = SensorLayout(tuple(f"S{i}" for i in range(m)), pos)
@@ -77,17 +105,14 @@ def main(argv=None) -> int:
         near = best_ms(lambda: gradient._nearest(pos, k), args.repeat)
         field = best_ms(lambda: gradient.gradient_field(mode, layout, args.neighbors),
                         args.repeat)
-        forced, rows = [], "-"
-        if threshold is not None:
-            for forced_threshold in (0, m + 1):
-                gradient._GRID_MIN_SENSORS = forced_threshold
-                forced.append(f"{best_ms(lambda: gradient._nearest(pos, k), args.repeat):.3f}")
-            gradient._GRID_MIN_SENSORS = threshold
-            rest = gradient._grid_nearest(pos, k, np.empty((m, k), dtype=np.intp),
-                                          np.empty((m, k)))
-            rows = f"{m - len(rest)}/{m}"
-        grid_ms, pairs_ms = forced or ("-", "-")
-        print(f"{m:>6} {near:>12.3f} {field:>18.3f} {grid_ms:>9} {pairs_ms:>13} {rows:>10}")
+        line = f"{m:>6} {near:>12.3f} {field:>18.3f}"
+        for c in factors:
+            gradient._WINDOW_FACTOR = c
+            line += f" {best_ms(lambda: gradient._nearest(pos, k), args.repeat):>10.3f}"
+        if factor is not None:
+            gradient._WINDOW_FACTOR = factor
+            line += "  " + " ".join(map(str, rows_per_pass(gradient, pos, k)))
+        print(line)
     return 0
 
 
