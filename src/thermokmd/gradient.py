@@ -187,8 +187,8 @@ def _nearest(pos, k):
     sensor outside computes a distance of at least that bound: the row is
     the all-pairs row, bit for bit, with no margin.  The other rows are
     searched again with ``2w``; at ``w = M`` every row is kept, and that pass
-    is the all-pairs search.  A pass takes its rows in blocks of at most
-    :data:`_BLOCK_ROWS` x M distances.
+    is the all-pairs search over the sensors in index order.  A pass takes its
+    rows in blocks of at most :data:`_BLOCK_ROWS` x M distances.
     """
     m, d = pos.shape
     axes = np.ascontiguousarray(pos.T)
@@ -209,8 +209,9 @@ def _nearest(pos, k):
             places = rest[start:start + step]
             first = np.clip(places - w // 2, 0, m - w)
             rows = order[places]
-            ids = order[first[:, None] + np.arange(w)]
-            got, near, kth = _first(_distances(axes[:, ids], axes[:, rows, None]), ids, k)
+            ids = None if w == m else order[first[:, None] + np.arange(w)]
+            others = axes if ids is None else axes[:, ids]
+            got, near, kth = _first(_distances(others, axes[:, rows, None]), ids, k)
             with np.errstate(over="ignore"):  # a bound past the float range is inf
                 below = ends[first] - along[rows]
                 above = ends[first + w + 1] - along[rows]

@@ -283,8 +283,9 @@ def csv_text(rows, lineterminator: str) -> str:
 _POW10 = np.array([float(10**s) for s in range(23)])  # exact doubles up to 1e22
 _POW5 = np.array([5**s for s in range(23)], dtype=np.uint64)
 _TEN = np.array([10**j for j in range(18)], dtype=np.int64)
-#: "00" to "99", each pair of ASCII digits read as one uint16
-_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"), np.uint16)
+#: "0000" to "9999", each group of four ASCII digits read as one uint32
+_QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
+                  axis=-1).view(np.uint32).ravel()
 
 
 def _shortest_digits(x: np.ndarray):
@@ -333,7 +334,8 @@ def _shortest_digits(x: np.ndarray):
     digits, p = d, np.full(d.shape, 17)
     for j in (1, 2, 3):
         unit = _TEN[j]
-        q, rem = np.divmod(d, unit)
+        q = d // unit  # by one integer, // is faster than np.divmod
+        rem = d - q * unit
         half = unit // 2
         # V / 10^j = q + (rem + r / 2^k) / 10^j, and |r / 2^k| < 1/2
         c = (q + ((rem > half) | ((rem == half) & (r > 0)))) * unit
@@ -384,25 +386,22 @@ def repr_rows(block: np.ndarray) -> tuple[list[str], int]:
     rows, cols = block.shape
     x = np.ascontiguousarray(block, dtype=float).ravel()
     digits, p, point, certified = _shortest_digits(x)
-    # the 17 digits as ASCII: the first, eight pairs, and a spare column that
-    # the decimal point shifts into view
-    first, rest = np.divmod(digits, _TEN[16])
-    pairs = np.empty((x.size, 8), np.uint16)
-    for i, eight in enumerate(np.divmod(rest, _TEN[8])):
-        for j, four in enumerate(np.divmod(eight, 10000)):
-            for k, two in enumerate(np.divmod(four, 100)):
-                pairs[:, 4 * i + 2 * j + k] = _PAIRS[two]
-    dig = np.empty((x.size, 18), np.uint8)
-    dig[:, 0] = first + ord("0")
-    dig[:, 1:17] = pairs.view(np.uint8)
-    dig[:, 17] = ord("0")
     out = np.empty((x.size, 25), np.uint8)
-    out[:, :7] = np.frombuffer(b",-0.000", np.uint8)
-    out[:, 7:] = dig
-    behind = np.arange(1, 18) > np.where(point > 0, point, 18)[:, None]
-    np.copyto(out[:, 8:], dig[:, :-1], where=behind)
-    whole = np.flatnonzero(point > 0)
-    out[whole, 7 + point[whole]] = ord(".")
+    out[:, :4] = np.frombuffer(b",-0.", np.uint8)
+    # columns 4 to 23 in groups of four: "000" (the zeros that may follow "0.")
+    # and the first of the 17 digits, then the other 16, as ASCII
+    quads, rest = out[:, 4:24].view(np.uint32), digits
+    for i, unit in enumerate(_TEN[16:3:-4]):
+        q = rest // unit
+        quads[:, i] = _QUADS[q]
+        rest = rest - q * unit
+    quads[:, 4] = _QUADS[rest]
+    # a value with point > 0 has the digits after its point moved one column
+    # right, into column 24, to make room for the "."
+    for whole in np.flatnonzero(np.bincount(point[point > 0])).tolist():
+        at = np.flatnonzero(point == whole)
+        out[at, 8 + whole:] = out[at, 7 + whole:24]
+        out[at, 7 + whole] = ord(".")
     mask = _CELL_MASKS[np.signbit(x) * 54 + (np.clip(point, -3, 14) + 3) * 3 + p - 15]
     slow = np.flatnonzero(~certified)
     if slow.size:

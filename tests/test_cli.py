@@ -929,13 +929,18 @@ class TestPipeline:
         assert not (tmp_path / "out").exists()
 
     def test_numpy_ma_never_loaded(self, tmp_path):
-        # np.median, np.percentile and np.ma import numpy.ma, which no step here needs;
-        # its import took about a quarter of the default room's pipeline time
+        # np.median, np.percentile, np.unique and np.ma import numpy.ma, which no
+        # step here needs; its import took about a quarter of the default room's
+        # pipeline time.  Both generators and both pipeline paths run.
         code = ("import sys\n"
                 "from thermokmd.cli import main\n"
                 "assert main(['synth-analytic', '--out-dir', 'a']) == 0\n"
                 "assert main(['pipeline', '--snapshots', 'a/snapshots.csv', "
                 "'--layout', 'a/layout.csv', '--out-dir', 'p']) == 0\n"
+                "assert main(['synth-room', '--out-dir', 'r']) == 0\n"
+                "assert main(['pipeline', '--snapshots', 'r/snapshots.csv', "
+                "'--layout', 'r/layout.csv', '--flux-sources', 'r/sources.csv', "
+                "'--out-dir', 'q']) == 0\n"
                 "print('numpy.ma' in sys.modules)\n")
         src = str(Path(thermokmd.__file__).resolve().parents[1])
         env = {**os.environ,

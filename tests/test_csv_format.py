@@ -22,8 +22,10 @@ from thermokmd.synth import (
     write_sources_csv,
 )
 from thermokmd.timeseries import (
+    _QUADS,
     SensorLayout,
     SnapshotMatrix,
+    _shortest_digits,
     csv_text,
     load_layout,
     load_snapshots,
@@ -217,6 +219,47 @@ class TestReprRows:
 
     def test_non_finite(self):
         assert cell_texts([np.nan, np.inf, -np.inf]) == ["nan", "inf", "-inf"]
+
+    def test_quads_table(self):
+        assert _QUADS.dtype == np.uint32
+        assert _QUADS.tobytes() == "".join(f"{i:04d}" for i in range(10000)).encode("ascii")
+
+    @staticmethod
+    def certified_block(x, cols):
+        """The values of ``x`` that ``repr_rows`` formats in numpy, in rows of ``cols``.
+
+        Also returns the ``point`` of each, as :func:`_shortest_digits` gives it.
+        """
+        x = x[_shortest_digits(x)[3]]
+        x = x[:len(x) // cols * cols]
+        return x.reshape(-1, cols), _shortest_digits(x)[2]
+
+    @staticmethod
+    def assert_block_matches_repr(x):
+        """One ``repr_rows`` call on ``x`` gives repr's text, every value through numpy."""
+        rows, certified = repr_rows(x)
+        assert rows == ["".join("," + repr(v) for v in row) for row in x.tolist()]
+        assert certified == x.size
+
+    def test_every_point_position_in_one_block(self):
+        # each number of digits before the point, 1 to 14, of both signs, in
+        # one block with values below 1: the layout shifts each group apart
+        rng = np.random.default_rng(33)
+        whole = rng.uniform(1.0, 10.0, (14, 8)) * 10.0 ** np.arange(14)[:, None]
+        small = rng.uniform(1.0, 10.0, (4, 8)) * 10.0 ** np.arange(-4, 0)[:, None]
+        x = np.concatenate([whole, small]) * np.tile([1.0, -1.0], 4)
+        x, point = self.certified_block(rng.permutation(x.ravel()), 12)
+        assert set(zip(point.tolist(), np.signbit(x).ravel().tolist())) == {
+            (n, neg) for n in range(-3, 15) for neg in (False, True)}
+        self.assert_block_matches_repr(x)
+
+    def test_no_value_reaches_one(self):
+        # no value has a digit before its point, so none is shifted for it
+        rng = np.random.default_rng(34)
+        x = rng.uniform(1.0, 10.0, 600) * 10.0 ** rng.integers(-4, 0, 600)
+        x, point = self.certified_block(np.where(rng.random(x.size) < 0.5, -x, x), 29)
+        assert np.all(point <= 0) and x.size >= 500
+        self.assert_block_matches_repr(x)
 
     @pytest.mark.parametrize("record", ["room-default", "two-tone-1024"])
     def test_most_cells_take_the_numpy_path(self, record):

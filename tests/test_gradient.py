@@ -514,8 +514,9 @@ def pass_widths(monkeypatch):
     distances = gradient._distances
 
     def spy(others, rows):
-        calls.append(others[0].shape)
-        return distances(others, rows)
+        block = distances(others, rows)
+        calls.append(block.shape)
+        return block
 
     monkeypatch.setattr(gradient, "_distances", spy)
     return calls

@@ -66,8 +66,9 @@ companion artifacts) and with ``run`` (the default method's artifacts).
 Every run writes under ``--work``, which is emptied first.  The tool writes
 each CLI call's stdout and stderr there too, as ``console/<k>-<command>.stdout``
 and ``.stderr`` for the k-th call, so that a changed ``error:``, ``warning:``
-or summary line is digested like an artifact.  Keep ``--work`` the same for
-both trees: ``run_metadata.json`` and the console lines record its paths.
+or summary line is digested like an artifact.  Every call runs in ``--work``
+and names its files relative to it, so no artifact or console line records
+where ``--work`` is, and two trees may be run in two work directories.
 LIST holds one ``<sha256>  <path>`` line per file, sorted by path, and its
 own sha256 is printed.  ``diff`` prints the paths whose digests differ or
 that only one list has, and exits 1 if there are any.
@@ -415,7 +416,7 @@ def cmd_run(args) -> int:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     console = work / "console"
     console.mkdir()
-    for k, argv in enumerate(_runs(work), 1):
+    for k, argv in enumerate(_runs(Path()), 1):  # relative to work, the cwd of each call
         if args.method and argv[0] in ("spectrum", "pipeline"):
             argv = [*argv, "--method", args.method]
         done = subprocess.run([sys.executable, "-m", "thermokmd.cli", *argv], env=env,

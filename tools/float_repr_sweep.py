@@ -1,6 +1,7 @@
 """Check ``timeseries.repr_rows`` against ``repr`` on a seeded sweep of doubles, decade by decade.
 
-    python tools/float_repr_sweep.py [--values 10000000] [--seed 0] [--block 100000]
+    python tools/float_repr_sweep.py [--tree DIR] [--values 10000000] [--seed 0]
+                                     [--block 100000]
 
 For each decade 10^d <= |x| < 10^(d+1), d from -12 to 19, it draws the same
 number of doubles, each of random sign:
@@ -15,6 +16,9 @@ Every block of ``--block`` values is formatted by ``repr_rows``, one value
 a row, and by ``repr``; each value whose texts differ is printed.  The table
 gives, per decade, the values drawn, the mismatches and the share certified,
 that is formatted without ``repr``.  Exit status 1 if any value differs.
+
+``--tree`` names the source tree whose ``src/`` is imported (default: this
+checkout), so one checkout sweeps two trees.
 """
 
 from __future__ import annotations
@@ -25,10 +29,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from thermokmd.timeseries import repr_rows  # noqa: E402
 
 DECADES = range(-12, 20)
 
@@ -49,12 +49,17 @@ def decade_values(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
+                        help="source tree whose src/ is swept (default: this checkout)")
     parser.add_argument("--values", type=int, default=10_000_000,
                         help="doubles to draw in all (default 10^7)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--block", type=int, default=100_000,
                         help="values formatted at once (default 10^5)")
     args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.tree).resolve() / "src"))
+    from thermokmd.timeseries import repr_rows
+
     rng = np.random.default_rng(args.seed)
     per_decade = args.values // len(DECADES)
     start = time.perf_counter()
@@ -73,7 +78,8 @@ def main(argv=None) -> int:
         print(f"{f'1e{d}':>8} {len(x):>9} {bad:>10} {certified / len(x):>9.4f}")
         total, wrong, certified_total = total + len(x), wrong + bad, certified_total + certified
     print(f"{'all':>8} {total:>9} {wrong:>10} {certified_total / total:>9.4f}"
-          f"   ({time.perf_counter() - start:.1f} s, seed {args.seed})")
+          f"   ({time.perf_counter() - start:.1f} s, seed {args.seed}, "
+          f"tree {Path(args.tree).resolve()})")
     return 1 if wrong else 0
 
 

@@ -60,9 +60,10 @@ def rows_per_pass(gradient, pos, k) -> list[int]:
     distances = gradient._distances
 
     def spy(others, rows):
-        width = others[0].shape[1]
-        searched[width] = searched.get(width, 0) + others[0].shape[0]
-        return distances(others, rows)
+        block = distances(others, rows)
+        n, width = block.shape
+        searched[width] = searched.get(width, 0) + n
+        return block
 
     gradient._distances = spy
     try:
