@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ArgumentError,
-    BiasWarning,
     DegenerateDataError,
     DuplicateError,
     GeometryError,
@@ -79,7 +78,7 @@ __all__ = [
     # errors
     "ToolkitError", "ParseError", "UniformityError", "TooShortError",
     "DuplicateError", "GeometryError", "ArgumentError", "LayoutError", "LayoutFileError",
-    "PeriodError", "DegenerateDataError", "NumericalError", "StabilityError", "BiasWarning",
+    "PeriodError", "DegenerateDataError", "NumericalError", "StabilityError",
     # time series
     "SnapshotMatrix", "SensorLayout", "GridSpec",
     "load_snapshots", "write_snapshots", "load_layout", "write_layout",

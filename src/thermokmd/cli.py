@@ -13,8 +13,8 @@ Exit codes: 0 success, 1 numerical failure, 2 I/O or configuration error.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import gradient as gradientmod
 from . import phaseavg, pipeline, spectral, synth, timeseries
-from .errors import BiasWarning, GeometryError, LayoutError, ParseError, ToolkitError
+from .errors import GeometryError, LayoutError, ParseError, ToolkitError
 
 _IO_ERRORS = (ParseError, OSError)
 
@@ -135,13 +135,8 @@ def cmd_phase_average(args) -> int:
     phaseavg.select_period(None, snapshots.dt, snapshots.n_snapshots, args.period_samples)
     if not args.keep_mean:
         snapshots = timeseries.remove_mean(snapshots)
-    with warnings.catch_warnings():
-        # each of the result's warnings is printed as one line below
-        warnings.simplefilter("ignore", BiasWarning)
-        result = phaseavg.phase_average(snapshots, args.period_samples)
+    result = phaseavg.phase_average(snapshots, args.period_samples)
     _write(Path(args.out_dir), pipeline.phase_average_files(result))
-    for note in result.warnings:
-        print(f"warning: {note}", file=sys.stderr)
     print(f"phase average at P={result.period_samples} samples over Q={result.cycles_used} cycles")
     return 0
 
@@ -268,6 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # each note the library logs during the command is one warning line
+    notes = logging.StreamHandler(sys.stderr)
+    notes.setFormatter(logging.Formatter("warning: %(message)s"))
+    library = logging.getLogger(__package__)
+    library.addHandler(notes)
     try:
         return args.func(args)
     except _IO_ERRORS as exc:
@@ -276,6 +276,8 @@ def main(argv=None) -> int:
     except (ToolkitError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        library.removeHandler(notes)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception types shared across the toolkit."""
 
 
 class ToolkitError(Exception):
@@ -55,7 +55,3 @@ class NumericalError(ToolkitError):
 
 class StabilityError(ArgumentError):
     """An explicit integration step would be unstable: its arguments are out of range."""
-
-
-class BiasWarning(UserWarning):
-    """Input to a phase average still carries a per-channel bias (mean)."""

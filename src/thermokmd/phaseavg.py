@@ -15,14 +15,16 @@ estimates.
 from __future__ import annotations
 
 import json
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import timeseries
-from .errors import BiasWarning, ParseError, PeriodError
+from .errors import ParseError, PeriodError
 from .timeseries import SnapshotMatrix
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,8 @@ class PhaseAverageResult:
 def phase_average(s: SnapshotMatrix, period_samples: int) -> PhaseAverageResult:
     """Average the record at stride ``period_samples``.
 
-    The caller is responsible for removing the per-channel mean first; a
-    BiasWarning is attached (and emitted) when the input still carries one.
+    The caller removes the per-channel mean first; a bias left in the input
+    is noted in the result's ``warnings`` and logged on ``thermokmd.phaseavg``.
 
     Raises PeriodError unless period_samples passes :func:`select_period`.
     """
@@ -79,7 +81,7 @@ def phase_average(s: SnapshotMatrix, period_samples: int) -> PhaseAverageResult:
             f"{s.channel_ids[worst]!r} has |mean| = {mean:.3g}); "
             "the average will absorb the bias",
         )
-        warnings.warn(notes[0], BiasWarning, stacklevel=2)
+        _LOG.warning(notes[0])
     Q = (N - 1) // P + 1
     sum_real = s.values[:, :: P][:, :Q].mean(axis=1)
     harmonic = harmonic_amplitude(s, P)
@@ -120,7 +122,7 @@ def harmonic_amplitude(s: SnapshotMatrix, period_samples: int) -> np.ndarray:
     A := (1/L) * sum_{k=0}^{L-1} y_k exp(-i 2 pi k / P) with L = P * floor(N/P),
     so that a pure tone y_k = 2 Re[A0 exp(i 2 pi k / P)] gives back A0 exactly.
     A constant per-channel offset sums to zero over whole cycles, so unlike
-    the stride average this needs no mean removal and issues no BiasWarning.
+    the stride average this needs no mean removal and logs no bias note.
 
     Raises PeriodError when fewer than two whole cycles fit the record.
     """

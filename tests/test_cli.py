@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import thermokmd
-from thermokmd import pipeline, synth
+from thermokmd import pipeline, spectral, synth
 from thermokmd.cli import main
 from thermokmd.gradient import load_sources_csv
 from thermokmd.synth import (
@@ -27,7 +27,7 @@ from thermokmd.synth import (
     default_layout,
     generate_analytic,
 )
-from thermokmd.timeseries import write_layout, write_snapshots
+from thermokmd.timeseries import SensorLayout, SnapshotMatrix, write_layout, write_snapshots
 
 
 @pytest.fixture(scope="module")
@@ -495,7 +495,8 @@ def analytic_ini(values) -> str:
 def exits_0_or_one_error_line(argv, named="") -> None:
     """``main(argv)`` exits 0, or 2 with one ``error: <named>`` line on stderr.
 
-    An argument that argparse refuses exits with SystemExit, whose code counts.
+    On exit 0 every stderr line is a ``warning:`` line.  An argument that
+    argparse refuses exits with SystemExit, whose code counts.
     """
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
@@ -504,9 +505,11 @@ def exits_0_or_one_error_line(argv, named="") -> None:
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2)
+    lines = err.getvalue().splitlines()
     if code == 2:
-        lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {named}")
+    else:
+        assert all(line.startswith("warning: ") for line in lines), lines
 
 
 class TestConfigValues:
@@ -663,6 +666,44 @@ class TestPhaseAverageAndGradient:
         assert capsys.readouterr().err == (
             "warning: input does not look mean-removed (channel 'TH-20' has |mean| = 0.0614); "
             "the average will absorb the bias\n")
+
+
+class TestWarningLines:
+    """Each note the library logs during a command is one ``warning:`` line on stderr."""
+
+    def test_pipeline_bias_note(self, tmp_path, capsys):
+        # 1e10 plus a tone of about 1e-3: mean removal leaves a residue of about
+        # 1e-6, which the bias check of the phase average still flags
+        k = np.arange(241)
+        tones = [1e-3 * (1 + j / 4) * np.cos(2 * np.pi * (k + j) / 12) for j in range(7)]
+        ids = tuple(f"F{j}" for j in range(7))
+        write_snapshots(SnapshotMatrix(1e10 + np.array(tones), 60.0, 0.0, ids),
+                        tmp_path / "snapshots.csv")
+        angles = 2 * np.pi * np.arange(7) / 7
+        write_layout(SensorLayout(ids, np.column_stack([7 + 3 * np.cos(angles),
+                                                        3.5 + 2 * np.sin(angles)])),
+                     tmp_path / "layout.csv")
+        assert main(["pipeline", "--snapshots", str(tmp_path / "snapshots.csv"),
+                     "--layout", str(tmp_path / "layout.csv"),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: input does not look mean-removed (channel ")
+        saved = json.loads((tmp_path / "out" / "phase_average.json").read_text())
+        assert saved["warnings"] == [err[0].removeprefix("warning: ")]
+
+    def test_logged_notes_once_per_call(self, two_tone_dir, tmp_path, monkeypatch, capsys):
+        # with a negative match tolerance no conjugates pair, so the fit logs
+        # one unpaired note per complex eigenvalue
+        monkeypatch.setattr(spectral, "CONJUGATE_MATCH_RTOL", -1.0)
+        for run in ("first", "second"):
+            out = tmp_path / run
+            assert main(["spectrum", "--snapshots", str(two_tone_dir / "snapshots.csv"),
+                         "--remove-mean", "--out-dir", str(out)]) == 0
+            notes = json.loads((out / "modes.json").read_text())["notes"]
+            unpaired = [note for note in notes if note.startswith("unpaired complex")]
+            assert unpaired, run
+            assert capsys.readouterr().err.splitlines() == [f"warning: {n}" for n in unpaired]
 
 
 class TestQuotedIds:

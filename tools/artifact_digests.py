@@ -1,4 +1,4 @@
-"""Digest the files and console output of nineteen fixed CLI runs, to show they stay byte-identical.
+"""Digest the files and console output of twenty fixed CLI runs, to show they stay byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] [--method M] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -56,7 +56,12 @@ checkout:
     --flux-sources`` on it with a sources file in the block
     (:data:`CLUSTER_SOURCES`): the neighbour search keeps 1409 rows in its
     first window and searches 127 again over wider windows, most of them
-    outliers'.
+    outliers';
+20. ``pipeline`` on a record of 1e10 plus a tone of about 1e-3 on seven
+    sensors that the tool writes into ``--work`` (:func:`offset_snapshots`,
+    :func:`offset_layout`), and ``phase-average --keep-mean`` on it: mean
+    removal leaves a residue of about 1e-6 that the bias check still flags,
+    so the bias note reaches stderr through both commands.
 
 ``--method M`` adds ``--method M`` to every ``spectrum`` and ``pipeline``
 call; without it those calls take the tree's default method.  So one
@@ -78,6 +83,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -318,6 +324,31 @@ def cluster_layout() -> str:
 CLUSTER_SOURCES = "id,x,y,mode\nAC-B,3.9,2.9,cool\nHT-B,6.1,3.3,heat\n"
 
 
+def offset_layout() -> str:
+    """A layout CSV of 7 scattered sensors in the default room, for :func:`offset_snapshots`."""
+    pts = [(2000, 1500), (5250, 2900), (8500, 1250), (11750, 2500), (3500, 5500),
+           (7000, 4250), (10500, 6000)]
+    rows = ["id,x,y", *(f"F{k},{x / 1000!r},{y / 1000!r}" for k, (x, y) in enumerate(pts))]
+    return "\n".join(rows) + "\n"
+
+
+def offset_snapshots() -> str:
+    """A snapshot CSV of 241 samples 60 s apart: 1e10 plus a 12-sample cosine per sensor.
+
+    Sensor j's cosine has amplitude (1 + j/4) * 1e-3 and starts j samples
+    into its cycle.  The cosine's values come from ``math.sqrt`` and the four
+    arithmetic operations, which IEEE 754 rounds the same on every platform,
+    so the file is too.
+    """
+    r = math.sqrt(3) / 2
+    cos = [1.0, r, 0.5, 0.0, -0.5, -r, -1.0, -r, -0.5, 0.0, 0.5, r]
+    rows = ["time," + ",".join(f"F{j}" for j in range(7))]
+    for k in range(241):
+        cells = [repr(1e10 + 1e-3 * (1 + j / 4) * cos[(k + j) % 12]) for j in range(7)]
+        rows.append(f"{60 * k}," + ",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
 #: 20 snapshots of a plane-wave tone, a tone of zero amplitude and a static
 #: bias field; the noiseless fit leaves 16 zero modes to drop
 BIAS_TONE = """\
@@ -384,6 +415,10 @@ def _runs(w: Path) -> list[list[str]]:
          str(cluster / "layout.csv"), "--gradient-source", "dmd_mode",
          "--flux-sources", str(w / "cluster_sources.csv"),
          "--out-dir", str(w / "cluster-pipeline")],
+        ["pipeline", "--snapshots", str(w / "offset_snapshots.csv"),
+         "--layout", str(w / "offset_layout.csv"), "--out-dir", str(w / "offset-pipeline")],
+        ["phase-average", "--snapshots", str(w / "offset_snapshots.csv"), "--keep-mean",
+         "--period-samples", "12", "--out-dir", str(w / "offset-phase-average")],
     ]
 
 
@@ -413,6 +448,8 @@ def cmd_run(args) -> int:
     (work / "window_edges.ini").write_text(WINDOW_EDGES, encoding="utf-8")
     (work / "cluster_layout.csv").write_text(cluster_layout(), encoding="utf-8")
     (work / "cluster_sources.csv").write_text(CLUSTER_SOURCES, encoding="utf-8")
+    (work / "offset_layout.csv").write_text(offset_layout(), encoding="utf-8")
+    (work / "offset_snapshots.csv").write_text(offset_snapshots(), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     console = work / "console"
     console.mkdir()
@@ -452,7 +489,7 @@ def cmd_diff(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run the nineteen CLI runs and write the digest list")
+    p = sub.add_parser("run", help="run the twenty CLI runs and write the digest list")
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
