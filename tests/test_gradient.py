@@ -335,7 +335,6 @@ def oracle_mode(layout, complex_mode):
     return mode
 
 
-@pytest.mark.filterwarnings("error")
 class TestArrayPassesMatchLoop:
     @pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("name", [*ORACLE_LAYOUTS, "wide"])
@@ -529,7 +528,6 @@ def assert_matches_argsort(pos, k):
     assert np.array_equal(dist.view(np.int64), want_dist.view(np.int64))
 
 
-@pytest.mark.filterwarnings("error")
 class TestNearest:
     # about 3 s of tier-1 together (of a ~30 s budget), 1.7 s of it the argsort
     # reference at 4096 sensors

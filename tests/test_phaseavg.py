@@ -1,6 +1,5 @@
 import json
 import logging
-import warnings
 
 import numpy as np
 import pytest
@@ -111,9 +110,7 @@ class TestHarmonicAmplitude:
         # orthogonality over 238 = 17 whole cycles
         assert np.max(np.abs(amp - v)) <= 1e-12
         # a constant offset sums to zero over whole cycles: same coefficient
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            shifted = harmonic_amplitude(record(s.values + 5.0), 14)
+        shifted = harmonic_amplitude(record(s.values + 5.0), 14)
         assert np.max(np.abs(shifted - v)) <= 1e-12
 
     def test_sine_tone(self):

@@ -61,7 +61,11 @@ checkout:
     sensors that the tool writes into ``--work`` (:func:`offset_snapshots`,
     :func:`offset_layout`), and ``phase-average --keep-mean`` on it: mean
     removal leaves a residue of about 1e-6 that the bias check still flags,
-    so the bias note reaches stderr through both commands.
+    so the bias note reaches stderr through both commands.  Under
+    ``pipeline`` the note is a false positive (the residue is the round-off
+    of subtracting 1e10); the run digests how the note is routed, and a bias
+    check that tells round-off from bias changes its ``.stderr`` and
+    ``phase_average.json`` on purpose.
 
 ``--method M`` adds ``--method M`` to every ``spectrum`` and ``pipeline``
 call; without it those calls take the tree's default method.  So one
