@@ -119,7 +119,7 @@ def cmd_spectrum(args) -> int:
     ranked = spectral.rank_modes(table, args.top)
     _write(Path(args.out_dir), pipeline.modes_files(table, ranked))
     if not ranked.entries:
-        print("warning: ranking is empty (only bias content found)", file=sys.stderr)
+        print("warning: ranking is empty: the table holds no oscillatory mode", file=sys.stderr)
     for entry in ranked.entries:
         label = "{" + ",".join(map(str, entry.label)) + "}"
         period = "-" if entry.period_seconds is None else f"{entry.period_seconds / 60.0:.4g} min"

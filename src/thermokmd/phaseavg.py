@@ -14,7 +14,6 @@ estimates.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -161,24 +160,8 @@ def load_result_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     return ids, sums, harmonics
 
 
-#: ``"channels": []`` as :func:`timeseries.json_text` writes the placeholder;
-#: inside a JSON string every quote is escaped, so the text occurs once
-_CHANNELS_SLOT = '"channels": []'
-
-# one channel object at the depth of an item of the "channels" list
-_CHANNEL = ('{{\n      "channel_id": {},\n      "harmonic": {{\n        "im": {},\n'
-            '        "re": {}\n      }},\n      "sum_real": {}\n    }}')
-
-
 def result_to_json(res: PhaseAverageResult) -> str:
-    """The result as ``phase_average.json``.
-
-    The text is byte-identical to ``timeseries.json_text`` of the payload
-    whose ``"channels"`` list holds one ``{"channel_id", "harmonic": {"im",
-    "re"}, "sum_real"}`` object per channel.  ``json_text`` renders the
-    scalar head and the warnings; each channel is written from its id's
-    ``json.dumps`` and its floats' ``timeseries.json_floats``.
-    """
+    """The result as ``phase_average.json``, with one ``"channels"`` object per channel."""
     payload = {
         "period_samples": res.period_samples,
         "cycles_used": res.cycles_used,
@@ -186,13 +169,7 @@ def result_to_json(res: PhaseAverageResult) -> str:
         "warnings": list(res.warnings),
         "channels": [],
     }
-    head, tail = timeseries.json_text(payload).split(_CHANNELS_SLOT)
     harmonic = np.asarray(res.harmonic, dtype=complex)
-    cells = zip(map(json.dumps, res.channel_ids),
-                timeseries.json_floats(harmonic.imag.tolist()),
-                timeseries.json_floats(harmonic.real.tolist()),
-                timeseries.json_floats(np.asarray(res.sum_real, dtype=float).tolist()))
-    channels = ",\n    ".join([_CHANNEL.format(*cell) for cell in cells])
-    if not channels:
-        return head + _CHANNELS_SLOT + tail
-    return head + '"channels": [\n    ' + channels + "\n  ]" + tail
+    item = {"channel_id": None, "harmonic": {"im": None, "re": None}, "sum_real": None}
+    columns = res.channel_ids, harmonic.imag, harmonic.real, np.asarray(res.sum_real, dtype=float)
+    return timeseries.json_text(payload, "channels", item, [columns])

@@ -416,7 +416,7 @@ def reconstruct(table: ModeTable, n_snapshots: int | None = None) -> np.ndarray:
 # -- serialization ------------------------------------------------------------
 
 def _entry_record(e: ModeEntry) -> dict:
-    """The entry's scalar fields; ``"mode"`` is a placeholder for :func:`_mode_json`."""
+    """The entry's scalar fields; ``"mode"`` is a placeholder that :func:`table_to_json` fills."""
     return {
         "couple": list(e.label),
         "lam": {"re": e.rep.lam.real, "im": e.rep.lam.imag},
@@ -431,35 +431,8 @@ def _entry_record(e: ModeEntry) -> dict:
     }
 
 
-#: ``"mode": []`` as :func:`timeseries.json_text` writes the placeholder; inside
-#: a JSON string every quote is escaped, so the text occurs once per entry
-_MODE_SLOT = '"mode": []'
-
-# the pieces of one mode list at the depth of an entry's "mode" value
-_MODE_OPEN = '"mode": [\n        {\n          "im": '
-_MODE_RE = ',\n          "re": '
-_MODE_NEXT = '\n        },\n        {\n          "im": '
-_MODE_CLOSE = '\n        }\n      ]'
-
-
-def _mode_json(mode: np.ndarray) -> str:
-    """``"mode": [...]`` with one ``{"im", "re"}`` object per channel, as json writes it."""
-    if mode.size == 0:
-        return _MODE_SLOT
-    pairs = zip(timeseries.json_floats(mode.imag.tolist()),
-                timeseries.json_floats(mode.real.tolist()))
-    return _MODE_OPEN + _MODE_NEXT.join(map(_MODE_RE.join, pairs)) + _MODE_CLOSE
-
-
 def table_to_json(table: ModeTable) -> str:
-    """The table as ``modes.json``.
-
-    The text is byte-identical to ``timeseries.json_text`` of the payload
-    whose ``"mode"`` lists hold one ``{"im": v.imag, "re": v.real}`` object
-    per channel.  ``json_text`` renders everything but the mode lists (key
-    order, ASCII string escapes, ``null`` periods); each mode list is
-    written from ``tolist()`` with ``timeseries.json_floats``.
-    """
+    """The table as ``modes.json``; each entry's ``"mode"`` list holds one object per channel."""
     payload = {
         "dt_seconds": table.dt,
         "n_snapshots": table.n_snapshots,
@@ -469,11 +442,8 @@ def table_to_json(table: ModeTable) -> str:
         "notes": list(table.notes),
         "modes": [_entry_record(e) for e in table.entries],
     }
-    head, *tails = timeseries.json_text(payload).split(_MODE_SLOT)
-    parts = [head]
-    for e, tail in zip(table.entries, tails, strict=True):
-        parts += [_mode_json(e.rep.mode), tail]
-    return "".join(parts)
+    modes = [(e.rep.mode.imag, e.rep.mode.real) for e in table.entries]
+    return timeseries.json_text(payload, "mode", {"im": None, "re": None}, modes)
 
 
 def table_to_csv(table: ModeTable) -> str:

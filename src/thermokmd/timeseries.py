@@ -239,20 +239,52 @@ def parse_number(text, where: str, kind=float):
         raise ParseError(f"{where}: expected a number, got {text!r}") from None
 
 
-def json_text(payload) -> str:
-    """The text of every JSON artifact: sorted keys, two-space indent, final newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def json_text(payload, key=None, item=None, lists=()) -> str:
+    """The text of every JSON artifact: sorted keys, two-space indent, final newline.
 
-
-def json_floats(values: list[float]) -> list[str]:
-    """Each float of ``values`` as :func:`json_text` writes it.
-
-    That is its ``repr`` when finite, ``-0.0`` included; json spells the rest
-    ``NaN``, ``Infinity`` and ``-Infinity`` where repr has nan, inf and -inf.
-    The renaming runs on one text of nothing but reprs, so it never meets a
-    string such as a channel id.
+    With ``key``, the k-th ``"<key>": []`` of the text is filled from
+    ``lists[k]``, objects shaped like ``item`` given as one column per null
+    leaf, in json's key order: float arrays or sequences of strings.  json
+    renders ``item`` once and the columns' texts fill it, so the text is
+    json's own, byte for byte.  No JSON string holds the placeholder, as json
+    escapes every quote in one.
     """
-    text = "\n".join(map(repr, values))
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if key is None:
+        return text
+    slot = json.dumps(key) + ": []"
+    head, *tails = text.split(slot)
+    parts, pieces, shapes = [head], _NULL_LEAF.split(json.dumps(item, sort_keys=True, indent=2)), {}
+    for columns, tail in zip(lists, tails, strict=True):
+        newline = "\n" + parts[-1][parts[-1].rfind("\n") + 1:] + "  "  # before each object
+        if newline not in shapes:  # the object's text around its leaves, at this indent
+            first, *joints, last = [piece.replace("\n", newline) for piece in pieces]
+            shapes[newline] = first, [*joints, last + "," + newline + first], last
+        first, joints, last = shapes[newline]
+        texts = [_json_values(column) for column in columns]
+        n, step = len(texts[0]), 2 * len(texts)
+        cells = [None] * (step * n)  # leaf, joint, ..., leaf, joint per object; the final joint
+        for j, joint in enumerate(joints):
+            cells[2 * j::step], cells[2 * j + 1::step] = texts[j], [joint] * n
+        cells[-1:] = [last]  # ... is the last object's close
+        parts += [slot[:-1] + newline + first + "".join(cells) + newline[:-2] + "]" if n else slot,
+                  tail]
+    return "".join(parts)
+
+
+#: a null value in json's indented text of an object: a raw newline, which no string holds, follows
+_NULL_LEAF = re.compile(r"null(?=,?\n)")
+
+
+def _json_values(column) -> list[str]:
+    """Each value of a column as :func:`json_text` writes it: a string through ``json.dumps``.
+
+    A float is its ``repr``, renamed where json spells nan, inf and -inf
+    ``NaN``, ``Infinity`` and ``-Infinity``; the text renamed holds nothing but reprs.
+    """
+    if not (isinstance(column, np.ndarray) and column.dtype.kind == "f"):
+        return list(map(json.dumps, column))
+    text = "\n".join(map(repr, column.tolist()))
     return text.replace("nan", "NaN").replace("inf", "Infinity").splitlines()
 
 

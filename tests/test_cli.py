@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import thermokmd
 from thermokmd import pipeline, spectral, synth
 from thermokmd.cli import main
+from thermokmd.errors import PeriodError
 from thermokmd.gradient import load_sources_csv
 from thermokmd.synth import (
     MAX_STEPS,
@@ -74,16 +75,18 @@ class TestSynthAndSpectrum:
         snaps = tmp_path / "const.csv"
         rows = "\n".join(f"{60 * k},25.0,26.0" for k in range(5))
         snaps.write_text("time,a,b\n" + rows + "\n")
-        out = tmp_path / "out"
-        code = main(["spectrum", "--snapshots", str(snaps), "--out-dir", str(out)])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "warning" in captured.err
-        assert (out / "modes.csv").read_text().splitlines() == [
-            "couple,abs_lam,period_min,mode_norm,energy"
-        ]
-        payload = json.loads((out / "modes.json").read_text())
-        assert [m["bias_flag"] for m in payload["modes"]] == [True]
+        for method in spectral.METHODS:
+            out = tmp_path / method
+            code = main(["spectrum", "--snapshots", str(snaps), "--method", method,
+                         "--out-dir", str(out)])
+            assert code == 0
+            assert capsys.readouterr().err.splitlines() == [
+                "warning: ranking is empty: the table holds no oscillatory mode"]
+            assert (out / "modes.csv").read_text().splitlines() == [
+                "couple,abs_lam,period_min,mode_norm,energy"
+            ]
+            payload = json.loads((out / "modes.json").read_text())
+            assert [m["bias_flag"] for m in payload["modes"]] == [True]
 
     def test_missing_layout_exit_2(self, two_tone_dir, tmp_path, capsys):
         code = main(["pipeline", "--snapshots", str(two_tone_dir / "snapshots.csv"),
@@ -873,6 +876,24 @@ class TestPipeline:
         assert {p.name: p.read_bytes().decode("utf-8") for p in out.iterdir()} == files
         assert json.loads(files["run_metadata.json"]) == metadata
         assert sorted(metadata["flux_scores"]) == ["AC-1", "AC-2"]
+
+    @pytest.mark.parametrize("scale", [
+        pytest.param(1e-200, marks=pytest.mark.xfail(raises=PeriodError, strict=True, reason=(
+            "the squares in np.linalg.norm underflow to 0, so spectral._fitted drops every "
+            "mode as zero and no ranked mode is left"))),
+        1.0,
+        pytest.param(1e200, marks=pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason=(
+            "the squares in np.linalg.norm and timeseries.mean_offset overflow, and numpy's "
+            "RuntimeWarning escapes the library"))),
+    ])
+    def test_period_at_any_scale(self, scale):
+        # the period of a record does not depend on its unit: 4 sensors,
+        # 60 snapshots of scale * (1 + 0.5 cos(2 pi k / 12 + j))
+        ids = ("A", "B", "C", "D")
+        wave = 1 + 0.5 * np.cos(2 * np.pi * np.arange(60) / 12 + np.arange(4)[:, None])
+        layout = SensorLayout(ids, np.array([[2.0, 1.5], [11.0, 2.0], [4.0, 5.5], [10.5, 6.0]]))
+        _, metadata = pipeline.run(SnapshotMatrix(scale * wave, 60.0, 0.0, ids), layout)
+        assert metadata["parameters"]["period_samples"] == 12
 
     @pytest.mark.parametrize("method", ["hankel", "companion"])
     def test_method_recorded(self, method, two_tone_dir, tmp_path):

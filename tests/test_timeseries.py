@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import re
 import time
@@ -37,6 +38,7 @@ from thermokmd.timeseries import (
     GridSpec,
     SensorLayout,
     SnapshotMatrix,
+    json_text,
     load_layout,
     load_snapshots,
     median,
@@ -748,3 +750,55 @@ class TestValidation:
                 np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
                 GridSpec(1, 2, 1.0, 1.0),
             )
+
+
+class TestJsonText:
+    """json_text's filled lists are json.dumps of the payload with the lists written out."""
+
+    FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e300, 0.1, 1e16]
+    WORDS = ['q"uote', "back\\slash", "\u00c5sa \u2103", "\U0001f321", '"rows": []', "rows",
+             "null", "nan", "", "tab\tbell\x07"]
+
+    @staticmethod
+    def payload(rows):
+        # four "rows" lists at three depths, in the text's (sorted-key) order
+        return {"groups": [{"k": 1, "rows": rows[0]}, {"k": 2, "rows": rows[1]}],
+                "meta": {"note": '"rows": []', "rows": rows[2], "tag": "\u00c5sa"},
+                "rows": rows[3], "zeta": [1.5, None]}
+
+    @staticmethod
+    def paths(item, path=()):
+        """Each null leaf's path in json's key order, the order of json_text's columns."""
+        if item is None:
+            return [path]
+        return [p for key in sorted(item) for p in TestJsonText.paths(item[key], (*path, key))]
+
+    @pytest.mark.parametrize("item", [
+        {"re": None},
+        {"channel_id": None, "harmonic": {"im": None, "re": None}, "sum_real": None},
+        {"a": {"b": {"c": None}, "d": None}, "null": None, 'q"k': {"{}": None}},
+    ], ids=["flat", "one-level", "two-levels"])
+    def test_matches_json_dumps(self, item):
+        paths, seen = self.paths(item), set()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            sizes = rng.integers(0, 6, size=4)
+            sizes[seed % 4] = 0  # an empty list among the four
+            lists, rows = [], []
+            for n in sizes:
+                columns = [rng.choice(self.WORDS, size=n).tolist() if rng.random() < 0.3
+                           else rng.choice(self.FLOATS + rng.normal(size=3).tolist(), size=n)
+                           for _ in paths]
+                objects = [{} for _ in range(n)]
+                for path, column in zip(paths, columns):
+                    values = np.asarray(column).tolist()  # Python floats or strings
+                    for obj, value in zip(objects, values):
+                        for key in path[:-1]:
+                            obj = obj.setdefault(key, {})
+                        obj[path[-1]] = value
+                    seen.update(map(repr, values))
+                lists.append(tuple(columns))
+                rows.append(objects)
+            text = json_text(self.payload([[]] * 4), "rows", item, lists)
+            assert text == json.dumps(self.payload(rows), sort_keys=True, indent=2) + "\n"
+        assert set(map(repr, self.FLOATS + self.WORDS)) <= seen  # every special value was written

@@ -1,4 +1,4 @@
-"""Digest the files and console output of twenty fixed CLI runs, to show they stay byte-identical.
+"""Digest the files and console output of 22 fixed CLI runs, to show they stay byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] [--method M] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -65,7 +65,17 @@ checkout:
     ``pipeline`` the note is a false positive (the residue is the round-off
     of subtracting 1e10); the run digests how the note is routed, and a bias
     check that tells round-off from bias changes its ``.stderr`` and
-    ``phase_average.json`` on purpose.
+    ``phase_average.json`` on purpose;
+21. ``pipeline`` and ``phase-average --period-samples 12`` on a seven-sensor
+    record that the tool writes into ``--work`` (:func:`quoted_snapshots`,
+    :func:`quoted_layout`), whose ids include ``"mode": []``,
+    ``"channels": []``, a quote, a backslash and a non-ASCII letter,
+    CSV-quoted in the header: the placeholders of ``modes.json`` and
+    ``phase_average.json`` as ids, through the whole JSON writer;
+22. ``spectrum`` without ``--remove-mean`` on a record constant in every
+    channel that the tool writes into ``--work`` (:data:`CONSTANT_SNAPSHOTS`):
+    one bias entry and nothing to rank, so its ``.stderr`` holds the
+    empty-ranking line.
 
 ``--method M`` adds ``--method M`` to every ``spectrum`` and ``pipeline``
 call; without it those calls take the tree's default method.  So one
@@ -353,6 +363,43 @@ def offset_snapshots() -> str:
     return "\n".join(rows) + "\n"
 
 
+#: the ids of :func:`quoted_snapshots`: the two JSON placeholders, a quote, a
+#: backslash and a non-ASCII letter, and two plain ids
+QUOTED_IDS = ('"mode": []', '"channels": []', 'q"uote', "back\\slash", "\u00c5sa", "Q5", "Q6")
+
+
+def _csv_cells(ids) -> str:
+    return ",".join('"' + cid.replace('"', '""') + '"' for cid in ids)
+
+
+def quoted_layout() -> str:
+    """A layout CSV of :data:`QUOTED_IDS` at the points of :func:`offset_layout`."""
+    rows = ["id,x,y"]
+    for cid, row in zip(QUOTED_IDS, offset_layout().splitlines()[1:]):
+        rows.append(_csv_cells([cid]) + row[row.index(","):])
+    return "\n".join(rows) + "\n"
+
+
+def quoted_snapshots() -> str:
+    """A snapshot CSV of 121 samples 60 s apart: 20 plus a 12-sample cosine per sensor.
+
+    Sensor j's cosine has amplitude 1 + j/4 and starts j samples into its
+    cycle, as in :func:`offset_snapshots`, so the file is the same on every
+    platform.
+    """
+    r = math.sqrt(3) / 2
+    cos = [1.0, r, 0.5, 0.0, -0.5, -r, -1.0, -r, -0.5, 0.0, 0.5, r]
+    rows = ["time," + _csv_cells(QUOTED_IDS)]
+    for k in range(121):
+        cells = [repr(20.0 + (1 + j / 4) * cos[(k + j) % 12]) for j in range(7)]
+        rows.append(f"{60 * k}," + ",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
+#: 20 snapshots of three channels, each constant
+CONSTANT_SNAPSHOTS = "time,a,b,c\n" + "".join(f"{60 * k},25.0,26.0,-3.5\n" for k in range(20))
+
+
 #: 20 snapshots of a plane-wave tone, a tone of zero amplitude and a static
 #: bias field; the noiseless fit leaves 16 zero modes to drop
 BIAS_TONE = """\
@@ -423,6 +470,12 @@ def _runs(w: Path) -> list[list[str]]:
          "--layout", str(w / "offset_layout.csv"), "--out-dir", str(w / "offset-pipeline")],
         ["phase-average", "--snapshots", str(w / "offset_snapshots.csv"), "--keep-mean",
          "--period-samples", "12", "--out-dir", str(w / "offset-phase-average")],
+        ["pipeline", "--snapshots", str(w / "quoted_snapshots.csv"),
+         "--layout", str(w / "quoted_layout.csv"), "--out-dir", str(w / "quoted-pipeline")],
+        ["phase-average", "--snapshots", str(w / "quoted_snapshots.csv"),
+         "--period-samples", "12", "--out-dir", str(w / "quoted-phase-average")],
+        ["spectrum", "--snapshots", str(w / "constant_snapshots.csv"),
+         "--out-dir", str(w / "constant-spectrum")],
     ]
 
 
@@ -454,6 +507,9 @@ def cmd_run(args) -> int:
     (work / "cluster_sources.csv").write_text(CLUSTER_SOURCES, encoding="utf-8")
     (work / "offset_layout.csv").write_text(offset_layout(), encoding="utf-8")
     (work / "offset_snapshots.csv").write_text(offset_snapshots(), encoding="utf-8")
+    (work / "quoted_layout.csv").write_text(quoted_layout(), encoding="utf-8")
+    (work / "quoted_snapshots.csv").write_text(quoted_snapshots(), encoding="utf-8")
+    (work / "constant_snapshots.csv").write_text(CONSTANT_SNAPSHOTS, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     console = work / "console"
     console.mkdir()
@@ -493,7 +549,7 @@ def cmd_diff(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run the twenty CLI runs and write the digest list")
+    p = sub.add_parser("run", help="run the 22 CLI runs and write the digest list")
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
