@@ -185,8 +185,9 @@ def _nearest(pos, k):
     to the nearest sensor outside the window on either side.  Rounding is
     monotone and adding a nonnegative square never lowers a sum, so every
     sensor outside computes a distance of at least that bound: the row is
-    the all-pairs row, bit for bit, with no margin.  The other rows are
-    searched again with ``2w``; at ``w = M`` every row is kept, and that pass
+    the all-pairs row, bit for bit, with no margin.  A row whose bound is 0
+    cannot be kept and is not searched.  The other rows are searched again
+    with ``2w``; at ``w = M`` every row is kept, and that pass
     is the all-pairs search over the sensors in index order.  A pass takes its
     rows in blocks of at most :data:`_BLOCK_ROWS` x M distances.
     """
@@ -203,23 +204,27 @@ def _nearest(pos, k):
     w = math.ceil(_WINDOW_FACTOR * (k + 1) ** (1 / d) * m ** (1 - 1 / d))
     while len(rest):
         w = min(max(w, k + 1), m)
+        first = np.clip(rest - w // 2, 0, m - w)
+        rows = order[rest]
+        with np.errstate(over="ignore"):  # a bound past the float range is inf
+            below = ends[first] - along[rows]
+            above = ends[first + w + 1] - along[rows]
+            bound = np.sqrt(np.minimum(below * below, above * above))
+        # no distance is below a bound of 0, so such a row waits for a wider
+        # window without a search; at w = M every row is kept
+        sure = np.zeros(len(rest), dtype=bool)
+        todo = np.arange(len(rest)) if w == m else np.flatnonzero(bound > 0)
         step = _BLOCK_ROWS * m // w
-        left = []
-        for start in range(0, len(rest), step):
-            places = rest[start:start + step]
-            first = np.clip(places - w // 2, 0, m - w)
-            rows = order[places]
-            ids = None if w == m else order[first[:, None] + np.arange(w)]
+        for start in range(0, len(todo), step):
+            at = todo[start:start + step]
+            ids = None if w == m else order[first[at, None] + np.arange(w)]
             others = axes if ids is None else axes[:, ids]
-            got, near, kth = _first(_distances(others, axes[:, rows, None]), ids, k)
-            with np.errstate(over="ignore"):  # a bound past the float range is inf
-                below = ends[first] - along[rows]
-                above = ends[first + w + 1] - along[rows]
-                sure = (kth < np.sqrt(np.minimum(below * below, above * above))) | (w == m)
-            index[rows[sure]] = got[sure]
-            dist[rows[sure]] = near[sure]
-            left.append(places[~sure])
-        rest = np.concatenate(left)
+            got, near, kth = _first(_distances(others, axes[:, rows[at], None]), ids, k)
+            kept = (kth < bound[at]) | (w == m)
+            index[rows[at[kept]]] = got[kept]
+            dist[rows[at[kept]]] = near[kept]
+            sure[at[kept]] = True
+        rest = rest[~sure]
         w *= 2
     return index, dist
 
@@ -400,12 +405,11 @@ def _sensor_csv(field: GradientField, patterns, values, methods=None) -> str:
     axes = ["x", "y", "z"][: layout.d]
     header = ["channel_id", *axes, *(p.format(a) for p in patterns for a in axes), "valid"]
     rows = [header + (["method"] if methods else [])]
-    cells = zip(layout.channel_ids, layout.positions.tolist(),
-                np.asarray(values, dtype=float).tolist(), field.valid.tolist())
-    for i, (cid, position, vals, valid) in enumerate(cells):
-        rows.append([cid, *position, *vals, "true" if valid else "false",
-                     *([methods[i]] if methods else [])])
-    return timeseries.csv_text(rows, "\n")
+    flags = ["true" if valid else "false" for valid in field.valid.tolist()]
+    ends = zip(flags, methods) if methods else zip(flags)
+    rows += ([cid, *position, ..., *end]
+             for cid, position, end in zip(layout.channel_ids, layout.positions.tolist(), ends))
+    return timeseries.csv_text(rows, "\n", np.asarray(values, dtype=float))
 
 
 def field_to_csv(field: GradientField) -> str:
@@ -477,23 +481,30 @@ def field_to_svg(field: GradientField) -> str:
     head = 5.0
     barbs = []  # x and y of the back-stroke ends, one side, then the other
     for s in (+1, -1):
-        barbs += [(hx - head * ux + s * 0.6 * head * -uy).tolist(),
-                  (hy - head * uy + s * 0.6 * head * ux).tolist()]
-    cx, cy = px.tolist(), py.tolist()
-    line = ('<line x1="{:.1f}" y1="{:.1f}" x2="{:.1f}" y2="{:.1f}" '
-            'stroke="#1648b0" stroke-width="1.5"/>')
-    arrows = {i: [line.format(cx[i], cy[i], x, y)]
-              for i, x, y in zip(drawn.tolist(), tx.tolist(), ty.tolist())}
-    for i, x, y, ax, ay, bx, by in zip(drawn[headed].tolist(), hx.tolist(), hy.tolist(), *barbs):
-        arrows[i] += [line.format(x, y, ax, ay), line.format(x, y, bx, by)]
+        barbs += [hx - head * ux + s * 0.6 * head * -uy, hy - head * uy + s * 0.6 * head * ux]
 
-    for i, (cid, x, y) in enumerate(zip(layout.channel_ids, cx, cy)):
-        parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="#c22"/>')
-        label = html.escape(cid, quote=False)  # only &, < and >
-        parts.append(
-            f'<text x="{x + 4:.1f}" y="{y - 4:.1f}" font-size="9" fill="#555">{label}</text>'
-        )
-        parts += arrows.get(i, ())
+    # every sensor's elements as one template, filled in one % pass: its circle
+    # and label, then, if drawn, its arrow's line and, if headed, the two
+    # back-strokes from the tip; a label is an argument, so a % in it is text
+    line = '<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#1648b0" stroke-width="1.5"/>'
+    marker = ('<circle cx="%.1f" cy="%.1f" r="3" fill="#c22"/>\n'
+              '<text x="%.1f" y="%.1f" font-size="9" fill="#555">%s</text>')
+    pieces = [marker, f"{marker}\n{line}", f"{marker}\n{line}\n{line}\n{line}"]
+    kinds = np.zeros(len(pos), dtype=int)
+    kinds[drawn] = 1
+    kinds[drawn[headed]] = 2
+    sizes = np.array([5, 9, 17])[kinds]  # arguments per sensor
+    at = np.cumsum(sizes) - sizes
+    args = np.empty(sizes.sum(), dtype=object)
+    labels = np.array([html.escape(cid, quote=False) for cid in layout.channel_ids],
+                      dtype=object)  # html.escape without quote escapes only &, < and >
+    columns = [(at, [px, py, px + 4, py - 4, labels]),
+               (at[drawn] + 5, [px[drawn], py[drawn], tx, ty]),
+               (at[drawn[headed]] + 9, [hx, hy, *barbs[:2], hx, hy, *barbs[2:]])]
+    for start, values in columns:
+        for j, column in enumerate(values):
+            args[start + j] = column
+    parts.append("\n".join([pieces[k] for k in kinds.tolist()]) % tuple(args.tolist()))
     legend = (
         f"longest arrow = {max_norm:.4g} units/m (drawn {arrow_m:.3g} m)"
         if max_norm > 0

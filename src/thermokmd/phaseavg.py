@@ -146,9 +146,9 @@ _RESULT_COLUMNS = ("channel_id", "sum_real", "harmonic_re", "harmonic_im")
 
 def result_to_csv(res: PhaseAverageResult) -> str:
     harmonic = np.asarray(res.harmonic, dtype=complex)
-    cells = zip(res.channel_ids, np.asarray(res.sum_real, dtype=float).tolist(),
-                harmonic.real.tolist(), harmonic.imag.tolist())
-    return timeseries.csv_text([_RESULT_COLUMNS, *cells], "\n")
+    values = np.column_stack([np.asarray(res.sum_real, dtype=float), harmonic.real, harmonic.imag])
+    rows = [_RESULT_COLUMNS, *([cid, ...] for cid in res.channel_ids)]
+    return timeseries.csv_text(rows, "\n", values)
 
 
 def load_result_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:

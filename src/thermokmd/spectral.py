@@ -33,6 +33,7 @@ give damped spurious modes large cancelling amplitudes.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -202,7 +203,9 @@ def companion_kmd(s: SnapshotMatrix) -> ModeTable:
     NumericalError
         A least-squares or eigenvalue solve did not converge.
     """
-    K, y_last = s.values[:, :-1], s.values[:, -1]
+    y = s.values.copy(order="K")  # the record's memory order, which the products' bits follow
+    e = _to_unit_scale(y)
+    K, y_last = y[:, :-1], y[:, -1]
     n1 = s.n_snapshots - 1
 
     c, _, rank, _ = _solve("recurrence least-squares solve", np.linalg.lstsq,
@@ -219,7 +222,7 @@ def companion_kmd(s: SnapshotMatrix) -> ModeTable:
     vander = np.vander(lams, N=n1, increasing=True)  # (n_eigs, n_powers)
     modes_t, *_ = _solve("mode least-squares solve", np.linalg.lstsq,
                          vander.T, K.T.astype(complex), rcond=None)
-    return _fitted(s, lams, modes_t.T, residual, (),
+    return _fitted(s, e, lams, modes_t.T, residual, (),
                    {"recurrence_rank": int(rank), "amplitudes": "vandermonde_fit"})
 
 
@@ -256,6 +259,7 @@ def hankel_dmd(s: SnapshotMatrix, delays: int | None = None) -> ModeTable:
     if not 1 <= q <= n - 1:
         raise ArgumentError(f"delays must be in [1, {n - 1}], got {q}")
     H = np.concatenate([s.values[:, i:n - q + 1 + i] for i in range(q)])
+    e = _to_unit_scale(H)  # H holds every value of the record
     X, Xp = H[:, :-1], H[:, 1:]
     U, sigma, Wt = _solve("Hankel SVD", np.linalg.svd, X, full_matrices=False)
     r_rcond = int(np.count_nonzero(sigma > RANK_RCOND * sigma[0]))
@@ -275,7 +279,7 @@ def hankel_dmd(s: SnapshotMatrix, delays: int | None = None) -> ModeTable:
     b, *_ = _solve("mode amplitude solve", np.linalg.lstsq, Phi, H[:, 0], rcond=None)
     # X' - U_r A U_r^T X, with U_r^T X = S_r W_r^T
     residual = float(np.linalg.norm(Xp - U_r @ (A @ (sigma[:r, None] * Wt[:r]))))
-    return _fitted(s, lams, Phi[:m] * b, residual,
+    return _fitted(s, e, lams, Phi[:m] * b, residual,
                    (f"hankel dmd: q={q} delays, rank r={r} ({limit})",),
                    {"delays": q, "rank": r, "gd_threshold": threshold, "rank_limit": limit,
                     "amplitudes": "projected_initial_condition"})
@@ -305,20 +309,49 @@ def _require_signal(rank: int) -> None:
             "snapshot matrix has effective rank 0 (no signal); nothing to fit")
 
 
-def _fitted(s: SnapshotMatrix, lams: np.ndarray, modes: np.ndarray, residual: float,
+def _to_unit_scale(values: np.ndarray) -> int:
+    """Divide ``values`` in place by ``2^e`` and return ``e``, the ``frexp`` exponent of max |values|.
+
+    Both methods fit the record so scaled, so that no square of a fit
+    overflows or underflows at any scale of the record, and :func:`_fitted`
+    scales the table back.  A power of two scales each step of a fit exactly
+    while no value leaves the normal range, and every threshold of the fits
+    is relative, so on a record of ordinary scale the table is the unscaled
+    fit's, bit for bit.
+    """
+    e = int(np.frexp(max(values.max(initial=0.0), -values.min(initial=0.0)))[1])
+    np.ldexp(values, -e, out=values)
+    return e
+
+
+def _fitted(s: SnapshotMatrix, e: int, lams: np.ndarray, modes: np.ndarray, residual: float,
             notes: tuple[str, ...], fit: dict) -> ModeTable:
-    """A method's fit of ``s`` as its ranked ModeTable, the fit step both methods end in.
+    """A method's fit of ``s / 2^e`` as the ModeTable of ``s``, the fit step both methods end in.
 
     Mode columns whose norm is at most ZERO_MODE_RTOL * the largest are
     dropped, each with a note after ``notes``; a NaN norm is kept.  ``fit``
-    gains the ``"residual"``.
+    gains the ``"residual"``.  The modes, their norms and energies, the
+    residual and ``fit``'s ``gd_threshold`` are multiplied back by ``2^e``
+    once ranked; ``mean_removed`` is tested on ``s`` itself.
     """
     norms = np.linalg.norm(modes, axis=0)
     keep = ~(norms <= ZERO_MODE_RTOL * norms.max(initial=0.0))
     notes = (*notes, *(f"dropped zero mode at lam={lam:.6g}" for lam in lams[~keep]))
-    return mode_table(lams[keep], modes[:, keep], s.dt, s.n_snapshots, residual=residual,
-                      mean_removed=timeseries.mean_offset(s) is None,
-                      channel_ids=s.channel_ids, notes=notes, fit={**fit, "residual": residual})
+    table = mode_table(lams[keep], modes[:, keep], s.dt, s.n_snapshots, residual=residual,
+                       mean_removed=timeseries.mean_offset(s) is None,
+                       channel_ids=s.channel_ids, notes=notes, fit={**fit, "residual": residual})
+
+    # every mode in one exact step, in the order of the entries' pairs
+    pairs = [p for x in table.entries for p in (x.rep, x.partner) if p is not None]
+    modes = iter(np.ldexp(np.array([p.mode for p in pairs]).view(float), e).view(complex))
+    entries = tuple(replace(x, rep=RitzPair(x.rep.lam, next(modes), x.rep.index),
+                            partner=x.partner and RitzPair(x.partner.lam, next(modes),
+                                                           x.partner.index),
+                            mode_norm=math.ldexp(x.mode_norm, e), energy=math.ldexp(x.energy, e))
+                    for x in table.entries)
+    fit = {key: math.ldexp(value, e) if key in ("residual", "gd_threshold") else value
+           for key, value in table.fit.items()}
+    return replace(table, entries=entries, residual=fit["residual"], fit=fit)
 
 
 def mode_table(lams: np.ndarray, modes: np.ndarray, dt: float, n_snapshots: int, *,

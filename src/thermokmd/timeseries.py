@@ -48,6 +48,10 @@ MEAN_FREE_RTOL = 1e-9
 #: 2 MiB on 1 024 channels, at 4 096 under 1 MiB
 _BLOCK_CELLS = 4096
 
+#: a float block of fewer values goes through csv.writer: below a few hundred
+#: values, repr_rows' fixed cost (about 0.15 ms) exceeds csv's repr of each
+_MIN_BLOCK_CELLS = 256
+
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
@@ -292,19 +296,41 @@ class _Lines(list):
     write = list.append  # a csv.writer target that keeps each line it is given
 
 
-def csv_text(rows, lineterminator: str) -> str:
+def csv_text(rows, lineterminator: str, block=None) -> str:
     """The text of every CSV artifact, one line per row, each ending in ``lineterminator``.
 
     Cells are quoted as the csv module quotes them, so any id reads back as
     one cell.  A float cell is a Python float (from ``tolist()``), written as
-    its shortest ``repr`` and never quoted (see :func:`repr_rows`).  The
-    synthesized dataset files end lines in ``"\r\n"``, the pipeline artifacts
-    in ``"\n"``; write with ``newline=""``.
+    its shortest ``repr`` and never quoted.  With ``block``, a rows x k float
+    array, the last ``len(block)`` of the list ``rows`` each hold ``...`` at
+    the same cell, after at least one other: there the row's k floats stand,
+    each as csv writes it, all from one :func:`repr_rows` call once the block
+    holds :data:`_MIN_BLOCK_CELLS` values.  The synthesized dataset files end
+    lines in ``"\r\n"``, the pipeline artifacts in ``"\n"``; write with
+    ``newline=""``.
     """
     lines = _Lines()
     # csv quotes a cell holding a character of its own terminator, so lines are
     # written with csv's "\r\n" (CR and LF both quoted) and then re-ended
-    csv.writer(lines).writerows(rows)
+    writer = csv.writer(lines)
+    n = 0 if block is None else len(block)
+    writer.writerows(rows[:len(rows) - n])
+    if n:
+        tail = rows[len(rows) - n:]
+        at = tail[0].index(...)
+        if block.size < _MIN_BLOCK_CELLS:
+            writer.writerows([*row[:at], *values, *row[at + 1:]]
+                             for row, values in zip(tail, block.tolist()))
+        else:
+            # no float's text holds a character that csv quotes, so the block's
+            # text joins the cells on either side, each side written by csv with
+            # an empty cell at the joint: "<cells>," and ",<cells>"
+            heads, ends = _Lines(), ["\r\n"] * n
+            csv.writer(heads).writerows([*row[:at], ""] for row in tail)
+            if len(tail[0]) > at + 1:
+                ends = _Lines()
+                csv.writer(ends).writerows(["", *row[at + 1:]] for row in tail)
+            lines += map("".join, zip([head[:-3] for head in heads], repr_rows(block)[0], ends))
     if lineterminator == "\r\n":
         return "".join(lines)
     return "".join([line[:-2] + lineterminator for line in lines])
@@ -652,13 +678,10 @@ def write_snapshots(s: SnapshotMatrix, path) -> None:
     in exact decimal arithmetic, so the reader recovers dt without float
     rounding.  Each is written as ``str(Decimal(n) / Decimal(d))`` prints the
     fraction n/d it equals: an integer's digits (``0`` for -0), any other
-    value to its last nonzero digit, in E notation below 10**-6.  The header
-    goes through :func:`csv_text`, which quotes ids as needed.  A data row is
-    a timestamp and float cells, none of which needs quotes: a repr holds no
-    comma, quote, CR or LF.  So the rows are joined directly, with the bytes
-    of :func:`csv_text`, and their floats are formatted by :func:`repr_rows`
-    in blocks of about 4 096 values, each block as one numpy computation with
-    ``repr`` only for the values it cannot certify.
+    value to its last nonzero digit, in E notation below 10**-6.  Every line
+    goes through :func:`csv_text`, which quotes ids as needed; the data rows
+    go in blocks of about 4 096 values, each a timestamp cell and a float
+    block.
     """
     # Decimal(float) is exact, and a double's expansion needs at most ~1400
     # digits, so at this precision every t0 + k*dt is exact too
@@ -674,8 +697,8 @@ def write_snapshots(s: SnapshotMatrix, path) -> None:
         # block by block, so that the text of a wide record is never held whole
         step = max(1, _BLOCK_CELLS // max(s.n_channels, 1))
         for k in range(0, s.n_snapshots, step):
-            rows, _ = repr_rows(s.values[:, k:k + step].T)
-            fh.writelines(f"{t}{row}\r\n" for t, row in zip(times[k:k + step], rows))
+            fh.write(csv_text([[t, ...] for t in times[k:k + step]], "\r\n",
+                              s.values[:, k:k + step].T))
 
 
 _GRID_RE = re.compile(

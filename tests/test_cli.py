@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 import thermokmd
 from thermokmd import pipeline, spectral, synth
 from thermokmd.cli import main
-from thermokmd.errors import PeriodError
 from thermokmd.gradient import load_sources_csv
 from thermokmd.synth import (
     MAX_STEPS,
@@ -757,6 +757,40 @@ class TestQuotedIds:
             self.check(out / "gradient.csv", "channel_id", self.IDS, ("valid", "method"))
 
 
+#: numpy's overflow warning from squaring the unscaled record escapes the library
+MEAN_OFFSET_OVERFLOWS = ("timeseries.mean_offset squares the unscaled record, in "
+                         "spectral.decompose and in phaseavg.phase_average, and numpy's "
+                         "overflow RuntimeWarning escapes the library")
+
+#: how far a rung's answers may stray from scale 1's times the scale, relative
+#: to the largest component; a factor such as 1e200 is not a power of two, so
+#: the scaled record rounds differently and the match is not bit-exact
+LADDER_RTOL = 1e-12
+
+
+def scaled_wave(scale):
+    """(record, layout): 4 sensors, 60 snapshots of scale * (1 + 0.5 cos(2 pi k / 12 + j))."""
+    ids = ("A", "B", "C", "D")
+    wave = 1 + 0.5 * np.cos(2 * np.pi * np.arange(60) / 12 + np.arange(4)[:, None])
+    layout = SensorLayout(ids, np.array([[2.0, 1.5], [11.0, 2.0], [4.0, 5.5], [10.5, 6.0]]))
+    return SnapshotMatrix(scale * wave, 60.0, 0.0, ids), layout
+
+
+@functools.cache
+def ladder_answers(scale, method, source):
+    """(period in samples, dominant mode, gradient rows) of ``pipeline.run`` on :func:`scaled_wave`.
+
+    The mode is read from ``modes.json`` and the gradient from ``gradient.csv``.
+    """
+    files, metadata = pipeline.run(*scaled_wave(scale), method=method, gradient_source=source)
+    dominant = next(e for e in json.loads(files["modes.json"])["modes"] if not e["bias_flag"])
+    mode = np.array([complex(c["re"], c["im"]) for c in dominant["mode"]])
+    rows = list(csv.DictReader(io.StringIO(files["gradient.csv"])))
+    columns = [name for name in rows[0] if name.startswith("g")]
+    grad = np.array([[float(row[name]) for name in columns] for row in rows])
+    return metadata["parameters"]["period_samples"], mode, grad
+
+
 class TestPipeline:
     def test_auto_equals_explicit_rounding(self, tmp_path):
         # tone of 841 s = 14.02 samples: the auto rule rounds to 14
@@ -878,22 +912,34 @@ class TestPipeline:
         assert sorted(metadata["flux_scores"]) == ["AC-1", "AC-2"]
 
     @pytest.mark.parametrize("scale", [
-        pytest.param(1e-200, marks=pytest.mark.xfail(raises=PeriodError, strict=True, reason=(
-            "the squares in np.linalg.norm underflow to 0, so spectral._fitted drops every "
-            "mode as zero and no ranked mode is left"))),
+        1e-200,
         1.0,
-        pytest.param(1e200, marks=pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason=(
-            "the squares in np.linalg.norm and timeseries.mean_offset overflow, and numpy's "
-            "RuntimeWarning escapes the library"))),
+        pytest.param(1e200, marks=pytest.mark.xfail(raises=RuntimeWarning, strict=True,
+                                                    reason=MEAN_OFFSET_OVERFLOWS)),
     ])
     def test_period_at_any_scale(self, scale):
-        # the period of a record does not depend on its unit: 4 sensors,
-        # 60 snapshots of scale * (1 + 0.5 cos(2 pi k / 12 + j))
-        ids = ("A", "B", "C", "D")
-        wave = 1 + 0.5 * np.cos(2 * np.pi * np.arange(60) / 12 + np.arange(4)[:, None])
-        layout = SensorLayout(ids, np.array([[2.0, 1.5], [11.0, 2.0], [4.0, 5.5], [10.5, 6.0]]))
-        _, metadata = pipeline.run(SnapshotMatrix(scale * wave, 60.0, 0.0, ids), layout)
+        _, metadata = pipeline.run(*scaled_wave(scale))
         assert metadata["parameters"]["period_samples"] == 12
+
+    @pytest.mark.parametrize("source", ["phase_average", "dmd_mode"])
+    @pytest.mark.parametrize("method", spectral.METHODS)
+    @pytest.mark.parametrize("scale", [
+        1e-300,
+        1e-200,
+        pytest.param(1e200, marks=pytest.mark.xfail(raises=RuntimeWarning, strict=True,
+                                                    reason=MEAN_OFFSET_OVERFLOWS)),
+        pytest.param(1e300, marks=pytest.mark.xfail(raises=RuntimeWarning, strict=True,
+                                                    reason=MEAN_OFFSET_OVERFLOWS)),
+    ])
+    def test_scale_ladder(self, scale, method, source):
+        # the answers scale with the record: the dominant mode and the gradient
+        # are scale 1's times the scale, to LADDER_RTOL of their largest
+        # component (measured: 3.6e-14 at most, companion's dmd_mode at 1e-300)
+        want = ladder_answers(1.0, method, source)
+        got = ladder_answers(scale, method, source)
+        assert got[0] == want[0] == 12
+        for x, x1 in zip(got[1:], want[1:]):
+            assert np.abs(x / scale - x1).max() <= LADDER_RTOL * np.abs(x1).max()
 
     @pytest.mark.parametrize("method", ["hankel", "companion"])
     def test_method_recorded(self, method, two_tone_dir, tmp_path):

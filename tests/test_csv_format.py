@@ -1,5 +1,7 @@
 """The CSV format: every writer and loader pair gives back any channel id."""
 
+import csv
+import io
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -22,6 +24,7 @@ from thermokmd.synth import (
     write_sources_csv,
 )
 from thermokmd.timeseries import (
+    _MIN_BLOCK_CELLS,
     _QUADS,
     SensorLayout,
     SnapshotMatrix,
@@ -95,6 +98,16 @@ class TestRoundTrip:
         assert round_trip(kind, ids, path) == ids
 
 
+#: ids that csv writes bare, quoted or with a doubled quote: empty, a quote, a
+#: comma, CR, LF, CRLF, non-ASCII text and a leading space
+BLOCK_IDS = ("", 'q"x', "a,b", "c\rd", "e\nf", "g\r\nh", "Sü", " lead", "plain")
+
+#: NaN, the infinities, signed zeros, subnormals, the points where repr turns to
+#: exponent form, and short decimals and a tie that repr_rows leaves to repr
+BLOCK_FLOATS = (float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -1e-310,
+                1e16, -1e16, 1e-5, 0.1, -1234.5678901234, 0.5, 0.30000000000000004)
+
+
 class TestCsvText:
     def test_line_endings(self):
         rows = [["id", "v"], ["a", 0.1 + 0.2], ["b", -0.0]]
@@ -107,6 +120,33 @@ class TestCsvText:
         # a CR in an LF file must be quoted as well, or a reader ends the row there
         text = csv_text([[cell, 1.5]], "\n")
         assert text.startswith('"') and text.endswith(",1.5\n")
+
+    @pytest.mark.parametrize("lineterminator", ["\r\n", "\n"])
+    @pytest.mark.parametrize("n, k", [(0, 3), (1, 3), (1024, 3), (1024, 0),
+                                      (1, _MIN_BLOCK_CELLS - 1), (1, _MIN_BLOCK_CELLS)])
+    def test_float_block_matches_csv(self, lineterminator, n, k):
+        # the rows with the block's values in place as Python floats, written by
+        # csv.writer; an id stands first, or right before or after the block.
+        # A block below _MIN_BLOCK_CELLS values is csv's, at it repr_rows'
+        rng = np.random.default_rng(20240 + n + k)
+        edges = np.array(BLOCK_FLOATS)[rng.integers(0, len(BLOCK_FLOATS), (n, k))]
+        full = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-8, 18, (n, k))
+        block = np.where(rng.random((n, k)) < 0.5, edges, full)
+        ids = [BLOCK_IDS[i % len(BLOCK_IDS)] for i in range(n)]
+        for before in (lambda i, cid: [cid], lambda i, cid: [i / 3, cid]):
+            for after in (lambda cid: [], lambda cid: [cid], lambda cid: [cid, "true"]):
+                header = [["id", "x", "v"]]
+                rows = header + [[*before(i, cid), ..., *after(cid)] for i, cid in enumerate(ids)]
+                floats = header + [[*before(i, cid), *values, *after(cid)]
+                                   for i, (cid, values) in enumerate(zip(ids, block.tolist()))]
+                # compared line by line, which is the same test and reports a
+                # mismatch without a diff of the whole text
+                lines = csv_text(rows, lineterminator, block).split(lineterminator)
+                assert lines == csv_text(floats, lineterminator).split(lineterminator)
+                if lineterminator == "\r\n":
+                    buf = io.StringIO()
+                    csv.writer(buf).writerows(floats)
+                    assert lines == buf.getvalue().split(lineterminator)
 
 
 def write_snapshots_csv_text(s, path):
@@ -145,7 +185,7 @@ def snapshot_records(draw):
 
 
 class TestSnapshotWriter:
-    """``write_snapshots`` joins number cells itself; the bytes are those of ``csv_text``."""
+    """``write_snapshots`` writes float blocks; the bytes are those of ``csv_text`` row by row."""
 
     @settings(max_examples=60, deadline=None)
     @given(s=snapshot_records())
@@ -155,6 +195,22 @@ class TestSnapshotWriter:
         write_snapshots_csv_text(s, tmp / "old.csv")
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
         assert load_snapshots(tmp / "new.csv").values.tobytes() == s.values.tobytes()
+
+    def test_wide_record(self, tmp_path):
+        # the hypothesis records hold too few values for repr_rows' block; this
+        # one is written in a block of 20 rows x 200 channels, which takes it,
+        # and a last block of one row, which does not
+        rng = np.random.default_rng(7)
+        ids = tuple(f"{QUOTED_IDS[i % len(QUOTED_IDS)]}{i}" for i in range(200))
+        values = rng.choice(np.array(EDGE_FLOATS), (200, 21))
+        values[:, 1::2] = rng.normal(size=(200, 10)) * 10.0 ** rng.uniform(-8, 18, (200, 10))
+        s = SnapshotMatrix(values, 0.1, 1.0e12 + 0.3, ids)
+        write_snapshots(s, tmp_path / "new.csv")
+        write_snapshots_csv_text(s, tmp_path / "old.csv")
+        new, old = ((tmp_path / name).read_bytes().split(b"\r\n")
+                    for name in ("new.csv", "old.csv"))
+        assert new == old
+        assert load_snapshots(tmp_path / "new.csv").values.tobytes() == values.tobytes()
 
     def test_no_channels(self, tmp_path):
         # a record with no channel has rows of one cell, written without a comma

@@ -238,6 +238,29 @@ class TestHankelDmd:
         with pytest.raises(ArgumentError, match="method"):
             decompose(s, "dft")
 
+    @pytest.mark.parametrize("method", ["hankel", "companion"])
+    @pytest.mark.parametrize("k", [-600, -1, 100])
+    def test_power_of_two_scale_is_exact(self, method, k):
+        # both methods fit the record scaled to max |Y| in [1/2, 1), so a record
+        # 2^k times another gets its table times 2^k, bit for bit: every mode,
+        # norm and energy, the residual and the fit facts (at 2^-600 the
+        # unscaled fit's squares would underflow)
+        s = single_tone_record(40, 1e-3)
+        want = decompose(s, method)
+        got = decompose(s.with_values(np.ldexp(s.values, k)), method)
+        assert got.fit == {key: math.ldexp(v, k) if key in ("residual", "gd_threshold") else v
+                           for key, v in want.fit.items()}
+        assert got.residual == got.fit["residual"] and got.notes == want.notes
+        assert len(got.entries) == len(want.entries)
+        for a, b in zip(got.entries, want.entries):
+            assert (a.label, a.rep.lam, a.abs_lam, a.period_seconds) == (
+                b.label, b.rep.lam, b.abs_lam, b.period_seconds)
+            assert (a.mode_norm, a.energy) == (math.ldexp(b.mode_norm, k), math.ldexp(b.energy, k))
+            for x, y in ((a.rep, b.rep), (a.partner, b.partner)):
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert np.array_equal(x.mode.view(float), np.ldexp(y.mode.view(float), k))
+
 
 LAM_KINDS = ("inside", "on", "outside", "real_pos", "real_neg", "zero", "neg_zero_imag")
 
