@@ -387,6 +387,7 @@ def flux_consistency(field: GradientField, sources) -> dict[str, float]:
             )
         unit = (pos[near] - origin) / dist[near][:, None]
         g = grads[near]
+        timeseries.to_unit_scale(g)  # a cosine does not depend on the scale
         norms = np.sqrt((g**2).sum(axis=1))
         cosines = np.where(norms > 0, (g * unit).sum(axis=1) / np.where(norms > 0, norms, 1.0), 0.0)
         sign = -1.0 if src.kind == "heating" else 1.0
@@ -440,7 +441,11 @@ def field_to_svg(field: GradientField) -> str:
     grads = np.real(field.vectors[:, :2])
     spacing = field.spacing
     finite = field.valid
-    max_norm = float(np.sqrt((grads[finite] ** 2).sum(axis=1)).max()) if np.any(finite) else 0.0
+    max_norm = 0.0
+    if np.any(finite):
+        g = grads[finite]
+        e = timeseries.to_unit_scale(g)  # so that no square under- or overflows
+        max_norm = float(np.ldexp(np.sqrt((g**2).sum(axis=1)).max(), e))
     arrow_m = 0.8 * spacing
     scale = arrow_m / max_norm if max_norm > 0 else 0.0
 

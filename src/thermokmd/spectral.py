@@ -204,7 +204,7 @@ def companion_kmd(s: SnapshotMatrix) -> ModeTable:
         A least-squares or eigenvalue solve did not converge.
     """
     y = s.values.copy(order="K")  # the record's memory order, which the products' bits follow
-    e = _to_unit_scale(y)
+    e = timeseries.to_unit_scale(y)
     K, y_last = y[:, :-1], y[:, -1]
     n1 = s.n_snapshots - 1
 
@@ -259,7 +259,7 @@ def hankel_dmd(s: SnapshotMatrix, delays: int | None = None) -> ModeTable:
     if not 1 <= q <= n - 1:
         raise ArgumentError(f"delays must be in [1, {n - 1}], got {q}")
     H = np.concatenate([s.values[:, i:n - q + 1 + i] for i in range(q)])
-    e = _to_unit_scale(H)  # H holds every value of the record
+    e = timeseries.to_unit_scale(H)  # H holds every value of the record
     X, Xp = H[:, :-1], H[:, 1:]
     U, sigma, Wt = _solve("Hankel SVD", np.linalg.svd, X, full_matrices=False)
     r_rcond = int(np.count_nonzero(sigma > RANK_RCOND * sigma[0]))
@@ -309,24 +309,14 @@ def _require_signal(rank: int) -> None:
             "snapshot matrix has effective rank 0 (no signal); nothing to fit")
 
 
-def _to_unit_scale(values: np.ndarray) -> int:
-    """Divide ``values`` in place by ``2^e`` and return ``e``, the ``frexp`` exponent of max |values|.
-
-    Both methods fit the record so scaled, so that no square of a fit
-    overflows or underflows at any scale of the record, and :func:`_fitted`
-    scales the table back.  A power of two scales each step of a fit exactly
-    while no value leaves the normal range, and every threshold of the fits
-    is relative, so on a record of ordinary scale the table is the unscaled
-    fit's, bit for bit.
-    """
-    e = int(np.frexp(max(values.max(initial=0.0), -values.min(initial=0.0)))[1])
-    np.ldexp(values, -e, out=values)
-    return e
-
-
 def _fitted(s: SnapshotMatrix, e: int, lams: np.ndarray, modes: np.ndarray, residual: float,
             notes: tuple[str, ...], fit: dict) -> ModeTable:
     """A method's fit of ``s / 2^e`` as the ModeTable of ``s``, the fit step both methods end in.
+
+    Both methods fit the record divided by :func:`timeseries.to_unit_scale`,
+    so that no square of a fit overflows or underflows at any scale of the
+    record.  Every threshold of the fits is relative, so on a record of
+    ordinary scale the table is the unscaled fit's, bit for bit.
 
     Mode columns whose norm is at most ZERO_MODE_RTOL * the largest are
     dropped, each with a note after ``notes``; a NaN norm is kept.  ``fit``

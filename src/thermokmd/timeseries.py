@@ -9,7 +9,8 @@ Timestamps are parsed with exact decimal arithmetic so that the sampling
 period inferred from a file written by :func:`write_snapshots` is bit-exact,
 and uniformity violations are detected independent of float rounding.
 
-:func:`median` is the one median rule of the package.
+:func:`median` is the one median rule of the package, and
+:func:`to_unit_scale` the one rescaling that keeps squares in range.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,11 @@ def csv_text(rows, lineterminator: str, block=None) -> str:
 _POW10 = np.array([float(10**s) for s in range(23)])  # exact doubles up to 1e22
 _POW5 = np.array([5**s for s in range(23)], dtype=np.uint64)
 _TEN = np.array([10**j for j in range(18)], dtype=np.int64)
+#: the tables of repr_rows, indexed by point + 3 for point -3 to 14: 10 to the
+#: number of the 17 digits after the point, and the column of the "." in the
+#: cell (see _cell_masks)
+_AFTER_POINT = np.array([10 ** (17 - max(point, 0)) for point in range(-3, 15)], dtype=np.int64)
+_POINT_COLUMN = np.array([3 if point <= 0 else 6 + point for point in range(-3, 15)])
 #: "0000" to "9999", each group of four ASCII digits read as one uint32
 _QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
                   axis=-1).view(np.uint32).ravel()
@@ -411,10 +417,13 @@ def _shortest_digits(x: np.ndarray):
 def _cell_masks() -> np.ndarray:
     """The columns of a :func:`repr_rows` cell that each layout keeps.
 
-    A cell has 25 columns: ``,-0.000`` and then 18 for the 17 digits with the
-    decimal point among them.  Row ``neg * 54 + (point + 3) * 3 + p - 15``
-    serves a certified value; row ``108 + n`` keeps the comma and an ``n``
-    character repr written over the columns after it.
+    A cell has 25 columns: ``,-0.0`` and then 18 digits in columns 6 to 23.
+    A value with no digit before its point has "0." and up to three zeros
+    before its 17 digits, which fill columns 7 to 23; a value with ``point``
+    digits before it has the "." in column ``6 + point``, between them and
+    the rest.  Row ``neg * 54 + (point + 3) * 3 + p - 15`` serves a certified
+    value; row ``108 + n`` keeps the comma and an ``n`` character repr
+    written over the columns after it.
     """
     masks = np.zeros((108 + 25, 25), bool)
     for neg in (0, 1):
@@ -424,13 +433,14 @@ def _cell_masks() -> np.ndarray:
                 row[[0, 1]] = True, neg
                 row[2:4] = point <= 0  # "0."
                 row[4:4 - min(point, 0)] = True  # the zeros after "0."
-                row[7:7 + p + (point > 0)] = True
+                row[7 - (point > 0):7 + p] = True  # the digits, with any "." among them
     for n in range(25):
         masks[108 + n, :1 + n] = True
     return masks
 
 
 _CELL_MASKS = _cell_masks()
+_CELL_LENGTHS = _CELL_MASKS.sum(axis=1)
 
 
 def repr_rows(block: np.ndarray) -> tuple[list[str], int]:
@@ -444,30 +454,29 @@ def repr_rows(block: np.ndarray) -> tuple[list[str], int]:
     rows, cols = block.shape
     x = np.ascontiguousarray(block, dtype=float).ravel()
     digits, p, point, certified = _shortest_digits(x)
+    at = np.clip(point, -3, 14) + 3
+    # digits = hi 10^n + lo, with n digits after the point, becomes hi 10^(n+1) + lo:
+    # 18 digits, with a zero between those before the point and those after it
+    after = _AFTER_POINT[at]
+    digits = digits + digits // after * 9 * after
     out = np.empty((x.size, 25), np.uint8)
     out[:, :4] = np.frombuffer(b",-0.", np.uint8)
-    # columns 4 to 23 in groups of four: "000" (the zeros that may follow "0.")
-    # and the first of the 17 digits, then the other 16, as ASCII
+    # columns 4 to 23 in groups of four: "00" and then the 18 digits, as ASCII
     quads, rest = out[:, 4:24].view(np.uint32), digits
     for i, unit in enumerate(_TEN[16:3:-4]):
         q = rest // unit
         quads[:, i] = _QUADS[q]
         rest = rest - q * unit
     quads[:, 4] = _QUADS[rest]
-    # a value with point > 0 has the digits after its point moved one column
-    # right, into column 24, to make room for the "."
-    for whole in np.flatnonzero(np.bincount(point[point > 0])).tolist():
-        at = np.flatnonzero(point == whole)
-        out[at, 8 + whole:] = out[at, 7 + whole:24]
-        out[at, 7 + whole] = ord(".")
-    mask = _CELL_MASKS[np.signbit(x) * 54 + (np.clip(point, -3, 14) + 3) * 3 + p - 15]
+    out.reshape(-1)[np.arange(0, 25 * x.size, 25) + _POINT_COLUMN[at]] = ord(".")
+    layout = np.signbit(x) * 54 + at * 3 + p - 15
     slow = np.flatnonzero(~certified)
     if slow.size:
         texts = [repr(v) for v in x[slow].tolist()]
         out[slow, 1:] = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
-        mask[slow] = np.arange(25) <= np.array([len(t) for t in texts])[:, None]
-    text = out[mask].tobytes().decode("ascii")
-    ends = np.cumsum(mask.reshape(rows, cols * 25).sum(axis=1)).tolist()
+        layout[slow] = 108 + np.array([len(t) for t in texts])
+    text = out[_CELL_MASKS[layout]].tobytes().decode("ascii")
+    ends = np.cumsum(_CELL_LENGTHS[layout].reshape(rows, cols).sum(axis=1)).tolist()
     return [text[a:b] for a, b in zip([0, *ends], ends)], x.size - slow.size
 
 
@@ -674,24 +683,28 @@ def load_snapshots(path, dt_override: float | None = None) -> SnapshotMatrix:
 def write_snapshots(s: SnapshotMatrix, path) -> None:
     """Write a snapshot CSV that :func:`load_snapshots` reads back bit-exactly.
 
-    Timestamps are emitted as exact decimal expansions of t0 + k*dt computed
-    in exact decimal arithmetic, so the reader recovers dt without float
-    rounding.  Each is written as ``str(Decimal(n) / Decimal(d))`` prints the
-    fraction n/d it equals: an integer's digits (``0`` for -0), any other
-    value to its last nonzero digit, in E notation below 10**-6.  Every line
-    goes through :func:`csv_text`, which quotes ids as needed; the data rows
-    go in blocks of about 4 096 values, each a timestamp cell and a float
-    block.
+    Timestamps are emitted as exact decimal expansions of t0 + k*dt, so the
+    reader recovers dt without float rounding.  Each is written as
+    ``str(Decimal(n) / Decimal(d))`` prints the fraction n/d it equals: an
+    integer's digits (``0`` for -0), any other value to its last nonzero
+    digit, in E notation below 10**-6.  Every line goes through
+    :func:`csv_text`, which quotes ids as needed; the data rows go in blocks
+    of about 4 096 values, each a timestamp cell and a float block.
     """
-    # Decimal(float) is exact, and a double's expansion needs at most ~1400
-    # digits, so at this precision every t0 + k*dt is exact too
-    exact = Context(prec=1600, traps=[Inexact])
-    t, dt = Decimal(s.t0), Decimal(s.dt)
+    # t0 and dt are integers over powers of two, so each t0 + k*dt is the
+    # integer t over one power of two, 2^e.  A double's expansion needs at most
+    # ~1400 digits, so at this precision the product of t and the exact
+    # decimal 2^-e (= 5^e 10^-e) is exact too
+    (a, p), (b, q) = s.t0.as_integer_ratio(), s.dt.as_integer_ratio()
+    den = max(p, q)
+    e = den.bit_length() - 1
+    t, tick = a * (den // p), b * (den // q)
     times = []
-    for _ in range(s.n_snapshots):
-        whole = t.to_integral_value()
-        times.append(str(int(whole)) if t == whole else str(exact.normalize(t)))
-        t = exact.add(t, dt)
+    with localcontext(Context(prec=1600, traps=[Inexact])):
+        unit = Decimal(5**e).scaleb(-e)
+        for _ in range(s.n_snapshots):
+            times.append(str((unit * t).normalize()) if t % den else str(t >> e))
+            t += tick
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(csv_text([["time", *s.channel_ids]], "\r\n"))
         # block by block, so that the text of a wide record is never held whole
@@ -801,3 +814,17 @@ def median(x) -> float:
     if np.isnan(part[-1]):
         return float(part[-1])
     return float(part[kth[0]:kth[-1] + 1].mean())
+
+
+def to_unit_scale(values: np.ndarray) -> int:
+    """Divide ``values`` in place by ``2^e`` and return ``e``, the ``frexp`` exponent of max |values|.
+
+    Afterwards max |values| lies in [0.5, 1), so no square or sum of squares
+    of them overflows, and a square underflows only for a value below about
+    1e-154 times the largest.  A power of two scales exactly while no value
+    leaves the normal range, so a ratio, a cosine, or a norm scaled back by
+    ``2^e``, is at ordinary scales the unscaled computation's, bit for bit.
+    """
+    e = int(np.frexp(max(values.max(initial=0.0), -values.min(initial=0.0)))[1])
+    np.ldexp(values, -e, out=values)
+    return e

@@ -6,6 +6,22 @@ import pytest
 from thermokmd.synth import default_room_spec, simulate_room
 
 
+def assert_same_text(got, want):
+    """``assert got == want`` for two texts (or byte strings), reporting the first line that differs.
+
+    pytest explains a failing ``==`` of long texts (and of bytes or lists
+    under ``-v`` or on CI) with a difflib diff, which is quadratic in the
+    lines and can take minutes on an artifact.  This asserts instead on the
+    index of the first differing line and that line in each, which is the
+    same test.
+    """
+    if got == want:
+        return
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    assert (i, a[i:i + 1]) == (i, b[i:i + 1])
+
+
 @pytest.fixture(scope="session")
 def default_rooms():
     """The shipped room on seeds 0-7, simulated once: a list of (spec, record, events)."""

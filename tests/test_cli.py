@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import thermokmd
 from thermokmd import pipeline, spectral, synth
 from thermokmd.cli import main
-from thermokmd.gradient import load_sources_csv
+from thermokmd.gradient import FluxSource, load_sources_csv
 from thermokmd.synth import (
     MAX_STEPS,
     AnalyticSpec,
@@ -29,6 +30,8 @@ from thermokmd.synth import (
     generate_analytic,
 )
 from thermokmd.timeseries import SensorLayout, SnapshotMatrix, write_layout, write_snapshots
+
+from conftest import assert_same_text
 
 
 @pytest.fixture(scope="module")
@@ -776,19 +779,31 @@ def scaled_wave(scale):
     return SnapshotMatrix(scale * wave, 60.0, 0.0, ids), layout
 
 
+#: a cooling source between sensors A and C of :func:`scaled_wave`, which scores at scale 1
+LADDER_SOURCE = FluxSource("P", (3.0, 3.5), "cooling")
+
+
 @functools.cache
 def ladder_answers(scale, method, source):
-    """(period in samples, dominant mode, gradient rows) of ``pipeline.run`` on :func:`scaled_wave`.
+    """What ``pipeline.run`` answers on :func:`scaled_wave`, with :data:`LADDER_SOURCE`.
 
-    The mode is read from ``modes.json`` and the gradient from ``gradient.csv``.
+    (period in samples, dominant mode, gradient rows, arrows drawn, longest
+    arrow, flux score): the mode is read from ``modes.json``, the gradient from
+    ``gradient.csv``, and the arrows (each ``<line>``) and the longest arrow
+    (None where the legend reads "all gradients zero or invalid") from
+    ``gradient.svg``.
     """
-    files, metadata = pipeline.run(*scaled_wave(scale), method=method, gradient_source=source)
+    files, metadata = pipeline.run(*scaled_wave(scale), (LADDER_SOURCE,), method=method,
+                                   gradient_source=source)
     dominant = next(e for e in json.loads(files["modes.json"])["modes"] if not e["bias_flag"])
     mode = np.array([complex(c["re"], c["im"]) for c in dominant["mode"]])
     rows = list(csv.DictReader(io.StringIO(files["gradient.csv"])))
     columns = [name for name in rows[0] if name.startswith("g")]
     grad = np.array([[float(row[name]) for name in columns] for row in rows])
-    return metadata["parameters"]["period_samples"], mode, grad
+    svg = files["gradient.svg"]
+    legend = re.search(r"longest arrow = (\S+) units/m", svg)
+    return (metadata["parameters"]["period_samples"], mode, grad, svg.count("<line"),
+            legend and float(legend[1]), metadata["flux_scores"][LADDER_SOURCE.name])
 
 
 class TestPipeline:
@@ -803,7 +818,7 @@ class TestPipeline:
         assert main(base + ["--out-dir", str(out_explicit),
                             "--period-samples", "14"]) == 0
         for name in ["phase_average.csv", "gradient.csv", "modes.csv"]:
-            assert (out_auto / name).read_bytes() == (out_explicit / name).read_bytes()
+            assert_same_text((out_auto / name).read_bytes(), (out_explicit / name).read_bytes())
         meta = json.loads((out_auto / "run_metadata.json").read_text())
         assert meta["parameters"]["period_samples"] == 14
         assert meta["parameters"]["period_selection"] == "auto"
@@ -858,7 +873,7 @@ class TestPipeline:
         assert names == sorted(p.name for p in outs[1].iterdir())
         for name in names:
             if name.endswith((".csv", ".json")):
-                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+                assert_same_text((outs[0] / name).read_bytes(), (outs[1] / name).read_bytes())
 
     @staticmethod
     def trend_dir(tmp_path):
@@ -891,7 +906,9 @@ class TestPipeline:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert ("cannot select a period automatically" in err) == (not extra)
         if earlier_run:
-            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+            assert sorted(p.name for p in out.iterdir()) == sorted(before)
+            for name, text in before.items():
+                assert_same_text((out / name).read_bytes(), text)
         else:
             assert not out.exists()
 
@@ -907,7 +924,9 @@ class TestPipeline:
         files, metadata = pipeline.run(
             record, thermokmd.load_layout(layout).reordered_to(record.channel_ids),
             load_sources_csv(sources), inputs={"snapshots": snapshots, "layout": layout})
-        assert {p.name: p.read_bytes().decode("utf-8") for p in out.iterdir()} == files
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
+        for name, text in files.items():
+            assert_same_text((out / name).read_bytes().decode("utf-8"), text)
         assert json.loads(files["run_metadata.json"]) == metadata
         assert sorted(metadata["flux_scores"]) == ["AC-1", "AC-2"]
 
@@ -934,12 +953,17 @@ class TestPipeline:
     def test_scale_ladder(self, scale, method, source):
         # the answers scale with the record: the dominant mode and the gradient
         # are scale 1's times the scale, to LADDER_RTOL of their largest
-        # component (measured: 3.6e-14 at most, companion's dmd_mode at 1e-300)
-        want = ladder_answers(1.0, method, source)
-        got = ladder_answers(scale, method, source)
-        assert got[0] == want[0] == 12
-        for x, x1 in zip(got[1:], want[1:]):
+        # component (measured: 3.6e-14 at most, companion's dmd_mode at 1e-300);
+        # the plot draws the same arrows with a legend scaled likewise, and the
+        # flux score, a mean of cosines, does not move
+        period, *vectors, arrows, longest, score = ladder_answers(scale, method, source)
+        period1, *vectors1, arrows1, longest1, score1 = ladder_answers(1.0, method, source)
+        assert period == period1 == 12
+        for x, x1 in zip(vectors, vectors1):
             assert np.abs(x / scale - x1).max() <= LADDER_RTOL * np.abs(x1).max()
+        assert arrows == arrows1 > 0
+        assert longest is not None and abs(longest / scale - longest1) <= LADDER_RTOL * longest1
+        assert score1 != 0 and abs(score - score1) <= LADDER_RTOL
 
     @pytest.mark.parametrize("method", ["hankel", "companion"])
     def test_method_recorded(self, method, two_tone_dir, tmp_path):
@@ -957,7 +981,7 @@ class TestPipeline:
         assert "companion_residual" not in meta
         assert meta["dominant_mode"]["period_seconds"] == pytest.approx(853.8, rel=1e-4)
         notes = json.loads((spec / "modes.json").read_text())["notes"]
-        assert (spec / "modes.json").read_bytes() == (out / "modes.json").read_bytes()
+        assert_same_text((spec / "modes.json").read_bytes(), (out / "modes.json").read_bytes())
         if method == "hankel":
             assert decomposition["amplitudes"] == "projected_initial_condition"
             assert decomposition["rank_limit"] in ("gavish_donoho", "rank_rcond")
@@ -972,7 +996,8 @@ class TestPipeline:
         assert main(base + ["--out-dir", str(tmp_path / "a")]) == 0
         assert main(base + ["--method", "hankel", "--out-dir", str(tmp_path / "b")]) == 0
         for name in ("modes.json", "run_metadata.json", "gradient.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+            assert_same_text((tmp_path / "a" / name).read_bytes(),
+                             (tmp_path / "b" / name).read_bytes())
 
     @pytest.mark.parametrize("command", ["spectrum", "pipeline"])
     def test_unknown_method_exit_2(self, command, two_tone_dir, tmp_path, capsys):

@@ -38,6 +38,8 @@ from thermokmd.timeseries import (
     write_snapshots,
 )
 
+from conftest import assert_same_text
+
 #: a comma, a quote, a backslash with a non-ASCII letter, and the SVG escapes
 QUOTED_IDS = ("a,b", 'q"x', "Sü\\1", "h&<>")
 
@@ -139,14 +141,12 @@ class TestCsvText:
                 rows = header + [[*before(i, cid), ..., *after(cid)] for i, cid in enumerate(ids)]
                 floats = header + [[*before(i, cid), *values, *after(cid)]
                                    for i, (cid, values) in enumerate(zip(ids, block.tolist()))]
-                # compared line by line, which is the same test and reports a
-                # mismatch without a diff of the whole text
-                lines = csv_text(rows, lineterminator, block).split(lineterminator)
-                assert lines == csv_text(floats, lineterminator).split(lineterminator)
+                text = csv_text(rows, lineterminator, block)
+                assert_same_text(text, csv_text(floats, lineterminator))
                 if lineterminator == "\r\n":
                     buf = io.StringIO()
                     csv.writer(buf).writerows(floats)
-                    assert lines == buf.getvalue().split(lineterminator)
+                    assert_same_text(text, buf.getvalue())
 
 
 def write_snapshots_csv_text(s, path):
@@ -193,8 +193,24 @@ class TestSnapshotWriter:
         tmp = tmp_path_factory.mktemp("w")
         write_snapshots(s, tmp / "new.csv")
         write_snapshots_csv_text(s, tmp / "old.csv")
-        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+        assert_same_text((tmp / "new.csv").read_bytes(), (tmp / "old.csv").read_bytes())
         assert load_snapshots(tmp / "new.csv").values.tobytes() == s.values.tobytes()
+
+    @pytest.mark.parametrize("t0, dt, n", [
+        (-0.0, 5e-324, 4),  # the least subnormal period: 1074 digits after the point
+        (0.0, 1e300, 4),  # integers of 301 digits and more
+        (0.5, 60.0, 4),  # no time integral
+        (-120.0, 60.0, 4),  # through an exact zero, written 0
+        (0.0, 0.1, 1441),  # analytic-long's length, no period a double holds exactly
+    ])
+    def test_timestamp_edges(self, t0, dt, n, tmp_path):
+        s = SnapshotMatrix(np.full((2, n), 0.25), dt, t0, ("a", "b"))
+        write_snapshots(s, tmp_path / "new.csv")
+        write_snapshots_csv_text(s, tmp_path / "old.csv")
+        text = (tmp_path / "new.csv").read_bytes()
+        assert_same_text(text, (tmp_path / "old.csv").read_bytes())
+        assert (b"\r\n0,0.25,0.25\r\n" in text) == (t0 <= 0 and -t0 % dt == 0)
+        assert load_snapshots(tmp_path / "new.csv").dt == dt
 
     def test_wide_record(self, tmp_path):
         # the hypothesis records hold too few values for repr_rows' block; this
@@ -207,9 +223,7 @@ class TestSnapshotWriter:
         s = SnapshotMatrix(values, 0.1, 1.0e12 + 0.3, ids)
         write_snapshots(s, tmp_path / "new.csv")
         write_snapshots_csv_text(s, tmp_path / "old.csv")
-        new, old = ((tmp_path / name).read_bytes().split(b"\r\n")
-                    for name in ("new.csv", "old.csv"))
-        assert new == old
+        assert_same_text((tmp_path / "new.csv").read_bytes(), (tmp_path / "old.csv").read_bytes())
         assert load_snapshots(tmp_path / "new.csv").values.tobytes() == values.tobytes()
 
     def test_no_channels(self, tmp_path):

@@ -3,19 +3,24 @@
     python tools/float_repr_sweep.py [--tree DIR] [--values 10000000] [--seed 0]
                                      [--block 100000]
 
-For each decade 10^d <= |x| < 10^(d+1), d from -12 to 19, it draws the same
-number of doubles, each of random sign:
+The decades 10^d <= |x| < 10^(d+1) run from d = -324, the subnormals, to
+d = 308, the largest doubles, so every form of repr is drawn, down to the
+24 characters of ``-2.2250738585072014e-308``.  Half the values go to the
+decades -12 to 19, around the window 1e-4 to 1e14 in which repr_rows writes
+the digits itself, half to all the others, in which repr writes them; each
+decade of a group gets the same number.  In each decade, each of random sign:
 
 * a third log-uniform over the decade, so with random 53-bit mantissas;
-* a third short decimals: D * 10^j or D / 10^j for a random integer D of 1
-  to 15 digits, the double nearest the decimal where 10^j is exact (j <= 22),
-  so shortest forms of every length up to 15;
+* a third short decimals: D * 10^j for a random integer D of 1 to 15 digits,
+  the double nearest the decimal, so shortest forms of every length up to 15;
 * a third the neighbours (one step up or down) of those.
 
-Every block of ``--block`` values is formatted by ``repr_rows``, one value
-a row, and by ``repr``; each value whose texts differ is printed.  The table
-gives, per decade, the values drawn, the mismatches and the share certified,
-that is formatted without ``repr``.  Exit status 1 if any value differs.
+Values past the largest double (inf) are dropped, so the top decade has
+fewer.  Every block of ``--block`` values is formatted by ``repr_rows``, one
+value a row, and by ``repr``; each value whose texts differ is printed.  The
+table gives, per decade, the values drawn, the mismatches and the share
+certified, that is formatted without ``repr``.  Exit status 1 if any value
+differs.
 
 ``--tree`` names the source tree whose ``src/`` is imported (default: this
 checkout), so one checkout sweeps two trees.
@@ -24,27 +29,30 @@ checkout), so one checkout sweeps two trees.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-DECADES = range(-12, 20)
+DECADES = range(-324, 309)
+CORE = range(-12, 20)
+LOG10_MAX = math.log10(sys.float_info.max)
 
 
 def decade_values(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-    """``n`` doubles in [10^d, 10^(d+1)) or just across its edges, of random sign."""
+    """``n`` doubles in [10^d, 10^(d+1)) or just across its edges, of random sign, less any inf."""
     third = n // 3
-    logs = 10.0 ** (d + rng.random(n - 2 * third))
+    logs = 10.0 ** (d + rng.random(n - 2 * third) * (min(d + 1, LOG10_MAX) - d))
     digits = rng.integers(1, 16, third)
-    mantissa = rng.integers(10 ** (digits - 1), 10**digits).astype(float)  # exact below 2^53
+    mantissa = rng.integers(10 ** (digits - 1), 10**digits)
     shift = d - digits + 1  # the decimal is mantissa * 10^shift
-    short = np.where(shift >= 0, mantissa * 10.0 ** np.abs(shift),
-                     mantissa / 10.0 ** np.abs(shift))
+    short = np.array([float(f"{m}e{j}") for m, j in zip(mantissa.tolist(), shift.tolist())])
     step = np.where(rng.random(third) < 0.5, 0.0, np.inf)
     x = np.concatenate([logs, short, np.nextafter(short, step)])
-    return np.where(rng.random(n) < 0.5, -x, x)
+    x = np.where(rng.random(n) < 0.5, -x, x)
+    return x[np.isfinite(x)]
 
 
 def main(argv=None) -> int:
@@ -61,12 +69,13 @@ def main(argv=None) -> int:
     from thermokmd.timeseries import repr_rows
 
     rng = np.random.default_rng(args.seed)
-    per_decade = args.values // len(DECADES)
+    per_core = args.values // 2 // len(CORE)
+    per_outer = (args.values - per_core * len(CORE)) // (len(DECADES) - len(CORE))
     start = time.perf_counter()
     total = wrong = certified_total = 0
     print(f"{'decade':>8} {'values':>9} {'mismatches':>10} {'certified':>9}")
     for d in DECADES:
-        x = decade_values(rng, d, per_decade)
+        x = decade_values(rng, d, per_core if d in CORE else per_outer)
         bad = certified = 0
         for block in np.array_split(x, max(1, len(x) // args.block)):
             rows, fast = repr_rows(block[:, None])
