@@ -151,21 +151,25 @@ def energy_norm(p: RitzPair, n_snapshots: int) -> float:
 
     The powers are built in sequence, lam^k = lam^(k-1) * lam, with lam^0 = 1
     even for lam = 0, so a nilpotent mode still contributes its initial
-    snapshot.  Each snapshot's squared norm is one BLAS ``ddot`` over its
-    row, and the squared norms are added in snapshot order.  That order is
-    part of the contract: ``einsum``, a pairwise ``sum``, or a contiguous
-    copy of a real mode's ``.real`` view (which changes the ``ddot`` stride)
-    can move the energy by an ulp, and with it the ranking and ``modes.json``.
+    snapshot.  The terms are those of the mode divided by its own 2^e
+    (:func:`timeseries.to_unit_scale`), and the energy is multiplied back.
+    Each snapshot's squared norm is one BLAS ``ddot`` over its row, and the
+    squared norms are added in snapshot order.  That order is part of the
+    contract: ``einsum``, a pairwise ``sum``, or a contiguous copy of a real
+    mode's ``.real`` view (which changes the ``ddot`` stride) can move the
+    energy by an ulp, and with it the ranking and ``modes.json``.
     """
     if n_snapshots < 1:
         raise ArgumentError(f"n_snapshots must be >= 1, got {n_snapshots}")
     lam = complex(p.lam)
     steps = np.full(n_snapshots, lam)
     steps[0] = 1.0
-    terms = (np.cumprod(steps)[:, None] * p.mode).real
+    mode = p.mode.copy()
+    e = timeseries.to_unit_scale(mode.view(float))
+    terms = (np.cumprod(steps)[:, None] * mode).real
     if lam.imag != 0.0:
         terms = 2.0 * terms
-    return float(np.sqrt(np.cumsum(np.vecdot(terms, terms))[-1]))
+    return math.ldexp(float(np.sqrt(np.cumsum(np.vecdot(terms, terms))[-1])), e)
 
 
 def period_of(lam: complex, dt: float) -> float | None:
@@ -319,29 +323,21 @@ def _fitted(s: SnapshotMatrix, e: int, lams: np.ndarray, modes: np.ndarray, resi
     ordinary scale the table is the unscaled fit's, bit for bit.
 
     Mode columns whose norm is at most ZERO_MODE_RTOL * the largest are
-    dropped, each with a note after ``notes``; a NaN norm is kept.  ``fit``
-    gains the ``"residual"``.  The modes, their norms and energies, the
-    residual and ``fit``'s ``gd_threshold`` are multiplied back by ``2^e``
-    once ranked; ``mean_removed`` is tested on ``s`` itself.
+    dropped, each with a note after ``notes``; a NaN norm is kept.  The kept
+    modes, the residual and ``fit``'s ``gd_threshold`` are multiplied back by
+    ``2^e`` for :func:`mode_table`, and ``fit`` gains the ``"residual"``.
     """
     norms = np.linalg.norm(modes, axis=0)
     keep = ~(norms <= ZERO_MODE_RTOL * norms.max(initial=0.0))
     notes = (*notes, *(f"dropped zero mode at lam={lam:.6g}" for lam in lams[~keep]))
-    table = mode_table(lams[keep], modes[:, keep], s.dt, s.n_snapshots, residual=residual,
-                       mean_removed=timeseries.mean_offset(s) is None,
-                       channel_ids=s.channel_ids, notes=notes, fit={**fit, "residual": residual})
-
-    # every mode in one exact step, in the order of the entries' pairs
-    pairs = [p for x in table.entries for p in (x.rep, x.partner) if p is not None]
-    modes = iter(np.ldexp(np.array([p.mode for p in pairs]).view(float), e).view(complex))
-    entries = tuple(replace(x, rep=RitzPair(x.rep.lam, next(modes), x.rep.index),
-                            partner=x.partner and RitzPair(x.partner.lam, next(modes),
-                                                           x.partner.index),
-                            mode_norm=math.ldexp(x.mode_norm, e), energy=math.ldexp(x.energy, e))
-                    for x in table.entries)
-    fit = {key: math.ldexp(value, e) if key in ("residual", "gd_threshold") else value
-           for key, value in table.fit.items()}
-    return replace(table, entries=entries, residual=fit["residual"], fit=fit)
+    modes = modes[:, keep].astype(complex, copy=False)
+    for part in (modes.real, modes.imag):  # float views, so -0.0, inf and NaN keep their bits
+        np.ldexp(part, e, out=part)
+    residual = math.ldexp(residual, e)
+    fit = {key: math.ldexp(v, e) if key == "gd_threshold" else v for key, v in fit.items()}
+    return mode_table(lams[keep], modes, s.dt, s.n_snapshots, residual=residual,
+                      mean_removed=timeseries.mean_offset(s) is None,
+                      channel_ids=s.channel_ids, notes=notes, fit={**fit, "residual": residual})
 
 
 def mode_table(lams: np.ndarray, modes: np.ndarray, dt: float, n_snapshots: int, *,
@@ -403,6 +399,8 @@ def _group_and_rank(
 def _make_entry(rep: RitzPair, partner: RitzPair | None, dt: float, n_snapshots: int) -> ModeEntry:
     """The entry of ``rep``; a complex one without a ``partner`` is unpaired."""
     period = period_of(rep.lam, dt)
+    mode = rep.mode.copy()  # its norm is taken of mode / 2^e, as in energy_norm
+    e = timeseries.to_unit_scale(mode.view(float))
     # arg in (-pi, pi]: only arg == pi sits at the sampling limit
     nyquist = period is not None and bool(abs(np.angle(rep.lam)) >= np.pi)
     return ModeEntry(
@@ -411,7 +409,7 @@ def _make_entry(rep: RitzPair, partner: RitzPair | None, dt: float, n_snapshots:
         label=(),
         abs_lam=float(abs(rep.lam)),
         period_seconds=None if nyquist else period,
-        mode_norm=float(np.linalg.norm(rep.mode)),
+        mode_norm=math.ldexp(float(np.linalg.norm(mode)), e),
         energy=energy_norm(rep, n_snapshots),
         bias=period is None,
         nyquist=nyquist,

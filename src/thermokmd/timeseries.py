@@ -41,7 +41,7 @@ UNIFORMITY_RTOL = Decimal("1e-6")
 #: absolute tolerance (meters) for matching positions to a declared lattice
 GRID_MATCH_TOL = 1e-9
 
-#: per-channel |mean| <= MEAN_FREE_RTOL * max(rms, 1) counts as mean-removed
+#: per-channel |mean| <= MEAN_FREE_RTOL * max(rms, 2^(e-1)) counts as mean-removed
 MEAN_FREE_RTOL = 1e-9
 
 #: about this many values of a snapshot file are formatted at once; at 8 192
@@ -787,15 +787,17 @@ def remove_mean(s: SnapshotMatrix) -> SnapshotMatrix:
 def mean_offset(s: SnapshotMatrix) -> tuple[int, float] | None:
     """Channel index and |mean| of the channel furthest from mean-free.
 
-    Returns None when every channel has |mean| <= MEAN_FREE_RTOL * max(rms, 1),
-    i.e. the record counts as mean-removed.
+    Returns None when every channel has |mean| <= MEAN_FREE_RTOL * max(rms, 2^(e-1)),
+    2^(e-1) <= max |values| < 2^e: the record counts as mean-removed.
     """
-    means = np.abs(s.values.mean(axis=1))
-    scale = np.maximum(np.sqrt((s.values**2).mean(axis=1)), 1.0)
+    values = s.values.copy(order="K")  # the record's memory order, which the sums' bits follow
+    e = to_unit_scale(values)  # no square under- or overflows, and 2^(e-1) is 0.5 here
+    means = np.abs(values.mean(axis=1))
+    scale = np.maximum(np.sqrt(np.square(values, out=values).mean(axis=1)), 0.5)
     if np.all(means <= MEAN_FREE_RTOL * scale):
         return None
     worst = int(np.argmax(means / scale))
-    return worst, float(means[worst])
+    return worst, math.ldexp(float(means[worst]), e)
 
 
 def median(x) -> float:

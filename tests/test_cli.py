@@ -760,11 +760,6 @@ class TestQuotedIds:
             self.check(out / "gradient.csv", "channel_id", self.IDS, ("valid", "method"))
 
 
-#: numpy's overflow warning from squaring the unscaled record escapes the library
-MEAN_OFFSET_OVERFLOWS = ("timeseries.mean_offset squares the unscaled record, in "
-                         "spectral.decompose and in phaseavg.phase_average, and numpy's "
-                         "overflow RuntimeWarning escapes the library")
-
 #: how far a rung's answers may stray from scale 1's times the scale, relative
 #: to the largest component; a factor such as 1e200 is not a power of two, so
 #: the scaled record rounds differently and the match is not bit-exact
@@ -787,8 +782,9 @@ LADDER_SOURCE = FluxSource("P", (3.0, 3.5), "cooling")
 def ladder_answers(scale, method, source):
     """What ``pipeline.run`` answers on :func:`scaled_wave`, with :data:`LADDER_SOURCE`.
 
-    (period in samples, dominant mode, gradient rows, arrows drawn, longest
-    arrow, flux score): the mode is read from ``modes.json``, the gradient from
+    (period in samples, dominant mode, gradient rows, the dominant mode's norm,
+    its energy, arrows drawn, longest arrow, flux score): the mode, its norm
+    and energy are read from ``modes.json``, the gradient from
     ``gradient.csv``, and the arrows (each ``<line>``) and the longest arrow
     (None where the legend reads "all gradients zero or invalid") from
     ``gradient.svg``.
@@ -802,8 +798,9 @@ def ladder_answers(scale, method, source):
     grad = np.array([[float(row[name]) for name in columns] for row in rows])
     svg = files["gradient.svg"]
     legend = re.search(r"longest arrow = (\S+) units/m", svg)
-    return (metadata["parameters"]["period_samples"], mode, grad, svg.count("<line"),
-            legend and float(legend[1]), metadata["flux_scores"][LADDER_SOURCE.name])
+    return (metadata["parameters"]["period_samples"], mode, grad, dominant["mode_norm"],
+            dominant["energy"], svg.count("<line"), legend and float(legend[1]),
+            metadata["flux_scores"][LADDER_SOURCE.name])
 
 
 class TestPipeline:
@@ -930,39 +927,25 @@ class TestPipeline:
         assert json.loads(files["run_metadata.json"]) == metadata
         assert sorted(metadata["flux_scores"]) == ["AC-1", "AC-2"]
 
-    @pytest.mark.parametrize("scale", [
-        1e-200,
-        1.0,
-        pytest.param(1e200, marks=pytest.mark.xfail(raises=RuntimeWarning, strict=True,
-                                                    reason=MEAN_OFFSET_OVERFLOWS)),
-    ])
-    def test_period_at_any_scale(self, scale):
-        _, metadata = pipeline.run(*scaled_wave(scale))
-        assert metadata["parameters"]["period_samples"] == 12
-
     @pytest.mark.parametrize("source", ["phase_average", "dmd_mode"])
     @pytest.mark.parametrize("method", spectral.METHODS)
-    @pytest.mark.parametrize("scale", [
-        1e-300,
-        1e-200,
-        pytest.param(1e200, marks=pytest.mark.xfail(raises=RuntimeWarning, strict=True,
-                                                    reason=MEAN_OFFSET_OVERFLOWS)),
-        pytest.param(1e300, marks=pytest.mark.xfail(raises=RuntimeWarning, strict=True,
-                                                    reason=MEAN_OFFSET_OVERFLOWS)),
-    ])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
     def test_scale_ladder(self, scale, method, source):
-        # the answers scale with the record: the dominant mode and the gradient
-        # are scale 1's times the scale, to LADDER_RTOL of their largest
-        # component (measured: 3.6e-14 at most, companion's dmd_mode at 1e-300);
-        # the plot draws the same arrows with a legend scaled likewise, and the
-        # flux score, a mean of cosines, does not move
-        period, *vectors, arrows, longest, score = ladder_answers(scale, method, source)
-        period1, *vectors1, arrows1, longest1, score1 = ladder_answers(1.0, method, source)
+        # the answers scale with the record: the period is 12 samples at every
+        # rung; the dominant mode and the gradient are scale 1's times the
+        # scale, to LADDER_RTOL of their largest component (measured: 5.3e-14 at
+        # most, companion's mode at 1e300), and so are the mode's norm and
+        # energy and the longest arrow, to LADDER_RTOL of each (5.2e-14); the plot
+        # draws the same arrows, and the flux score, a mean of cosines, does not move
+        period, mode, grad, *sizes, arrows, longest, score = ladder_answers(scale, method, source)
+        period1, mode1, grad1, *sizes1, arrows1, longest1, score1 = ladder_answers(
+            1.0, method, source)
         assert period == period1 == 12
-        for x, x1 in zip(vectors, vectors1):
+        for x, x1 in ((mode, mode1), (grad, grad1)):
             assert np.abs(x / scale - x1).max() <= LADDER_RTOL * np.abs(x1).max()
+        for x, x1 in zip((*sizes, longest), (*sizes1, longest1)):
+            assert x is not None and abs(x / scale - x1) <= LADDER_RTOL * x1
         assert arrows == arrows1 > 0
-        assert longest is not None and abs(longest / scale - longest1) <= LADDER_RTOL * longest1
         assert score1 != 0 and abs(score - score1) <= LADDER_RTOL
 
     @pytest.mark.parametrize("method", ["hankel", "companion"])

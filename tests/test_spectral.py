@@ -261,6 +261,27 @@ class TestHankelDmd:
                 if x is not None:
                     assert np.array_equal(x.mode.view(float), np.ldexp(y.mode.view(float), k))
 
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_mode_table_power_of_two_scale_is_exact(self, k):
+        # each entry takes its mode's squares at the mode's own power of two, so
+        # modes 2^k times others get norms and energies 2^k times theirs, bit
+        # for bit, while every component is a normal double (squared unscaled,
+        # they would underflow to 0 at 2^-1000 and overflow at 2^1000)
+        rng = np.random.default_rng(7)
+        parts = rng.uniform(0.25, 2.0, (2, 5, 6)) * rng.choice([-1.0, 1.0], (2, 5, 6))
+        modes = parts[0] + 1j * parts[1]
+        lams = np.array([np.exp(2j * np.pi / 12), 1.0, 0.9 * np.exp(0.4j), -0.5])
+        lams = np.array([lams[0], lams[0].conjugate(), *lams[1:3], lams[2].conjugate(), lams[3]])
+        modes[:, 1], modes[:, 4] = modes[:, 0].conjugate(), modes[:, 3].conjugate()
+        scaled = np.ldexp(modes.view(float), k).view(complex)
+        assert np.all(np.abs(scaled.view(float)) >= np.finfo(float).tiny)
+        want, got = (mode_table(lams, m, 60.0, 241, residual=0.0, mean_removed=True)
+                     for m in (modes, scaled))
+        assert [e.label for e in got.entries] == [e.label for e in want.entries]
+        assert len(got.entries) == 4 and sum(e.is_couple for e in got.entries) == 2
+        for a, b in zip(got.entries, want.entries):
+            assert (a.mode_norm, a.energy) == (math.ldexp(b.mode_norm, k), math.ldexp(b.energy, k))
+
 
 LAM_KINDS = ("inside", "on", "outside", "real_pos", "real_neg", "zero", "neg_zero_imag")
 

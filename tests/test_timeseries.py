@@ -41,6 +41,7 @@ from thermokmd.timeseries import (
     json_text,
     load_layout,
     load_snapshots,
+    mean_offset,
     median,
     remove_mean,
     write_layout,
@@ -727,6 +728,34 @@ class TestRemoveMean:
             s.values[perm], s.dt, s.t0, tuple(s.channel_ids[i] for i in perm)
         )
         assert np.array_equal(remove_mean(permuted).values, remove_mean(s).values[perm])
+
+
+class TestMeanOffset:
+    @staticmethod
+    def biased(scale=1.0, k=0):
+        """scale * 2^k * (1 + j/4) cos(2 pi t / 12 + j + 1/4) on channels a-d, c offset by 0.3."""
+        vals = (1 + np.arange(4)[:, None] / 4) * np.cos(2 * np.pi * np.arange(60) / 12
+                                                        + np.arange(4)[:, None] + 0.25)
+        vals[2] += 0.3
+        return SnapshotMatrix(np.ldexp(scale * vals, k), 60.0, 0.0, tuple("abcd"))
+
+    @pytest.mark.parametrize(("scale", "k"), [(1e-300, 0), (1e200, 0), (1e300, 0),
+                                              (1.0, -1000), (1.0, 1000)])
+    def test_any_scale(self, scale, k):
+        # the check takes its squares of the record divided by its power of
+        # two, so the answer does not depend on the unit, and |mean| is
+        # reported in the record's unit: bit for bit at 2^k, and to round-off
+        # of the scaled record otherwise
+        want = mean_offset(self.biased())
+        s = self.biased(scale, k)
+        assert np.all(np.abs(s.values) >= np.finfo(float).tiny)
+        worst, mean = mean_offset(s)
+        assert want[0] == worst == 2
+        if k:
+            assert mean == math.ldexp(want[1], k)
+        else:
+            assert abs(mean / scale - want[1]) <= 1e-12 * want[1]
+        assert mean_offset(remove_mean(s)) is None
 
 
 class TestValidation:

@@ -1,4 +1,4 @@
-"""Digest the files and console output of 22 fixed CLI runs, to show they stay byte-identical.
+"""Digest the files and console output of 23 fixed CLI runs, to show they stay byte-identical.
 
     python tools/artifact_digests.py run [--tree DIR] [--work DIR] [--method M] --out LIST
     python tools/artifact_digests.py diff LIST_A LIST_B
@@ -75,7 +75,14 @@ checkout:
 22. ``spectrum`` without ``--remove-mean`` on a record constant in every
     channel that the tool writes into ``--work`` (:data:`CONSTANT_SNAPSHOTS`):
     one bias entry and nothing to rank, so its ``.stderr`` holds the
-    empty-ranking line.
+    empty-ranking line;
+23. ``pipeline`` and ``phase-average --keep-mean --period-samples 12`` on a
+    record of about 1e300 on the seven sensors of :func:`offset_layout`, one
+    of them biased, that the tool writes into ``--work``
+    (:func:`huge_snapshots`): every square of the fit, the mode table, the
+    bias check and the gradient is taken at unit scale, so neither command
+    overflows, and the bias note of ``phase-average`` names the biased
+    channel with its |mean| in the record's unit.
 
 ``--method M`` adds ``--method M`` to every ``spectrum`` and ``pipeline``
 call; without it those calls take the tree's default method.  So one
@@ -363,6 +370,23 @@ def offset_snapshots() -> str:
     return "\n".join(rows) + "\n"
 
 
+def huge_snapshots() -> str:
+    """A snapshot CSV of 121 samples 60 s apart: 1e300 times a 12-sample cosine per sensor.
+
+    Sensor j's cosine has amplitude (1 + j/4) * 1e300 and starts j samples
+    into its cycle, as in :func:`offset_snapshots`, and sensor F3 is offset
+    by 2e299, so the file is the same on every platform.
+    """
+    r = math.sqrt(3) / 2
+    cos = [1.0, r, 0.5, 0.0, -0.5, -r, -1.0, -r, -0.5, 0.0, 0.5, r]
+    rows = ["time," + ",".join(f"F{j}" for j in range(7))]
+    for k in range(121):
+        cells = [repr(1e300 * (1 + j / 4) * cos[(k + j) % 12] + (2e299 if j == 3 else 0.0))
+                 for j in range(7)]
+        rows.append(f"{60 * k}," + ",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
 #: the ids of :func:`quoted_snapshots`: the two JSON placeholders, a quote, a
 #: backslash and a non-ASCII letter, and two plain ids
 QUOTED_IDS = ('"mode": []', '"channels": []', 'q"uote', "back\\slash", "\u00c5sa", "Q5", "Q6")
@@ -476,6 +500,10 @@ def _runs(w: Path) -> list[list[str]]:
          "--period-samples", "12", "--out-dir", str(w / "quoted-phase-average")],
         ["spectrum", "--snapshots", str(w / "constant_snapshots.csv"),
          "--out-dir", str(w / "constant-spectrum")],
+        ["pipeline", "--snapshots", str(w / "huge_snapshots.csv"),
+         "--layout", str(w / "offset_layout.csv"), "--out-dir", str(w / "huge-pipeline")],
+        ["phase-average", "--snapshots", str(w / "huge_snapshots.csv"), "--keep-mean",
+         "--period-samples", "12", "--out-dir", str(w / "huge-phase-average")],
     ]
 
 
@@ -510,6 +538,7 @@ def cmd_run(args) -> int:
     (work / "quoted_layout.csv").write_text(quoted_layout(), encoding="utf-8")
     (work / "quoted_snapshots.csv").write_text(quoted_snapshots(), encoding="utf-8")
     (work / "constant_snapshots.csv").write_text(CONSTANT_SNAPSHOTS, encoding="utf-8")
+    (work / "huge_snapshots.csv").write_text(huge_snapshots(), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     console = work / "console"
     console.mkdir()
@@ -549,7 +578,7 @@ def cmd_diff(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run the 22 CLI runs and write the digest list")
+    p = sub.add_parser("run", help="run the 23 CLI runs and write the digest list")
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="source tree whose src/ is run (default: this checkout)")
     p.add_argument("--work", default=str(Path(tempfile.gettempdir()) / "thermokmd-artifacts"),
